@@ -2,10 +2,11 @@
 
 Usage, from the repository root:
 
-    python3 liftbench/run.py --workload boundary-recover --seed 0 --seconds 15 --trace 0
+    python3 liftbench/run.py --workload internal-sweep --seed 0 --seconds 35 --trace 0
 
-``--trace 0`` prints the end-to-end metrics (wall time, set-up time, peak
-memory); ``--trace 1`` wraps liftrec's public calls in spans and prints the
+``--seconds`` is the whole measuring window of a run.  ``--trace 0``
+prints the end-to-end metrics (wall time, set-up time, peak memory);
+``--trace 1`` wraps liftrec's public calls in spans and prints the
 per-layer metrics.  Every invocation is checked by the workload's
 correctness gate and against the first repetition's CSV bytes.  The last
 line of standard output is one JSON object with ``correct``, ``attempted``,
@@ -33,9 +34,9 @@ from workloads import WORKLOADS
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".liftbench"     # span files, and scratch CLI output while running
-# set-up-only passes per untraced run: at least this many, for at least this long
-SETUP_PROBES = 3
-SETUP_SECONDS = 2.0
+# an untraced run spends this share of --seconds on set-up-only passes,
+# after the full passes
+SETUP_SHARE = 0.15
 
 
 def environment():
@@ -84,7 +85,7 @@ class Runner:
         out = self._out("setup")
         total = 0.0
         for k, inv in enumerate(self.plan):
-            probe.reset(abort=True)
+            probe.first = None
             t0 = time.perf_counter()
             try:
                 self.cli.main(["--out", str(out / str(k)), *inv.argv])
@@ -94,30 +95,25 @@ class Runner:
         shutil.rmtree(out)
         return total
 
-    def full_pass(self, probe=None, plan=None):
-        """Run and gate every invocation; returns (wall seconds, set-up seconds)."""
+    def full_pass(self, plan=None):
+        """Run and gate every invocation; returns the pass's wall seconds."""
         plan = plan or self.plan
         out = self._out("pass")
-        codes, setup = {}, 0.0
+        codes = {}
         start = time.perf_counter()
         for k, inv in enumerate(plan):
-            if probe is not None:
-                probe.reset(abort=False)
-            t0 = time.perf_counter()
             try:
                 codes[inv.label] = self.cli.main(["--out", str(out / str(k)), *inv.argv])
             except Exception:
                 traceback.print_exc()
                 codes[inv.label] = None
-            if probe is not None:
-                setup += (probe.first or time.perf_counter()) - t0
         wall = time.perf_counter() - start
         outputs = {inv.label: {p.name: p.read_bytes()
                                for p in sorted((out / str(k)).glob("*.csv"))}
                    for k, inv in enumerate(plan)}
         shutil.rmtree(out)
         self._gate(outputs, codes)
-        return wall, setup
+        return wall
 
     def _gate(self, outputs, codes):
         failed = {label for label, code in codes.items() if code != 0}
@@ -134,35 +130,31 @@ class Runner:
             print(f"FAILED {self.workload.name} {label}", file=sys.stderr)
 
 
-def after_warmup(walls):
-    """Drop the first pass, which pays for lazy imports and first calls."""
-    return walls[1:] or walls
-
-
 def untraced(runner, seconds):
-    """End-to-end metrics: wall time, set-up time and peak memory."""
+    """End-to-end metrics: wall time and peak memory of full passes, then
+    set-up time of set-up-only passes."""
+    walls = []
+    start = time.perf_counter()
+    while not walls or time.perf_counter() - start < (1 - SETUP_SHARE) * seconds:
+        walls.append(runner.full_pass())
+    # read before the probes: a stopped sweep still runs its queued pool
+    # tasks, and the exceptions they raise keep each task's operator alive
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    setups = []
+    start = time.perf_counter()
     probe = spans.SetupProbe()
     restore = spans.install(spans.SETUP_ENDS, probe.wrap)
     try:
-        setups = []
-        start = time.perf_counter()
-        while len(setups) < SETUP_PROBES or time.perf_counter() - start < SETUP_SECONDS:
+        while not setups or time.perf_counter() - start < SETUP_SHARE * seconds:
             setups.append(runner.setup_pass(probe))
-        walls = []
-        start = time.perf_counter()
-        while (len(walls) < runner.workload.min_passes
-               or time.perf_counter() - start < seconds):
-            wall, setup = runner.full_pass(probe)
-            walls.append(wall)
-            setups.append(setup)
     finally:
         restore()
     print("pass walls: " + " ".join(f"{w:.3f}" for w in walls), file=sys.stderr)
     print("set-up samples: " + " ".join(f"{s:.4f}" for s in setups), file=sys.stderr)
     return {
-        "wall_s": (statistics.median(after_warmup(walls)), "s"),
+        "wall_s": (statistics.median(walls), "s"),
         "setup_s": (statistics.median(setups), "s"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
+        "peak_rss_mb": (peak_rss_mb, "MB"),
     }
 
 
@@ -216,14 +208,14 @@ def traced(runner, seconds, span_path):
     plain, timed, recorded = [], [], []
     start = time.perf_counter()
     while not timed or time.perf_counter() - start < seconds:
-        plain.append(runner.full_pass()[0])
+        plain.append(runner.full_pass())
         restore = spans.install(spans.TRACED, tracer.wrap)
         try:
-            timed.append(runner.full_pass()[0])
+            timed.append(runner.full_pass())
         finally:
             restore()
         recorded.append(tracer.take())
-    jobs1 = runner.full_pass(plan=runner.jobs1_plan)[0] if runner.jobs1_plan else 0.0
+    jobs1 = runner.full_pass(plan=runner.jobs1_plan) if runner.jobs1_plan else 0.0
     spans.write_spans(span_path, recorded)
 
     summaries = [spans.summarize(threads) for threads in recorded]
@@ -236,7 +228,7 @@ def traced(runner, seconds, span_path):
                for name, (_, unit) in per_pass[0].items()}
     metrics["cli.jobs1_wall_s"] = (jobs1, "s")
     metrics["trace_overhead"] = (
-        statistics.median(timed) / statistics.median(after_warmup(plain)) - 1, "1")
+        statistics.median(timed) / statistics.median(plain) - 1, "1")
     metrics["err_max"] = (max(q[0] for q in runner.quality), "1")
     metrics["w_norm_max"] = (max(q[1] for q in runner.quality), "1")
     print(f"{len(timed)} traced passes; spans in {span_path}", file=sys.stderr)
@@ -248,8 +240,8 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0,
                         help="workload seed; 0 gives criterion 11's noise seed")
-    parser.add_argument("--seconds", type=float, default=15.0,
-                        help="measure passes until this much time has gone")
+    parser.add_argument("--seconds", type=float, default=35.0,
+                        help="measure until this much time has gone")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seed < 0:

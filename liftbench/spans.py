@@ -149,16 +149,12 @@ class SetupDone(BaseException):
 
 
 class SetupProbe:
-    """Records when an invocation first calls into solvers or certify."""
+    """Records when an invocation first calls into solvers or certify, and
+    stops it there."""
 
     def __init__(self):
         self.first = None
-        self.abort = False
         self._lock = threading.Lock()
-
-    def reset(self, abort):
-        self.first = None
-        self.abort = abort
 
     def wrap(self, name, fn):
         @functools.wraps(fn)
@@ -166,9 +162,7 @@ class SetupProbe:
             with self._lock:
                 if self.first is None:
                     self.first = time.perf_counter()
-            if self.abort:
-                raise SetupDone(name)
-            return fn(*args, **kwargs)
+            raise SetupDone(name)
         return probed
 
 

@@ -1,4 +1,4 @@
-"""The four benchmark workloads: CLI invocations, seeds and correctness gates.
+"""The benchmark workloads: CLI invocations, seeds and correctness gates.
 
 A workload pass is a list of ``liftrec`` CLI invocations; each invocation is
 one operation of the benchmark.  The gate of an invocation reads only the
@@ -42,14 +42,12 @@ class Invocation:
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     configs: dict                      # file name -> config text
     plan: object                       # (seed, config dir) -> [Invocation]
     check: object                      # outputs -> failed labels
     quality: object                    # outputs -> (err_max, w_norm_max)
     expected_spans: tuple              # spans the traced run must record
     jobs1: bool = False                # traced runs add a --jobs 1 pass
-    min_passes: int = 1                # full passes per run, at least
 
 
 def read_rows(data):
@@ -73,7 +71,9 @@ def _cfg(cfg_dir, name):
 
 
 # ---------------------------------------------------------------------------
-# boundary-recover: criterion 11's solve sequence through `calderon recover`
+# boundary-recover: criterion 11's solve sequence through `calderon recover`.
+# Run by hand only: one pass takes ~30 s, too long for a median of passes
+# within a run, so BENCHMARK.json does not list it.
 
 
 def _recover_plan(seed, cfg_dir):
@@ -231,9 +231,6 @@ _SOLVE_SPANS = ("cli.main", "solvers.AffineOperator.apply_vec",
 WORKLOADS = {w.name: w for w in (
     Workload(
         name="boundary-recover",
-        why="17^2 boundary recovery, one exact and three noisy solves as in "
-            "criterion 11: dense Gram factorization, power iteration and "
-            "mat-vecs dominate, SVT is small",
         configs={"exact.cfg": CALDERON_EXACT,
                  **{f"noisy_{d}.cfg": CALDERON + f"[noise]\ndelta = {d}\nc = 1\n"
                     for d in CALDERON_DELTAS}},
@@ -246,9 +243,6 @@ WORKLOADS = {w.name: w for w in (
     ),
     Workload(
         name="boundary-certify",
-        why="17^2 forward solves, assembly, certificate table for N in 2..4 and "
-            "Gauss-Newton baseline: reads the dense operator but runs no "
-            "convex solver",
         configs={"calderon.cfg": CALDERON + "[sweep]\nn_list = 2,3,4\n"},
         plan=_certify_plan, check=_certify_check, quality=_certify_quality,
         expected_spans=(
@@ -260,8 +254,6 @@ WORKLOADS = {w.name: w for w in (
     ),
     Workload(
         name="internal-sweep",
-        why="n=121 internal sweep, 3 jump sizes x 3 noise levels on 2 pool "
-            "threads: SVT-heavy, the only path through APG and the thread pool",
         configs={"sweep.cfg": f"[grid]\nn = {SWEEP_N}\n[sweep]\nq0_values = "
                               + ",".join(map(str, SWEEP_Q0))
                               + "\n[noise]\ndeltas = "
@@ -273,15 +265,9 @@ WORKLOADS = {w.name: w for w in (
             "solvers.solve_regularized_nnm", "lowrank.svt_prox",
             "lowrank.nuclear_norm", "lowrank.operator_norm"),
         jobs1=True,
-        # one pass of two pool threads varies by +-5%, and its peak memory
-        # depends on how the threads overlap
-        min_passes=3,
     ),
     Workload(
         name="phaselift",
-        why=f"n=20, m=120 PhaseLift, noiseless and delta=1e-3, over "
-            f"{PHASELIFT_INSTANCES} instance seeds: the only path through "
-            "quadratic and the PSD solver variants",
         configs={"phaselift.cfg": "[phaselift]\nn = 20\nm = 120\n"
                                   "[noise]\ndeltas = 0,1e-3\n"},
         plan=_phaselift_plan, check=_phaselift_check, quality=_phaselift_quality,
@@ -289,8 +275,5 @@ WORKLOADS = {w.name: w for w in (
             "quadratic.recover_phaselift", "solvers.solve_psd_trace_min",
             "solvers.solve_equality_nnm", "solvers.solve_regularized_nnm",
             "solvers.psd_trace_prox"),
-        # its small solves slow down by 10-20% for seconds at a time when
-        # the host is busy, so a run measures over more of them
-        min_passes=6,
     ),
 )}
