@@ -21,10 +21,8 @@ from .internal import (
     build_internal_problem,
     certificate_norm,
     find_condition_interval,
-    linear_system_oracle,
     loglog_slope,
     measurement_vector,
-    optimal_alpha,
     recover_internal,
     run_delta_sweep,
     sufficient_condition,

@@ -15,7 +15,6 @@ named), 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import logging
@@ -29,6 +28,7 @@ import numpy as np
 from . import acceptance
 from . import calderon as cal
 from . import certify, quadratic, solvers
+from ._blas import map_rows
 from .errors import ConfigError
 from .hilbert import build_grid_1d, build_grid_2d
 from .internal import (
@@ -38,7 +38,6 @@ from .internal import (
     find_condition_interval,
     make_measurements,
     recover_internal,
-    run_delta_sweep,
     sufficient_condition,
 )
 from .pde1d import constant_potential, step_potential
@@ -232,6 +231,7 @@ def _potential_for(config, grid):
 INTERNAL_SCHEMA = [
     ("q0", float), ("lhs", float), ("pass", bool), ("w_norm", float),
     ("err_L2", float), ("delta", float), ("lambda", float), ("iters", int),
+    ("status", str),
 ]
 
 
@@ -255,12 +255,13 @@ def _internal_row(config, q0, delta, seed, c, opts):
     except certify.DegenerateCertificate:
         w_norm = float("nan")
     mode = "exact" if delta == 0 else "noisy"
-    q_hat, _, report = recover_internal(problem, meas, mode=mode, c=c, opts=opts)
+    q_hat, _, report = recover_internal(problem, meas, mode=mode, c=c, opts=opts,
+                                        op=op)
     err = problem.l2.norm(q_hat.values - problem.q_true.values)
     return {
         "q0": q0, "lhs": lhs, "pass": passed, "w_norm": w_norm, "err_L2": err,
         "delta": delta, "lambda": (0.0 if delta == 0 else c * delta),
-        "iters": report.iterations,
+        "iters": report.iterations, "status": report.status,
     }
 
 
@@ -328,11 +329,7 @@ def run_internal(config, out_dir, seed, jobs, task):
             q0, delta, task_seed = args
             return _internal_row(config, q0, delta, task_seed, c, opts)
 
-        if jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(one, tasks))
-        else:
-            rows = [one(t) for t in tasks]
+        rows = map_rows(one, tasks, jobs)
         emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, "sweep.csv"))
         _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
                                  "rows": len(rows)})

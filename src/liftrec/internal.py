@@ -19,12 +19,12 @@ for non-degeneracy, and the a-priori stability constant.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
+from ._blas import map_rows
 from .errors import DegenerateInput
 from .hilbert import (
     BivariateField,
@@ -45,7 +45,6 @@ from .pde1d import (
 )
 from .solvers import (
     AffineOperator,
-    SolverOptions,
     solve_equality_nnm,
     solve_regularized_nnm,
 )
@@ -212,16 +211,18 @@ def extract_q_from_trace(f_values, problem):
     return Potential1D(problem.grid, vals)
 
 
-def recover_internal(problem, measurements, mode="exact", c=1.0, opts=None):
+def recover_internal(problem, measurements, mode="exact", c=1.0, opts=None, op=None):
     """Solve the convex relaxation and extract the potential.
 
     ``exact`` runs the equality-constrained solve (requires noiseless
     measurements); ``noisy`` runs the regularized solve with weight
-    ``lambda = c * delta``.  Returns the potential estimate, the whitened
-    recovered field, and the solve report (with the rank diagnostic
-    ``sigma2 / sigma1`` in ``extras``).
+    ``lambda = c * delta``.  ``op`` is the problem's assembled operator,
+    built here when the caller holds none.  Returns the potential estimate,
+    the whitened recovered field, and the solve report (with the rank
+    diagnostic ``sigma2 / sigma1`` in ``extras``).
     """
-    op = assemble_internal_operator(problem)
+    if op is None:
+        op = assemble_internal_operator(problem)
     z = measurement_vector(problem, measurements)
     if mode == "exact":
         if measurements.delta != 0:
@@ -508,7 +509,7 @@ def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
         delta, seed = task
         meas = make_measurements(problem, delta=delta, seed=seed)
         q_hat, f_white, report = recover_internal(
-            problem, meas, mode="noisy", c=c, opts=opts
+            problem, meas, mode="noisy", c=c, opts=opts, op=op
         )
         err = problem.l2.norm(q_hat.values - problem.q_true.values)
         rel = err / problem.l2.norm(problem.q_true.values)
@@ -526,12 +527,7 @@ def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
         return row
 
     tasks = [(float(d), int(s)) for d in deltas for s in seeds]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(t) for t in tasks]
-    return rows
+    return map_rows(one, tasks, jobs)
 
 
 def loglog_slope(deltas, errors):

@@ -59,9 +59,11 @@ def test_parse_config_rejects_bad_input(bad):
 def test_emit_table_round_trip(tmp_path):
     rows = [
         {"q0": 0.5, "lhs": 1.0 / 3.0, "pass": True, "w_norm": 0.25,
-         "err_L2": 1.25e-13, "delta": 0.0, "lambda": 0.0, "iters": 75},
+         "err_L2": 1.25e-13, "delta": 0.0, "lambda": 0.0, "iters": 75,
+         "status": "converged"},
         {"q0": -0.3, "lhs": 0.9, "pass": False, "w_norm": float("nan"),
-         "err_L2": 2.0, "delta": 1e-3, "lambda": 1e-3, "iters": 10_000},
+         "err_L2": 2.0, "delta": 1e-3, "lambda": 1e-3, "iters": 10_000,
+         "status": "max_iter"},
     ]
     path = tmp_path / "table.csv"
     emit_table(rows, INTERNAL_SCHEMA, path)
@@ -105,6 +107,7 @@ def test_cli_internal_recover_smoke(tmp_path):
     assert len(rows) == 1
     assert rows[0]["err_L2"] <= 1e-6
     assert rows[0]["pass"] is True
+    assert rows[0]["status"] == "converged"
     summary = json.loads((out / "summary.json").read_text())
     assert "versions" in summary and "timestamp" in summary
 
@@ -119,6 +122,17 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out2), "--seed", "5",
                  "internal", "recover"]) == 0
     assert (out1 / "recover.csv").read_bytes() == (out2 / "recover.csv").read_bytes()
+
+
+def test_cli_internal_sweep_reports_max_iter_rows(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[grid]\nn = 21\n[sweep]\nq0_values = 0.3\n[noise]\ndeltas = 0,1e-2\n"
+                   "[solver]\nmax_iter = 5\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--jobs", "2",
+                 "internal", "sweep"]) == 0
+    rows = read_table(out / "sweep.csv", INTERNAL_SCHEMA)
+    assert [(r["iters"], r["status"]) for r in rows] == [(5, "max_iter")] * 2
 
 
 def test_cli_internal_certify_emits_json(tmp_path):
