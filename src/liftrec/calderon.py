@@ -122,18 +122,6 @@ def solve_schrodinger_2d(grid, q_vals, f_bdry, factor=None, coupling=None):
     return u
 
 
-def solve_poisson_zero_bc(grid, source_vals, factor=None):
-    """Solve ``-Lap v = source`` on the interior with zero boundary values."""
-    if factor is None:
-        a, _ = _interior_operator(grid)
-        factor = _factorize(a)
-    v = np.zeros(grid.n_nodes)
-    v[grid.interior_index] = factor.solve(
-        np.asarray(source_vals, float)[grid.interior_index]
-    )
-    return v
-
-
 def harmonic_extension_2d(grid, f_bdry, factor=None, coupling=None):
     """Discrete harmonic extension: the Laplace solve with data ``f``."""
     if factor is None or coupling is None:

@@ -235,7 +235,8 @@ INTERNAL_SCHEMA = [
 ]
 
 
-def _internal_row(config, q0, delta, seed, c, opts):
+def _internal_state(config, q0):
+    """Everything an internal row needs that depends on the jump size alone."""
     grid = build_grid_1d(config.get("grid", "n", 41, int), 0.0, 1.0)
     base = config.get("potential", "base", 1.0, float)
     lo = config.get("potential", "jump_lo", 0.4, float)
@@ -246,7 +247,6 @@ def _internal_row(config, q0, delta, seed, c, opts):
         f_a=config.get("boundary", "f_a", 1.0, float),
         f_b=config.get("boundary", "f_b", 1.0, float),
     )
-    meas = make_measurements(problem, delta=delta, seed=seed)
     lhs, _, passed = sufficient_condition(problem)
     op = assemble_internal_operator(problem)
     try:
@@ -254,15 +254,36 @@ def _internal_row(config, q0, delta, seed, c, opts):
         w_norm = cert.max_w_norm
     except certify.DegenerateCertificate:
         w_norm = float("nan")
+    return problem, op, {"q0": q0, "lhs": lhs, "pass": passed, "w_norm": w_norm}
+
+
+def _internal_row(states, q0, delta, seed, c, opts):
+    problem, op, columns = states[q0]
+    meas = make_measurements(problem, delta=delta, seed=seed)
     mode = "exact" if delta == 0 else "noisy"
     q_hat, _, report = recover_internal(problem, meas, mode=mode, c=c, opts=opts,
                                         op=op)
     err = problem.l2.norm(q_hat.values - problem.q_true.values)
     return {
-        "q0": q0, "lhs": lhs, "pass": passed, "w_norm": w_norm, "err_L2": err,
+        **columns, "err_L2": err,
         "delta": delta, "lambda": (0.0 if delta == 0 else c * delta),
         "iters": report.iterations, "status": report.status,
     }
+
+
+def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
+    """One row per (q0, delta), seeded ``seed + k`` in that order.
+
+    The per-q0 state is built once per distinct q0; both stages run through
+    :func:`map_rows`, so every ``jobs`` gives the same bytes.
+    """
+    distinct = list(dict.fromkeys(q0_values))
+    states = dict(zip(distinct, map_rows(
+        lambda q0: _internal_state(config, q0), distinct, jobs)))
+    tasks = [(q0, delta, seed + k) for k, (q0, delta) in enumerate(
+        (a, b) for a in q0_values for b in deltas
+    )]
+    return map_rows(lambda t: _internal_row(states, *t, c, opts), tasks, jobs)
 
 
 def run_internal(config, out_dir, seed, jobs, task):
@@ -309,10 +330,7 @@ def run_internal(config, out_dir, seed, jobs, task):
         if not deltas:
             deltas = [config.get("noise", "delta", 0.0, float)]
         q0 = config.get("potential", "q0", 0.5, float)
-        rows = [
-            _internal_row(config, q0, delta, seed + i, c, opts)
-            for i, delta in enumerate(deltas)
-        ]
+        rows = _internal_rows(config, [q0], deltas, seed, c, opts, jobs)
         emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, "recover.csv"))
         _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
                                  "rows": len(rows)})
@@ -321,15 +339,7 @@ def run_internal(config, out_dir, seed, jobs, task):
     if task == "sweep":
         q0_values = config.get_list("sweep", "q0_values", default=(-0.3, 0.3, 0.5))
         deltas = config.get_list("noise", "deltas", default=(0.0,))
-        tasks = [(q0, delta, seed + k) for k, (q0, delta) in enumerate(
-            (a, b) for a in q0_values for b in deltas
-        )]
-
-        def one(args):
-            q0, delta, task_seed = args
-            return _internal_row(config, q0, delta, task_seed, c, opts)
-
-        rows = map_rows(one, tasks, jobs)
+        rows = _internal_rows(config, q0_values, deltas, seed, c, opts, jobs)
         emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, "sweep.csv"))
         _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
                                  "rows": len(rows)})

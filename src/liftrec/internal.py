@@ -164,29 +164,73 @@ def make_measurements(problem, delta=0.0, seed=0):
     )
 
 
+class InternalOperator(AffineOperator):
+    """The internal measurement map, applied from its factors in O(n^2).
+
+    On a whitened field ``Fw`` (n x n) the map is
+
+        block 1:  sqrt(w_k) * diag(F)_k = sum_i Uinv[k, i] * Fw[i, k]
+        block 2:  Fw @ sqrt(w)
+
+    with ``Uinv`` the inverse of the H2 whitening factor, and its adjoint
+    sends ``(p1, p2)`` to ``Uinv^T * p1 + outer(p2, sqrt(w))``.  The dense
+    ``2n x n^2`` form is built only on request, by :attr:`matrix`.
+    """
+
+    def __init__(self, uinv, sqrtw):
+        self.uinv = np.ascontiguousarray(uinv, dtype=float)
+        self.sqrtw = np.asarray(sqrtw, dtype=float)
+        self.n = self.sqrtw.size
+        self._init_shapes([(self.n, self.n)], 2 * self.n)
+
+    def _matvec(self, vec):
+        fw = vec.reshape(self.n, self.n)
+        return np.concatenate([np.einsum("ki,ik->k", self.uinv, fw), fw @ self.sqrtw])
+
+    def _rmatvec(self, p):
+        p1, p2 = p[:self.n], p[self.n:]
+        return (self.uinv.T * p1 + np.outer(p2, self.sqrtw)).ravel()
+
+    def apply_block(self, i, cols):
+        fw = cols.reshape(self.n, self.n, -1)
+        return np.concatenate([np.einsum("ki,ikc->kc", self.uinv, fw),
+                               np.einsum("ijc,j->ic", fw, self.sqrtw)])
+
+    def gram(self):
+        g12 = self.uinv * self.sqrtw[:, None]
+        return np.block([
+            [np.diag(np.einsum("ki,ki->k", self.uinv, self.uinv)), g12],
+            [g12.T, np.sum(self.sqrtw ** 2) * np.eye(self.n)],
+        ])
+
+    def max_abs_entry(self):
+        return max(float(np.abs(self.uinv).max()), float(self.sqrtw.max()))
+
+    @property
+    def matrix(self):
+        """Dense ``2n x n^2`` form on the row-major vec, built on each access."""
+        n = self.n
+        # entry (i, j) of the whitened matrix sits at i * n + j
+        a1 = np.zeros((n, n * n))
+        for k in range(n):
+            a1[k, np.arange(n) * n + k] = self.uinv[k, :]
+
+        a2 = np.zeros((n, n * n))
+        for i in range(n):
+            a2[i, i * n:(i + 1) * n] = self.sqrtw
+
+        return np.vstack([a1, a2])
+
+
 def assemble_internal_operator(problem):
-    """Whitened matrix form of the internal measurement map.
+    """Whitened form of the internal measurement map.
 
     Block 1 extracts the diagonal, measured with the L2 quadrature weights
     on the full grid (the Laplacian-isometry representation of the state
     block); block 2 integrates over the second variable, measured in H2.
-    The adjoint is the plain matrix transpose in whitened coordinates.
+    The adjoint is the transpose in whitened coordinates.
     """
-    n = problem.grid.n
-    uinv = problem.x_unwhitener
-    sqrtw = np.sqrt(problem.grid.quad_weights)
-
-    # row-major vec: entry (i, j) of the whitened matrix sits at i * n + j;
-    # sqrt(w_k) * diag(F)_k = sum_i Uinv[k, i] * Fw[i, k]
-    a1 = np.zeros((n, n * n))
-    for k in range(n):
-        a1[k, np.arange(n) * n + k] = uinv[k, :]
-
-    a2 = np.zeros((n, n * n))
-    for i in range(n):
-        a2[i, i * n:(i + 1) * n] = sqrtw
-
-    return AffineOperator(np.vstack([a1, a2]), [(n, n)])
+    return InternalOperator(problem.x_unwhitener, np.sqrt(problem.grid.quad_weights))
 
 
 def measurement_vector(problem, measurements):

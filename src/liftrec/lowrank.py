@@ -27,7 +27,6 @@ from .errors import DegenerateInput, NumericFailure
 # precision, above round-off), strict inequalities by a separate margin.
 DEFAULT_TOL = 1e-8
 DEFAULT_MARGIN = 1e-3
-RANK_THRESHOLD = 1e-10
 
 
 @dataclass
@@ -240,10 +239,3 @@ def leading_rank_one(m):
     vvec = vvec / np.linalg.norm(vvec)
     return RankOneModel(sigma=sigma, u=uvec, v=vvec)
 
-
-def rank_estimate(m, threshold=RANK_THRESHOLD):
-    """Number of singular values above ``threshold * sigma_1``."""
-    s = _svdvals(m)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > threshold * s[0]))

@@ -23,6 +23,7 @@ projection multipliers, so duality gaps can be audited externally.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,12 @@ def unpack_blocks(vec, shapes):
 
 
 class AffineOperator:
-    """Dense block-structured linear map from whitened matrices to measurements.
+    """Block-structured linear map from whitened matrices to measurements.
+
+    The base class holds the map as a dense matrix.  A structured subclass
+    overrides only the private hooks ``_matvec``/``_rmatvec`` and the public
+    hooks ``apply_block``, ``gram`` and ``max_abs_entry``; the public applies
+    and the operator-norm estimate stay on this class and delegate to them.
 
     Parameters
     ----------
@@ -96,37 +102,65 @@ class AffineOperator:
     """
 
     def __init__(self, matrix, domain_shapes):
-        self.matrix = np.ascontiguousarray(matrix, dtype=float)
-        self.domain_shapes = [tuple(s) for s in domain_shapes]
-        total = sum(r * c for r, c in self.domain_shapes)
-        if self.matrix.shape[1] != total:
+        matrix = np.ascontiguousarray(matrix, dtype=float)
+        self._init_shapes(domain_shapes, matrix.shape[0])
+        if matrix.shape[1] != self.domain_dim:
             raise ValueError(
-                f"matrix has {self.matrix.shape[1]} columns, blocks need {total}"
+                f"matrix has {matrix.shape[1]} columns, blocks need {self.domain_dim}"
             )
-        self.codomain_dim = self.matrix.shape[0]
+        self.matrix = matrix
+
+    def _init_shapes(self, domain_shapes, codomain_dim):
+        self.domain_shapes = [tuple(s) for s in domain_shapes]
+        self._offsets = [0, *itertools.accumulate(r * c for r, c in self.domain_shapes)]
+        self.domain_dim = self._offsets[-1]
+        self.codomain_dim = int(codomain_dim)
         self._opnorm = None
 
     @property
     def n_blocks(self):
         return len(self.domain_shapes)
 
-    def apply(self, blocks):
-        return self.matrix @ pack_blocks(blocks)
-
-    def apply_vec(self, vec):
+    def _matvec(self, vec):
         return self.matrix @ vec
 
+    def _rmatvec(self, p):
+        return self.matrix.T @ p
+
+    def apply_block(self, i, cols):
+        """Measurements of a batch of elements of block ``i``.
+
+        ``cols`` has one raveled block element per column; the result has one
+        measurement vector per column.
+        """
+        return self.matrix[:, self._offsets[i]:self._offsets[i + 1]] @ cols
+
+    def gram(self):
+        """The codomain Gram matrix ``Phi Phi^*``."""
+        return self.matrix @ self.matrix.T
+
+    def max_abs_entry(self):
+        """Largest absolute entry of the matrix form."""
+        return float(np.abs(self.matrix).max())
+
+    def apply(self, blocks):
+        return self._matvec(pack_blocks(blocks))
+
+    def apply_vec(self, vec):
+        return self._matvec(vec)
+
     def adjoint_apply(self, p):
-        return unpack_blocks(self.matrix.T @ p, self.domain_shapes)
+        return unpack_blocks(self._rmatvec(p), self.domain_shapes)
 
     def adjoint_vec(self, p):
-        return self.matrix.T @ p
+        return self._rmatvec(p)
 
     @property
     def opnorm_estimate(self):
         """Largest singular value, estimated by seeded power iteration."""
         if self._opnorm is None:
-            self._opnorm = _power_iteration(self.matrix)
+            self._opnorm = _power_iteration(self._matvec, self._rmatvec,
+                                            self.domain_dim)
         return self._opnorm
 
     def check_adjoint(self, rng=None, n_probes=10):
@@ -134,22 +168,22 @@ class AffineOperator:
         rng = np.random.default_rng(0) if rng is None else rng
         worst = 0.0
         for _ in range(n_probes):
-            x = rng.standard_normal(self.matrix.shape[1])
+            x = rng.standard_normal(self.domain_dim)
             p = rng.standard_normal(self.codomain_dim)
-            lhs = float((self.matrix @ x) @ p)
-            rhs = float(x @ (self.matrix.T @ p))
+            lhs = float(self._matvec(x) @ p)
+            rhs = float(x @ self._rmatvec(p))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             worst = max(worst, abs(lhs - rhs) / scale)
         return worst
 
 
-def _power_iteration(a, iters=500, rtol=1e-13, seed=0):
+def _power_iteration(matvec, rmatvec, dim, iters=500, rtol=1e-13, seed=0):
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[1])
+    v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(iters):
-        w = a.T @ (a @ v)
+        w = rmatvec(matvec(v))
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
@@ -173,7 +207,7 @@ class _AffineProjector:
     def __init__(self, op, z, rank_rtol=1e-12):
         self.op = op
         self.z = np.asarray(z, float)
-        gram = op.matrix @ op.matrix.T
+        gram = op.gram()
         evals, evecs = np.linalg.eigh(gram)
         cutoff = rank_rtol * max(evals[-1], 0.0)
         keep = evals > cutoff
@@ -343,8 +377,7 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, psd_mode=False):
     lip = (opn * (1.0 + 1e-3)) ** 2
     step = 1.0 / lip
 
-    dim = op.matrix.shape[1]
-    x = np.zeros(dim)
+    x = np.zeros(op.domain_dim)
     yv = x.copy()
     theta = 1.0
     history = []

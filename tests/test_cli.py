@@ -161,6 +161,18 @@ def test_cli_internal_sweep_parallel_deterministic(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def test_cli_internal_recover_matches_one_q0_sweep(tmp_path):
+    # recover rows and sweep rows run the same arithmetic under the same BLAS cap
+    common = "[grid]\nn = 41\n[noise]\ndeltas = 0,1e-2\n"
+    (tmp_path / "r.cfg").write_text(common + "[potential]\nq0 = 0.3\n")
+    (tmp_path / "s.cfg").write_text(common + "[sweep]\nq0_values = 0.3\n")
+    for name, task in (("r", "recover"), ("s", "sweep")):
+        assert main(["--config", str(tmp_path / f"{name}.cfg"), "--out",
+                     str(tmp_path / name), "--seed", "4", "internal", task]) == 0
+    assert (tmp_path / "r" / "recover.csv").read_bytes() \
+        == (tmp_path / "s" / "sweep.csv").read_bytes()
+
+
 def test_cli_phaselift_smoke(tmp_path):
     out = tmp_path / "out"
     code = main(["--out", str(out), "--seed", "7", "phaselift"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftrec import certify
 from liftrec.errors import EigenvalueHit
@@ -23,7 +25,7 @@ from liftrec.internal import (
 )
 from liftrec.lowrank import operator_norm, project_tangent_complement
 from liftrec.pde1d import constant_potential, direct_division_oracle, step_potential
-from liftrec.solvers import SolverOptions
+from liftrec.solvers import AffineOperator, SolverOptions
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
@@ -71,11 +73,38 @@ def test_operator_adjoint_consistency(step_instance):
     op = assemble_internal_operator(problem)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        x = rng.standard_normal(op.matrix.shape[1])
+        x = rng.standard_normal(op.domain_dim)
         p = rng.standard_normal(op.codomain_dim)
-        lhs = float((op.matrix @ x) @ p)
-        rhs = float(x @ (op.matrix.T @ p))
+        lhs = float(op.apply_vec(x) @ p)
+        rhs = float(x @ op.adjoint_vec(p))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 25), seed=st.integers(0, 2 ** 31 - 1))
+def test_structured_operator_matches_its_dense_form(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid_1d(n, 0.0, 1.0)
+    problem, _ = build_internal_problem(grid, rng.uniform(0.2, 3.0, n))
+    op = assemble_internal_operator(problem)
+    dense = AffineOperator(op.matrix, op.domain_shapes)
+    assert dense.matrix.shape == (2 * n, n * n)
+
+    # the arithmetic is reordered, so agreement is to round-off of the norms
+    tol = 1e-13 * np.abs(dense.matrix).sum()
+    x = rng.standard_normal(op.domain_dim)
+    p = rng.standard_normal(op.codomain_dim)
+    cols = rng.standard_normal((op.domain_dim, 4))
+    assert np.abs(op.apply_vec(x) - dense.apply_vec(x)).max() <= tol * np.abs(x).max()
+    assert np.abs(op.adjoint_vec(p) - dense.adjoint_vec(p)).max() <= tol * np.abs(p).max()
+    assert np.abs(op.apply_block(0, cols) - dense.apply_block(0, cols)).max() \
+        <= tol * np.abs(cols).max()
+    assert np.abs(op.gram() - dense.gram()).max() <= tol * np.abs(dense.gram()).max()
+    assert op.max_abs_entry() == dense.max_abs_entry()
+    assert abs(op.opnorm_estimate - dense.opnorm_estimate) <= 1e-10 * dense.opnorm_estimate
+    lhs = float(op.apply_vec(x) @ p)
+    rhs = float(x @ op.adjoint_vec(p))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(op.apply_vec(x)) * np.linalg.norm(p)
 
 
 def test_adjoint_matches_closed_form(step_instance):
