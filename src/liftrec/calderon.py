@@ -122,14 +122,6 @@ def solve_schrodinger_2d(grid, q_vals, f_bdry, factor=None, coupling=None):
     return u
 
 
-def harmonic_extension_2d(grid, f_bdry, factor=None, coupling=None):
-    """Discrete harmonic extension: the Laplace solve with data ``f``."""
-    if factor is None or coupling is None:
-        a, coupling = _interior_operator(grid)
-        factor = _factorize(a)
-    return solve_schrodinger_2d(grid, None, f_bdry, factor=factor, coupling=coupling)
-
-
 def _onesided_flux_matrix(grid):
     """Second-order one-sided normal derivative at each boundary node."""
     h = grid.h
@@ -171,12 +163,14 @@ def _onesided_flux_matrix(grid):
     return fl
 
 
-def dtn_flux(grid, u_vals, method="onesided", coupling=None, f_bdry=None):
+def dtn_flux(grid, u_vals, method="onesided", coupling=None):
     """Normal derivative of a grid function along the boundary loop.
 
     ``onesided`` differentiates pointwise at second order.  ``variational``
     reads the flux off the discrete Green identity (exact adjoint symmetry,
     first-order consistency; zero at corners, which carry no coupling).
+    ``coupling`` is the interior-boundary block of :func:`_interior_operator`;
+    it does not depend on the potential.
     """
     u_vals = np.asarray(u_vals, float)
     if method == "onesided":
@@ -184,8 +178,9 @@ def dtn_flux(grid, u_vals, method="onesided", coupling=None, f_bdry=None):
     if method == "variational":
         if coupling is None:
             _, coupling = _interior_operator(grid)
-        fb = u_vals[grid.boundary_index] if f_bdry is None else np.asarray(f_bdry, float)
-        return _flux_of_state(grid, u_vals, coupling, fb, "variational")
+        base = (grid.h ** 2) * (coupling.T @ u_vals[grid.interior_index])
+        base = base + np.where(_corner_mask(grid), 0.0, u_vals[grid.boundary_index])
+        return base / grid.boundary_weights
     raise ValueError(f"unknown flux method {method!r}")
 
 
@@ -484,11 +479,6 @@ def assemble_calderon_system(problem):
     )
 
 
-def assemble_calderon_operator(problem):
-    """Full three-family measurement operator (see assemble_calderon_system)."""
-    return assemble_calderon_system(problem).op_full
-
-
 @dataclass
 class LiftedStack:
     """Coefficient fields of a lifted stack, one bivariate field per datum.
@@ -610,20 +600,8 @@ def dtn_map(grid, q_vals, bdry, method="onesided"):
     for i in range(bdry.n):
         u = solve_schrodinger_2d(grid, q_vals, bdry.matrix[:, i],
                                  factor=factor, coupling=coupling)
-        rows.append(_flux_of_state(grid, u, coupling, bdry.matrix[:, i], method))
+        rows.append(dtn_flux(grid, u, method, coupling))
     return np.stack(rows)
-
-
-def _flux_of_state(grid, u, coupling, f_bdry, method):
-    if method == "onesided":
-        return _onesided_flux_matrix(grid) @ u
-    if method == "variational":
-        h = grid.h
-        corner = _corner_mask(grid)
-        base = (h ** 2) * (coupling.T @ u[grid.interior_index])
-        base = base + np.where(corner, 0.0, f_bdry)
-        return base / grid.boundary_weights
-    raise ValueError(f"unknown flux method {method!r}")
 
 
 def frechet_derivative(problem, q_vals, h_vals, method="onesided"):
@@ -648,7 +626,7 @@ def _frechet_matrix(grid, bdry, q_vals, h_vals, method):
         v[grid.interior_index] = factor.solve(
             -(h_vals * u)[grid.interior_index]
         )
-        rows.append(_flux_of_state(grid, v, coupling, np.zeros(bdry.matrix.shape[0]), method))
+        rows.append(dtn_flux(grid, v, method, coupling))
     return np.stack(rows)
 
 

@@ -428,23 +428,23 @@ def sufficient_condition(problem):
     passing here is stricter than what the certificate bound needs.
     """
     grid = problem.grid
-    w = grid.quad_weights
-    omega = grid.length
     u_vals = problem.u_true.values
-    q_vals = problem.q_true.values
-    u_h2 = summed_h2_norm(grid, u_vals)
-    q_l2 = problem.l2.norm(q_vals)
-
-    u_n = u_vals / u_h2
-    q_n = q_vals / q_l2
-    intq_n = float(w @ q_n)
-    lhs_norm = (omega / (2.0 * float(u_n.min()))) \
-        * (float(q_n.max()) - float(q_n.min())) / intq_n ** 2
-
     q = problem.q_true
-    lhs_unnorm = (omega / (2.0 * float(u_vals.min()))) \
+    u_h2 = summed_h2_norm(grid, u_vals)
+    q_l2 = problem.l2.norm(q.values)
+    lhs_norm = _condition_lhs(grid, u_vals, q.values, u_h2, q_l2)
+    lhs_unnorm = (grid.length / (2.0 * float(u_vals.min()))) \
         * (q.sup - q.inf) / q.integral ** 2 * q_l2 * u_h2
     return lhs_norm, lhs_unnorm, bool(lhs_norm < 1.0)
+
+
+def _condition_lhs(grid, u_vals, q_vals, u_h2, q_l2):
+    """Condition value on the normalized pair ``u / u_h2``, ``q / q_l2``."""
+    u_n = u_vals / u_h2
+    q_n = q_vals / q_l2
+    intq_n = float(grid.quad_weights @ q_n)
+    return (grid.length / (2.0 * float(u_n.min()))) \
+        * (float(q_n.max()) - float(q_n.min())) / intq_n ** 2
 
 
 def apriori_constant(problem):
@@ -470,27 +470,17 @@ def apriori_constant(problem):
 # parameter studies
 
 
-def condition_lhs_for_q0(q0, n=401, base=1.0, lo=0.4, hi=0.6, f=1.0, _cache={}):
+def condition_lhs_for_q0(q0, grid, base=1.0, lo=0.4, hi=0.6, f=1.0):
     """Sufficient-condition value for the step family at a given jump size.
 
     Uses the summed-seminorm state norm of :func:`sufficient_condition`.
     """
-    key = n
-    if key not in _cache:
-        _cache[key] = build_grid_1d(n, 0.0, 1.0)
-    grid = _cache[key]
     q = step_potential(grid, base=base, q0=q0, lo=lo, hi=hi)
     if q.inf <= 0:
         return np.inf
     u = solve_schrodinger_1d(grid, q, f, f)
-    w = grid.quad_weights
-    u_h2 = summed_h2_norm(grid, u.values)
-    q_l2 = float(np.sqrt(w @ q.values ** 2))
-    u_n = u.values / u_h2
-    q_n = q.values / q_l2
-    intq_n = float(w @ q_n)
-    return (grid.length / (2.0 * float(u_n.min()))) \
-        * (float(q_n.max()) - float(q_n.min())) / intq_n ** 2
+    q_l2 = float(np.sqrt(grid.quad_weights @ q.values ** 2))
+    return _condition_lhs(grid, u.values, q.values, summed_h2_norm(grid, u.values), q_l2)
 
 
 def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f=1.0, tol=1e-3):
@@ -499,11 +489,16 @@ def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f=1.0, tol=1e-3):
     Locates the crossings of the condition value through 1 on both sides of
     zero for the step family; returns ``(q0_lower, q0_upper)``.
     """
+    grid = build_grid_1d(n, 0.0, 1.0)
+
+    def lhs(q0):
+        return condition_lhs_for_q0(q0, grid, base=base, lo=lo, hi=hi, f=f)
+
     def crossing(a, b):
         # condition holds at a, fails at b
         for _ in range(200):
             mid = 0.5 * (a + b)
-            if condition_lhs_for_q0(mid, n=n, base=base, lo=lo, hi=hi, f=f) < 1.0:
+            if lhs(mid) < 1.0:
                 a = mid
             else:
                 b = mid
@@ -517,14 +512,14 @@ def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f=1.0, tol=1e-3):
     while q0 > -base + 1e-6:
         q0 -= 0.05
         q0 = max(q0, -base + 1e-6)
-        if condition_lhs_for_q0(q0, n=n, base=base, lo=lo, hi=hi, f=f) >= 1.0:
+        if lhs(q0) >= 1.0:
             lo_bad = q0
             break
     hi_bad = None
     q0 = 0.0
     while q0 < 6.0:
         q0 += 0.05
-        if condition_lhs_for_q0(q0, n=n, base=base, lo=lo, hi=hi, f=f) >= 1.0:
+        if lhs(q0) >= 1.0:
             hi_bad = q0
             break
     lower = crossing(lo_bad + 0.05, lo_bad) if lo_bad is not None else -base

@@ -231,18 +231,13 @@ class _AffineProjector:
     def least_norm_point(self):
         return self.op.adjoint_vec(self._pinv_gram(self.z))
 
-    def solve_adjoint_least_squares(self, target):
-        """Least-norm p minimizing ||A^T p - target||."""
-        return self._pinv_gram(self.op.apply_vec(target))
+    def project_null(self, v):
+        """Orthogonal projection of v onto the null space of A."""
+        return v - self.op.adjoint_vec(self._pinv_gram(self.op.apply_vec(v)))
 
 
 # ---------------------------------------------------------------------------
-# proxes
-
-
-def _block_svt(vec, shapes, tau):
-    blocks = unpack_blocks(vec, shapes)
-    return pack_blocks([svt_prox(b, tau) if tau > 0 else b for b in blocks])
+# regularizers
 
 
 def psd_trace_prox(m, tau):
@@ -253,36 +248,52 @@ def psd_trace_prox(m, tau):
     return (evecs * shrunk) @ evecs.T
 
 
-def _block_psd_prox(vec, shapes, tau):
-    blocks = unpack_blocks(vec, shapes)
-    return pack_blocks([psd_trace_prox(b, tau) for b in blocks])
+class _NuclearNorm:
+    """``sum_i ||F_i||_*``: blockwise SVT, dual norm the largest operator norm."""
+
+    def prox(self, vec, shapes, tau):
+        return pack_blocks([svt_prox(b, tau) for b in unpack_blocks(vec, shapes)])
+
+    def value(self, vec, shapes):
+        return sum(nuclear_norm(b) for b in unpack_blocks(vec, shapes))
+
+    def dual_norm(self, blocks):
+        return max(operator_norm(b) for b in blocks)
 
 
-def _objective(vec, shapes, psd_mode=False):
-    blocks = unpack_blocks(vec, shapes)
-    if psd_mode:
-        return sum(float(np.trace(b)) for b in blocks)
-    return sum(nuclear_norm(b) for b in blocks)
+class _PSDTrace:
+    """``sum_i trace(F_i)`` on the PSD cone, where it equals the nuclear norm.
+
+    The dual unit ball is ``lambda_max(sym H_i) <= 1`` for every block.
+    """
+
+    def prox(self, vec, shapes, tau):
+        return pack_blocks([psd_trace_prox(b, tau) for b in unpack_blocks(vec, shapes)])
+
+    def value(self, vec, shapes):
+        return sum(float(np.trace(b)) for b in unpack_blocks(vec, shapes))
+
+    def dual_norm(self, blocks):
+        return max(float(np.linalg.eigvalsh(0.5 * (b + b.T))[-1]) for b in blocks)
 
 
-def _dual_violation(op, p, psd_mode=False):
-    blocks = op.adjoint_apply(p)
-    if psd_mode:
-        worst = max(float(np.linalg.eigvalsh(0.5 * (b + b.T))[-1]) for b in blocks)
-    else:
-        worst = max(operator_norm(b) for b in blocks)
-    return max(0.0, worst - 1.0)
+# The regularizers of the solvers.  Their methods read ``svt_prox``,
+# ``psd_trace_prox``, ``nuclear_norm`` and ``operator_norm`` as module
+# globals at call time, so rebinding those names reaches every solve.
+NUCLEAR = _NuclearNorm()
+PSD_TRACE = _PSDTrace()
 
 
 # ---------------------------------------------------------------------------
 # equality-constrained solver (Douglas-Rachford)
 
 
-def solve_equality_nnm(op, z, opts=None, psd_mode=False):
-    """Minimize the blockwise nuclear norm subject to ``Phi F = z``.
+def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
+    """Minimize the regularizer ``reg`` subject to ``Phi F = z``.
 
     Douglas-Rachford iteration: exact affine projection (cached factorization
-    of ``Phi Phi^*``), blockwise SVT with threshold ``rho``, reflected update.
+    of ``Phi Phi^*``), the prox of ``reg`` with threshold ``rho`` (blockwise
+    SVT for the default nuclear norm), reflected update.
     The multiplier of the projection supplies a dual vector; convergence is
     declared when the feasibility residual and the duality gap both clear
     their tolerances and the dual vector is feasible.
@@ -297,7 +308,6 @@ def solve_equality_nnm(op, z, opts=None, psd_mode=False):
     opts = opts or SolverOptions()
     z = np.asarray(z, float)
     shapes = op.domain_shapes
-    prox = _block_psd_prox if psd_mode else _block_svt
 
     znorm = float(np.linalg.norm(z))
     opn = max(op.opnorm_estimate, 1e-30)
@@ -318,18 +328,18 @@ def solve_equality_nnm(op, z, opts=None, psd_mode=False):
 
     for it in range(1, opts.max_iter + 1):
         x, mu = projector.project(y)
-        w = prox(2.0 * x - y, shapes, rho)
+        w = reg.prox(2.0 * x - y, shapes, rho)
         y = y + w - x
 
         if it % opts.history_every == 0 or it == 1:
-            history.append(_objective(x, shapes, psd_mode))
+            history.append(reg.value(x, shapes))
 
         if it % opts.check_every == 0 or it == 1:
             p = -mu / rho
-            obj = _objective(x, shapes, psd_mode)
+            obj = reg.value(x, shapes)
             feas = float(np.linalg.norm(op.apply_vec(x) - z))
             gap = obj - float(p @ z)
-            dual_viol = _dual_violation(op, p, psd_mode)
+            dual_viol = max(0.0, reg.dual_norm(op.adjoint_apply(p)) - 1.0)
             if infeasible:
                 status = STATUS_INFEASIBLE
                 break
@@ -341,7 +351,7 @@ def solve_equality_nnm(op, z, opts=None, psd_mode=False):
                 status = STATUS_CONVERGED
                 break
 
-    obj = _objective(x, shapes, psd_mode)
+    obj = reg.value(x, shapes)
     feas = float(np.linalg.norm(op.apply_vec(x) - z))
     gap = obj - float(p @ z)
     report = SolveReport(
@@ -357,19 +367,20 @@ def solve_equality_nnm(op, z, opts=None, psd_mode=False):
 # regularized solver (accelerated proximal gradient with restart)
 
 
-def solve_regularized_nnm(op, z_noisy, lam, opts=None, psd_mode=False):
-    """Minimize ``0.5 ||Phi F - z||^2 + lambda * sum_i ||F_i||_*``.
+def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR):
+    """Minimize ``0.5 ||Phi F - z||^2 + lambda * reg(F)``.
 
     Forward-backward with momentum and gradient-based restart; the step is
     ``1 / ||Phi||^2``.  Terminates when the fixed-point residual of the
-    prox-gradient map falls below ``tol_fp * lambda``.
+    prox-gradient map falls below ``tol_fp * lambda``.  The reported gap is
+    the Fenchel gap at the dual candidate ``(z - Phi F) / lambda``, scaled
+    into the dual unit ball of ``reg``.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     opts = opts or SolverOptions()
     z = np.asarray(z_noisy, float)
     shapes = op.domain_shapes
-    prox = _block_psd_prox if psd_mode else _block_svt
 
     opn = op.opnorm_estimate
     if not np.isfinite(opn) or opn <= 0:
@@ -387,7 +398,7 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, psd_mode=False):
 
     for it in range(1, opts.max_iter + 1):
         grad = op.adjoint_vec(op.apply_vec(yv) - z)
-        x_new = prox(yv - step * grad, shapes, lam * step)
+        x_new = reg.prox(yv - step * grad, shapes, lam * step)
 
         if opts.momentum:
             # gradient-based restart keeps the momentum sequence monotone
@@ -395,7 +406,7 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, psd_mode=False):
                 theta = 1.0
                 yv = x.copy()
                 grad = op.adjoint_vec(op.apply_vec(yv) - z)
-                x_new = prox(yv - step * grad, shapes, lam * step)
+                x_new = reg.prox(yv - step * grad, shapes, lam * step)
             theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
             yv = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
             theta = theta_new
@@ -406,42 +417,27 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, psd_mode=False):
 
         if it % opts.history_every == 0 or it == 1:
             misfit = 0.5 * float(np.linalg.norm(op.apply_vec(x) - z) ** 2)
-            history.append(misfit + lam * _objective(x, shapes, psd_mode))
+            history.append(misfit + lam * reg.value(x, shapes))
 
         if it % opts.check_every == 0:
             g = op.adjoint_vec(op.apply_vec(x) - z)
-            x_test = prox(x - step * g, shapes, lam * step)
+            x_test = reg.prox(x - step * g, shapes, lam * step)
             fp_resid = float(np.linalg.norm(x - x_test)) / step
             if fp_resid <= opts.tol_fp * lam:
                 status = STATUS_CONVERGED
                 break
 
     misfit_vec = op.apply_vec(x) - z
-    reg_obj = lam * _objective(x, shapes, psd_mode)
-    obj = 0.5 * float(np.linalg.norm(misfit_vec) ** 2) + reg_obj
-    gap = _regularized_gap(op, x, z, lam, shapes, psd_mode)
+    obj = 0.5 * float(np.linalg.norm(misfit_vec) ** 2) + lam * reg.value(x, shapes)
+    p = -misfit_vec / lam
+    pt = (1.0 / max(1.0, reg.dual_norm(op.adjoint_apply(p)))) * p
+    gap = obj - (lam * float(pt @ z) - 0.5 * lam ** 2 * float(pt @ pt))
     report = SolveReport(
         iterations=it, objective=obj, feas_residual=float(np.linalg.norm(misfit_vec)),
-        duality_gap=gap, status=status, dual=(z - op.apply_vec(x)) / lam,
+        duality_gap=gap, status=status, dual=p,
         extras={"objective_history": history, "step": step, "fp_residual": fp_resid},
     )
     return unpack_blocks(x, shapes), report
-
-
-def _regularized_gap(op, x, z, lam, shapes, psd_mode=False):
-    """Fenchel gap for the regularized problem with a scaled dual candidate."""
-    p = (z - op.apply_vec(x)) / lam
-    blocks = op.adjoint_apply(p)
-    if psd_mode:
-        worst = max(float(np.linalg.eigvalsh(0.5 * (b + b.T))[-1]) for b in blocks)
-    else:
-        worst = max(operator_norm(b) for b in blocks)
-    scale = 1.0 / max(1.0, worst)
-    pt = scale * p
-    primal = 0.5 * float(np.linalg.norm(op.apply_vec(x) - z) ** 2) \
-        + lam * _objective(x, shapes, psd_mode)
-    dual = lam * float(pt @ z) - 0.5 * lam ** 2 * float(pt @ pt)
-    return primal - dual
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +450,9 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
     Three-operator splitting: the smooth data term enters through its
     gradient, the hard constraints through an exact cached projection, and
     the nuclear norm through blockwise SVT.  The returned iterate satisfies
-    the hard constraints to projection accuracy.
+    the hard constraints to projection accuracy.  No dual certificate is
+    formed, so ``report.duality_gap`` is nan; the stationarity residual that
+    decides convergence is ``report.extras["kkt_residual"]``.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -470,9 +468,6 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
     gamma = 1.8 / lip
     projector = _AffineProjector(op_hard, zh)
 
-    def constraint_null(v):
-        return v - op_hard.adjoint_vec(projector._pinv_gram(op_hard.apply_vec(v)))
-
     y = projector.least_norm_point()
     status = STATUS_MAX_ITER
     x_g = y
@@ -482,14 +477,14 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
         x_g, _ = projector.project(y)
         grad = op_data.adjoint_vec(op_data.apply_vec(x_g) - zd)
         prox_in = 2.0 * x_g - y - gamma * grad
-        x_f = _block_svt(prox_in, shapes, lam * gamma)
+        x_f = NUCLEAR.prox(prox_in, shapes, lam * gamma)
         shift = x_f - x_g
         if it % opts.check_every == 0:
             # stationarity: the prox supplies an exact nuclear-norm
             # subgradient at x_f; project the full gradient onto the
             # constraint null space and account for the iterate mismatch
             sub = (prox_in - x_f) / gamma
-            kkt = float(np.linalg.norm(constraint_null(grad + sub))) \
+            kkt = float(np.linalg.norm(projector.project_null(grad + sub))) \
                 + float(np.linalg.norm(shift)) / gamma
             if kkt <= opts.tol_fp * lam * (1.0 + np.linalg.norm(x_g)):
                 y = y + shift
@@ -499,10 +494,10 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
 
     hard_resid = float(np.linalg.norm(op_hard.apply_vec(x_g) - zh))
     misfit = float(np.linalg.norm(op_data.apply_vec(x_g) - zd))
-    obj = 0.5 * misfit ** 2 + lam * _objective(x_g, shapes)
+    obj = 0.5 * misfit ** 2 + lam * NUCLEAR.value(x_g, shapes)
     report = SolveReport(
         iterations=it, objective=obj, feas_residual=misfit,
-        duality_gap=kkt, status=status,
+        duality_gap=np.nan, status=status,
         dual=(zd - op_data.apply_vec(x_g)) / lam,
         extras={"hard_residual": hard_resid, "step": gamma, "kkt_residual": kkt},
     )
@@ -535,9 +530,9 @@ def solve_psd_trace_min(vs, z, mode="exact", lam=0.0, opts=None):
     op = _psd_operator(vs)
     z = np.asarray(z, float)
     if mode == "exact":
-        blocks, report = solve_equality_nnm(op, z, opts=opts, psd_mode=True)
+        blocks, report = solve_equality_nnm(op, z, opts=opts, reg=PSD_TRACE)
     elif mode == "regularized":
-        blocks, report = solve_regularized_nnm(op, z, lam, opts=opts, psd_mode=True)
+        blocks, report = solve_regularized_nnm(op, z, lam, opts=opts, reg=PSD_TRACE)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     x = 0.5 * (blocks[0] + blocks[0].T)
@@ -575,7 +570,7 @@ def duality_gap(blocks, p, op, z, tol=1e-6):
         obj += nn
         per_block.append(float(np.sum(f * h)) - nn)
     gap = obj - float(p @ z)
-    dual_feasible = max(operator_norm(h) for h in h_blocks) <= 1.0 + tol
+    dual_feasible = NUCLEAR.dual_norm(h_blocks) <= 1.0 + tol
     primal_feasible = (
         float(np.linalg.norm(op.apply(blocks) - z)) <= tol * (1.0 + np.linalg.norm(z))
     )

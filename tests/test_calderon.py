@@ -3,7 +3,6 @@ import pytest
 
 from liftrec import certify
 from liftrec.calderon import (
-    assemble_calderon_operator,
     assemble_calderon_system,
     build_calderon_problem,
     coeffs_from_function,
@@ -14,7 +13,6 @@ from liftrec.calderon import (
     extract_q_calderon,
     frechet_derivative,
     gauss_newton_baseline,
-    harmonic_extension_2d,
     make_basis_w,
     make_boundary_basis,
     make_calderon_measurements,
@@ -101,8 +99,9 @@ def test_eigenvalue_hit_2d():
 
 
 def test_harmonic_extension_2d():
+    # the Laplace solve (no potential) extends constant data as a constant
     grid = build_grid_2d(9, 9)
-    ext = harmonic_extension_2d(grid, np.ones(grid.boundary_index.size))
+    ext = solve_schrodinger_2d(grid, None, np.ones(grid.boundary_index.size))
     assert np.abs(ext - 1.0).max() < 1e-12
 
 
@@ -248,7 +247,7 @@ def test_lifted_stack_wrapper(small_problem):
 
 def test_assemble_operator_wrapper(small_problem):
     grid, problem, _ = small_problem
-    op = assemble_calderon_operator(problem)
+    op = assemble_calderon_system(problem).op_full
     assert op.matrix.shape[1] == problem.n_data * grid.n_nodes * 4
 
 

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check, leading_rank_one
 from liftrec.quadratic import make_phase_retrieval
 from liftrec.solvers import (
+    NUCLEAR,
+    PSD_TRACE,
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
     AffineOperator,
+    _AffineProjector,
     SolverOptions,
     duality_gap,
     pack_blocks,
@@ -47,6 +52,28 @@ def test_operator_validates_shapes_and_adjoint():
     assert op.check_adjoint() < 1e-10
     svals = np.linalg.svd(op.matrix, compute_uv=False)
     assert op.opnorm_estimate >= svals[0] * (1.0 - 1e-3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(1, 8), dim=st.integers(1, 12), rank=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_affine_projector_feasible_idempotent_and_null(m, dim, rank, seed):
+    # singular values in [0.5, 2]; rank < m gives redundant rows
+    rank = min(rank, m, dim)
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((m, rank)))
+    right, _ = np.linalg.qr(rng.standard_normal((dim, rank)))
+    op = AffineOperator((left * rng.uniform(0.5, 2.0, rank)) @ right.T, [(1, dim)])
+    z = op.apply_vec(rng.standard_normal(dim))
+    projector = _AffineProjector(op, z)
+    x = 3.0 * rng.standard_normal(dim)
+
+    px, _ = projector.project(x)
+    assert np.linalg.norm(op.apply_vec(px) - z) <= 1e-10 * (1 + np.linalg.norm(z))
+    ppx, _ = projector.project(px)
+    assert np.linalg.norm(ppx - px) <= 1e-10 * (1 + np.linalg.norm(px))
+    null = projector.project_null(x)
+    assert np.linalg.norm(op.apply_vec(null)) <= 1e-10 * (1 + np.linalg.norm(x))
 
 
 def test_equality_identity_operator_returns_unique_point():
@@ -173,6 +200,23 @@ def test_psd_prox_clips_at_zero():
     assert np.allclose(out, np.diag([2.0, 0.0]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(reg=st.sampled_from([NUCLEAR, PSD_TRACE]),
+       sizes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                      min_size=1, max_size=3),
+       tau=st.floats(1e-2, 3.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_regularizer_prox_optimality(reg, sizes, tau, seed):
+    # X = prox(M) iff H = (M - X) / tau is a subgradient at X: H lies in the
+    # dual unit ball and attains the regularizer, <H, X> = reg(X)
+    shapes = [(r, r) for r, _ in sizes] if reg is PSD_TRACE else sizes
+    rng = np.random.default_rng(seed)
+    m = 3.0 * rng.standard_normal(sum(r * c for r, c in shapes))
+    x = reg.prox(m, shapes, tau)
+    h = (m - x) / tau
+    assert reg.dual_norm(unpack_blocks(h, shapes)) <= 1.0 + 1e-10
+    assert float(h @ x) == pytest.approx(reg.value(x, shapes), rel=1e-9, abs=1e-9)
+
+
 def test_psd_trace_unit_constraint():
     # feasible set {X >= 0, tr X = 1} has objective exactly 1
     vs = [np.eye(2)]
@@ -235,6 +279,8 @@ def test_constrained_regularized_keeps_hard_constraints():
     )
     assert report.extras["hard_residual"] <= 1e-9 * (1 + np.linalg.norm(zh))
     assert report.status == STATUS_CONVERGED
+    # Davis-Yin forms no dual certificate; its KKT residual is in extras only
+    assert np.isnan(report.duality_gap)
     assert report.extras["kkt_residual"] <= 1e-6 * 1e-3 * (1 + np.linalg.norm(
         pack_blocks(blocks)))
 
