@@ -388,7 +388,7 @@ def criterion_11(context):
     resid = float(np.linalg.norm(system.op_full.apply(f_true) - system.z_full))
     ok = resid <= 1e-9
 
-    cert = cal.precertificate_study(grid, 4, problem.q_coeffs, [2, 3, 4])
+    cert = cal.precertificate_study(problem, [2, 3, 4])
     table_ok = all(
         (np.isnan(row["max_tangent_residual"])
          or row["max_tangent_residual"] <= 1e-8)

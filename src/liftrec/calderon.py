@@ -24,7 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import DegenerateCertificate, EigenvalueHit
-from .hilbert import Grid2D, assemble_inner_product, identity_inner_product
+from .hilbert import Grid2D, assemble_inner_product
 from .lowrank import RankOneModel
 from .solvers import (
     AffineOperator,
@@ -249,7 +249,6 @@ class BoundaryBasis:
 
     n: int
     matrix: np.ndarray        # n_bdry x N
-    f1_floor: float
 
 
 def make_boundary_basis(grid, n_modes):
@@ -268,7 +267,7 @@ def make_boundary_basis(grid, n_modes):
     gram = mat.T @ (grid.boundary_weights[:, None] * mat)
     if np.linalg.cond(gram) > 1e8:
         raise ValueError("boundary basis Gram is numerically singular")
-    return BoundaryBasis(n=n_modes, matrix=mat, f1_floor=float(np.abs(mat[:, 0]).min()))
+    return BoundaryBasis(n=n_modes, matrix=mat)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +287,9 @@ class CalderonProblem:
     flux_u: np.ndarray            # N x n_bdry one-sided fluxes of the states
     flux_f_tilde: np.ndarray
     h1: object
-    w_space: object
     models: list
-    sigmas: np.ndarray
-    g_weights: np.ndarray = None
+    g_weights: np.ndarray = None     # nodal weights of the scale functional
     g_omega: np.ndarray = None       # scale functional applied to the basis
-    coupling: object = field(default=None, repr=False)
     _uinv: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -363,15 +359,12 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
     flux_f_tilde = f_tilde_stack @ fl.T
 
     h1 = assemble_inner_product(grid, "h1")
-    w_space = identity_inner_product(m, integrals=basis_w.integrals)
 
     q_w_norm = float(np.linalg.norm(q_coeffs))
     models = []
-    sigmas = []
     for i in range(n):
         uw = h1.whiten_vec(u_stack[i])
         nrm = float(np.linalg.norm(uw))
-        sigmas.append(nrm * q_w_norm)
         models.append(RankOneModel(
             sigma=nrm * q_w_norm, u=uw / nrm, v=q_coeffs / q_w_norm,
         ))
@@ -380,9 +373,8 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
         grid=grid, basis_w=basis_w, bdry=bdry, q_coeffs=q_coeffs,
         q_values=q_values, int_q=int_q, u_stack=u_stack,
         f_tilde_stack=f_tilde_stack, flux_u=flux_u, flux_f_tilde=flux_f_tilde,
-        h1=h1, w_space=w_space, models=models, sigmas=np.asarray(sigmas),
+        h1=h1, models=models,
         g_weights=g_weights, g_omega=basis_w.matrix.T @ g_weights,
-        coupling=coupling,
     )
 
 
@@ -477,36 +469,6 @@ def assemble_calderon_system(problem):
         op_full=op_full, op_data=op_data, op_hard=op_hard,
         z_data=z_data, z_hard=z_hard,
     )
-
-
-@dataclass
-class LiftedStack:
-    """Coefficient fields of a lifted stack, one bivariate field per datum.
-
-    Rows live on the grid with the first-order Sobolev structure, columns
-    in the orthonormal potential basis; shapes are uniform across data.
-    """
-
-    fields: list
-
-    def __post_init__(self):
-        shapes = {f.values.shape for f in self.fields}
-        if len(shapes) > 1:
-            raise ValueError(f"stack shapes are not uniform: {shapes}")
-
-    def __len__(self):
-        return len(self.fields)
-
-
-def as_lifted_stack(problem, blocks_whitened):
-    """Wrap whitened solver blocks as bivariate coefficient fields."""
-    from .hilbert import BivariateField
-
-    uinv = problem.x_unwhitener
-    return LiftedStack(fields=[
-        BivariateField(problem.h1, problem.w_space, uinv @ blk)
-        for blk in blocks_whitened
-    ])
 
 
 @dataclass
@@ -705,18 +667,23 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8, damping=1e-8):
     return {"misfits": misfits, "trajectory": trajectory, "coeffs": coeffs}
 
 
-def precertificate_study(grid, m, q_coeffs, n_list, margin=1e-3):
+def precertificate_study(base, n_list, margin=1e-3):
     """Least-norm certificate diagnostics across data-family sizes.
 
-    One row per N: the smallest tangent singular value, the worst tangent
-    residual and off-tangent norm.  No pass threshold is asserted; the
-    table is the deliverable.
+    Each N rebuilds ``base`` (a :class:`CalderonProblem`) with N boundary
+    data, keeping its grid, basis, potential and scale functional.  One row
+    per N: the smallest tangent singular value, the worst tangent residual
+    and off-tangent norm.  No pass threshold is asserted; the table is the
+    deliverable.
     """
     from .certify import precertificate
 
     rows = []
     for n_modes in n_list:
-        problem = build_calderon_problem(grid, m=m, n_modes=n_modes, q_coeffs=q_coeffs)
+        problem = build_calderon_problem(
+            base.grid, m=base.basis_w.m, n_modes=n_modes, q_coeffs=base.q_coeffs,
+            g_weights=base.g_weights,
+        )
         system = assemble_calderon_system(problem)
         try:
             report = precertificate(system.op_full, problem.models, margin=margin)

@@ -119,23 +119,6 @@ def tangent_injectivity(op, models, symmetric=False):
     return float(svals[-1]) if svals.size else 0.0
 
 
-def cone_injectivity(op, models, rtol=1e-10):
-    """Check that Phi is injective on the cone spanned by the model directions."""
-    shapes = op.domain_shapes
-    cols = []
-    offset = 0
-    for model, (r, c) in zip(models, shapes):
-        direction = np.zeros(op.domain_dim)
-        direction[offset:offset + r * c] = np.outer(model.u, model.v).ravel()
-        cols.append(op.apply_vec(direction))
-        offset += r * c
-    mat = np.stack(cols, axis=1)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return False
-    return bool(svals[-1] > rtol * svals[0])
-
-
 def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL):
     """Evaluate tangent residual and off-tangent norm for each block.
 

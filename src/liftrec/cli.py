@@ -50,10 +50,10 @@ KNOWN_KEYS = {
     "potential": {"type", "base", "q0", "jump_lo", "jump_hi", "value", "coeffs",
                   "g_functional"},
     "boundary": {"f_a", "f_b", "n_modes", "m_basis"},
-    "noise": {"delta", "deltas", "c", "seeds"},
+    "noise": {"delta", "deltas", "c"},
     "phaselift": {"n", "m"},
-    "solver": {"max_iter", "tol_feas", "tol_gap", "tol_fp", "rho", "momentum"},
-    "sweep": {"q0_values", "n_list", "alphas"},
+    "solver": {"max_iter", "tol_feas", "tol_gap", "tol_fp", "rho"},
+    "sweep": {"q0_values", "n_list"},
 }
 
 
@@ -67,12 +67,6 @@ class ExperimentConfig:
         raw = self.sections.get(section, {}).get(key)
         if raw is None:
             return default
-        if cast is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ConfigError(f"cannot parse boolean {section}.{key} = {raw!r}")
         try:
             return cast(raw)
         except ValueError as exc:
@@ -209,7 +203,6 @@ def _solver_options(config):
         tol_gap=config.get("solver", "tol_gap", 1e-6, float),
         tol_fp=config.get("solver", "tol_fp", 1e-8, float),
         rho=config.get("solver", "rho", 0.0, float),
-        momentum=config.get("solver", "momentum", True, bool),
     )
 
 
@@ -387,7 +380,7 @@ def run_calderon(config, out_dir, seed, jobs, task):
     if task == "certify":
         n_list = [int(v) for v in config.get_list("sweep", "n_list",
                                                   default=(2, 3, 4), cast=float)]
-        rows = cal.precertificate_study(grid, m, problem.q_coeffs, n_list)
+        rows = cal.precertificate_study(problem, n_list)
         emit_table(
             [{k: row.get(k, float("nan")) for k in
               ("N", "sigma_min", "max_w_norm", "max_tangent_residual", "ndsc_pass")}

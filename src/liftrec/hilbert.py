@@ -11,21 +11,19 @@ Conventions fixed here and relied on everywhere else:
 * a bivariate field stores values with rows indexed by the first (x)
   variable and columns by the second (y) variable;
 * the associated operator maps the x-space into the y-space, so "apply the
-  field to a" reads ``values.T @ a`` in suitable coordinates;
-* the discrete reproducing kernel of a structure is ``G^{-1}``, whose
-  column j represents the evaluation functional at node j.
+  field to a" reads ``values.T @ a`` in suitable coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericFailure
 
-INNER_PRODUCT_KINDS = ("l2", "h1", "h2", "laplacian_seminorm")
+INNER_PRODUCT_KINDS = ("l2", "h1", "h2")
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +97,6 @@ class Grid2D:
     @property
     def n_nodes(self):
         return self.nx * self.ny
-
-    @property
-    def interior_weights(self):
-        return self.area_weights[self.interior_index]
 
     def flat(self, ix, iy):
         return ix * self.ny + iy
@@ -228,7 +222,7 @@ def _axis_differences_2d(grid):
 
 @dataclass
 class InnerProduct:
-    """Discrete Hilbert structure: SPD Gram, whitener and reproducing kernel.
+    """Discrete Hilbert structure: SPD Gram and its whitener.
 
     Attributes
     ----------
@@ -239,43 +233,19 @@ class InnerProduct:
     whitener : ndarray
         Upper triangular L with ``L.T @ L == G`` (Cholesky factor).
     kind : str
-        One of ``l2``, ``h1``, ``h2``, ``laplacian_seminorm``, ``identity``.
-    integral_vector : ndarray or None
-        Representation of integration against 1: ``integral(f) = integral_vector @ f``.
-        Present for quadrature-backed structures and coefficient spaces with
-        known basis integrals.
+        One of ``l2``, ``h1``, ``h2``.
     """
 
     dim: int
     gram: np.ndarray
     whitener: np.ndarray
     kind: str
-    integral_vector: np.ndarray | None = None
-    _kernel: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def kernel(self):
-        """Discrete reproducing kernel G^{-1}; column j evaluates at node j."""
-        if self._kernel is None:
-            ident = np.eye(self.dim)
-            self._kernel = scipy.linalg.cho_solve((self.whitener, False), ident)
-        return self._kernel
-
-    def inner(self, u, v):
-        return float(u @ self.gram @ v)
 
     def norm(self, u):
         return float(np.linalg.norm(self.whitener @ u))
 
     def whiten_vec(self, u):
         return self.whitener @ u
-
-    def unwhiten_vec(self, w):
-        return scipy.linalg.solve_triangular(self.whitener, w, lower=False)
-
-    def unwhiten_transpose(self, w):
-        """Compute ``L^{-T} w``; used to whiten kernel-weighted fields stably."""
-        return scipy.linalg.solve_triangular(self.whitener.T, w, lower=True)
 
 
 def _cholesky_or_raise(gram, kind):
@@ -299,8 +269,6 @@ def assemble_inner_product(grid, kind):
         ``l2``: quadrature weights only.
         ``h1``: l2 plus first-derivative energy.
         ``h2``: h1 plus second-derivative energy (1-D grids only).
-        ``laplacian_seminorm``: second-derivative energy on the zero-boundary
-        interior subspace (1-D grids only; dimension n - 2).
 
     Returns
     -------
@@ -312,21 +280,6 @@ def assemble_inner_product(grid, kind):
     if isinstance(grid, Grid1D):
         w = grid.quad_weights
         wmat = np.diag(w)
-        if kind == "laplacian_seminorm":
-            # Dirichlet Laplacian on interior nodes, measured with interior
-            # quadrature weights; SPD because the Dirichlet matrix is invertible.
-            n = grid.n
-            h = grid.h
-            lap = np.zeros((n - 2, n - 2))
-            for j in range(n - 2):
-                lap[j, j] = -2.0 / h ** 2
-                if j > 0:
-                    lap[j, j - 1] = 1.0 / h ** 2
-                if j < n - 3:
-                    lap[j, j + 1] = 1.0 / h ** 2
-            gram = lap.T @ np.diag(w[1:-1]) @ lap
-            whitener = _cholesky_or_raise(gram, kind)
-            return InnerProduct(dim=n - 2, gram=gram, whitener=whitener, kind=kind)
         gram = wmat.copy()
         if kind in ("h1", "h2"):
             d1 = first_difference_1d(grid)
@@ -335,13 +288,10 @@ def assemble_inner_product(grid, kind):
             d2 = second_difference_1d(grid)
             gram = gram + d2.T @ wmat @ d2
         whitener = _cholesky_or_raise(gram, kind)
-        return InnerProduct(
-            dim=grid.n, gram=gram, whitener=whitener, kind=kind,
-            integral_vector=w.copy(),
-        )
+        return InnerProduct(dim=grid.n, gram=gram, whitener=whitener, kind=kind)
 
     if isinstance(grid, Grid2D):
-        if kind in ("h2", "laplacian_seminorm"):
+        if kind == "h2":
             raise ValueError(f"kind {kind!r} is not supported on 2-D grids")
         w = grid.area_weights
         gram = np.diag(w)
@@ -349,21 +299,9 @@ def assemble_inner_product(grid, kind):
             dx, dy = _axis_differences_2d(grid)
             gram = gram + dx.T @ np.diag(w) @ dx + dy.T @ np.diag(w) @ dy
         whitener = _cholesky_or_raise(gram, kind)
-        return InnerProduct(
-            dim=grid.n_nodes, gram=gram, whitener=whitener, kind=kind,
-            integral_vector=w.copy(),
-        )
+        return InnerProduct(dim=grid.n_nodes, gram=gram, whitener=whitener, kind=kind)
 
     raise TypeError(f"unsupported grid type {type(grid)!r}")
-
-
-def identity_inner_product(dim, integrals=None):
-    """Euclidean structure for coefficient spaces (orthonormal bases)."""
-    ident = np.eye(dim)
-    return InnerProduct(
-        dim=dim, gram=ident.copy(), whitener=ident.copy(), kind="identity",
-        integral_vector=None if integrals is None else np.asarray(integrals, float),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +325,6 @@ class BivariateField:
             )
 
 
-def rank_one_field(x_space, y_space, u, v):
-    """Field with values ``outer(u, v)``, the discrete tensor product."""
-    return BivariateField(x_space, y_space, np.outer(u, v))
-
-
 def whiten(fld):
     """Whitened coordinates ``L_x @ values @ L_y.T`` of a field.
 
@@ -412,35 +345,3 @@ def unwhiten(matrix, x_space, y_space):
     tmp = scipy.linalg.solve_triangular(x_space.whitener, matrix, lower=False)
     vals = scipy.linalg.solve_triangular(y_space.whitener, tmp.T, lower=False).T
     return BivariateField(x_space, y_space, vals)
-
-
-def field_inner(f, g):
-    """Hilbert-Schmidt inner product of two fields with common structures."""
-    return float(np.sum(whiten(f) * whiten(g)))
-
-
-def diag_restrict(fld):
-    """Restriction to the diagonal, ``F(x, y) -> F(x, x)``.
-
-    Linear in the field; requires a square value matrix (both variables on
-    the same grid).
-    """
-    vals = fld.values if isinstance(fld, BivariateField) else np.asarray(fld)
-    if vals.shape[0] != vals.shape[1]:
-        raise ValueError(f"diagonal restriction needs a square matrix, got {vals.shape}")
-    return np.diag(vals).copy()
-
-
-def integrate_second_variable(fld):
-    """Integrate a field over its second variable, ``F -> int F(., y) dy``.
-
-    Uses the y-structure's quadrature weights (grid case) or basis integrals
-    (coefficient case).
-    """
-    wy = fld.y_space.integral_vector
-    if wy is None:
-        raise ValueError(
-            "y space carries no integration data (need quadrature weights or "
-            "basis integrals)"
-        )
-    return fld.values @ wy

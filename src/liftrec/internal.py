@@ -38,7 +38,6 @@ from .lowrank import RankOneModel, operator_norm, project_tangent_complement
 from .pde1d import (
     Potential1D,
     StateField1D,
-    harmonic_extension_1d,
     inject_h2_noise,
     solve_schrodinger_1d,
     step_potential,
@@ -62,7 +61,6 @@ class InternalProblem:
     h2: object
     l2: object
     int_q: float
-    f_tilde: StateField1D
     sigma: float = 0.0
     u_normalized: np.ndarray = field(default=None, repr=False)
     q_normalized: np.ndarray = field(default=None, repr=False)
@@ -74,10 +72,6 @@ class InternalProblem:
         return BivariateField(
             self.h2, self.l2, np.outer(self.u_true.values, self.q_true.values)
         )
-
-    @property
-    def whitened_true(self):
-        return whiten(self.field_true)
 
     @property
     def x_unwhitener(self):
@@ -97,7 +91,6 @@ class InternalMeasurements:
     z2_values: np.ndarray          # H2 block
     delta: float
     seed: int
-    u_delta: StateField1D
     delta_meas: float              # induced bound on the measurement perturbation
 
 
@@ -121,7 +114,6 @@ def build_internal_problem(grid, q, f_a=1.0, f_b=1.0, delta=0.0, seed=0):
         raise ValueError("state is not positive; check the potential")
     h2 = assemble_inner_product(grid, "h2")
     l2 = assemble_inner_product(grid, "l2")
-    f_tilde = harmonic_extension_1d(grid, f_a, f_b)
 
     u_norm = h2.norm(u.values)
     q_norm = l2.norm(q.values)
@@ -136,7 +128,7 @@ def build_internal_problem(grid, q, f_a=1.0, f_b=1.0, delta=0.0, seed=0):
 
     problem = InternalProblem(
         grid=grid, q_true=q, f_a=float(f_a), f_b=float(f_b), u_true=u,
-        h2=h2, l2=l2, int_q=q.integral, f_tilde=f_tilde,
+        h2=h2, l2=l2, int_q=q.integral,
         sigma=sigma, u_normalized=u_n, q_normalized=q_n, model=model,
     )
     measurements = make_measurements(problem, delta=delta, seed=seed)
@@ -160,7 +152,7 @@ def make_measurements(problem, delta=0.0, seed=0):
     delta_meas = delta * np.sqrt(1.0 + problem.int_q ** 2)
     return InternalMeasurements(
         z1_values=z1, z2_values=z2, delta=float(delta), seed=int(seed),
-        u_delta=u_delta, delta_meas=float(delta_meas),
+        delta_meas=float(delta_meas),
     )
 
 
@@ -292,26 +284,6 @@ def _unwhiten_field(problem, f_white):
     from .hilbert import unwhiten
 
     return unwhiten(f_white, problem.h2, problem.l2)
-
-
-def linear_system_oracle(problem, measurements):
-    """Independent recovery through the lifted linear system.
-
-    With noiseless data the state block already carries the diagonal of the
-    true field, so the potential follows by pointwise division by the
-    (positive) state and the field is its rank-one completion.  Used as an
-    oracle against the convex pipeline; interior nodes coincide with the
-    direct-division recovery built on the same stencil.
-    """
-    if measurements.delta != 0:
-        raise ValueError("the linear-system oracle requires noiseless measurements")
-    u_vals = problem.u_true.values
-    if np.abs(u_vals).min() < 1e-10:
-        raise DegenerateInput("state too close to zero for pointwise division")
-    q_vals = measurements.z1_values / u_vals
-    q_hat = Potential1D(problem.grid, q_vals)
-    f_hat = BivariateField(problem.h2, problem.l2, np.outer(u_vals, q_vals))
-    return q_hat, f_hat
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, NumericFailure
+from .errors import NumericFailure
 
 # Membership tolerances: equality checks at 1e-8 absolute (below solver
 # precision, above round-off), strict inequalities by a separate margin.
@@ -55,15 +55,6 @@ class RankOneModel:
     def matrix(self):
         """The rank-one matrix sigma * u v^T."""
         return self.sigma * np.outer(self.u, self.v)
-
-
-@dataclass
-class SubdiffCertificate:
-    """Decomposition H = u v^T + W with the operator norm of the T-perp part."""
-
-    H: np.ndarray
-    W: np.ndarray
-    w_norm: float
 
 
 def _svdvals(m):
@@ -126,14 +117,6 @@ def _check_shape(m, model):
         raise ValueError(
             f"matrix shape {m.shape} does not match model ({model.u.size}, {model.v.size})"
         )
-
-
-def make_certificate(h, model):
-    """Split a candidate certificate into rank-one part plus remainder."""
-    h = np.asarray(h, float)
-    _check_shape(h, model)
-    w = h - np.outer(model.u, model.v)
-    return SubdiffCertificate(H=h, W=w, w_norm=operator_norm(project_tangent_complement(h, model)))
 
 
 def subdiff_check(h, model, form="ii", strict=False, tol=DEFAULT_TOL, margin=DEFAULT_MARGIN):
@@ -213,29 +196,3 @@ def bregman_divergence(f, f_ref, h):
     if not membership:
         warnings.warn("H does not look like a subgradient at f_ref", stacklevel=2)
     return nuclear_norm(f) - nuclear_norm(f_ref) - float(np.sum(h * (f - f_ref)))
-
-
-def leading_rank_one(m):
-    """Extract the top singular triple as a RankOneModel.
-
-    The sign convention makes the first entry of ``u`` exceeding
-    ``1e-10 * max|u|`` positive, so repeated extractions are reproducible.
-    """
-    m = np.asarray(m, float)
-    if not np.any(m):
-        raise DegenerateInput("cannot extract a rank-one model from the zero matrix")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    sigma = float(s[0])
-    if sigma <= 0:
-        raise DegenerateInput("leading singular value is zero")
-    uvec = u[:, 0].copy()
-    vvec = vt[0, :].copy()
-    pivot = np.flatnonzero(np.abs(uvec) > 1e-10 * np.abs(uvec).max())
-    if pivot.size and uvec[pivot[0]] < 0:
-        uvec = -uvec
-        vvec = -vvec
-    # renormalize to kill SVD round-off before the model validates unit norms
-    uvec = uvec / np.linalg.norm(uvec)
-    vvec = vvec / np.linalg.norm(vvec)
-    return RankOneModel(sigma=sigma, u=uvec, v=vvec)
-

@@ -125,33 +125,6 @@ def solve_schrodinger_1d(grid, q, f_a, f_b):
     return StateField1D(grid, u, float(f_a), float(f_b))
 
 
-def solve_poisson_dirichlet_1d(grid, rhs, f_a, f_b):
-    """Solve ``u'' = rhs`` with Dirichlet data; linear in (rhs, boundary data)."""
-    rhs = np.asarray(rhs, float)
-    n, h = grid.n, grid.h
-    if rhs.shape == (n,):
-        rhs_int = rhs[1:-1]
-    elif rhs.shape == (n - 2,):
-        rhs_int = rhs
-    else:
-        raise ValueError(f"rhs must have {n} or {n - 2} entries, got {rhs.shape}")
-    ab = _interior_tridiag(grid, np.zeros(n))
-    b = -rhs_int.copy()
-    b[0] += f_a / h ** 2
-    b[-1] += f_b / h ** 2
-    interior = _solve_tridiag(ab, b)
-    u = np.empty(n)
-    u[0], u[-1] = f_a, f_b
-    u[1:-1] = interior
-    return StateField1D(grid, u, float(f_a), float(f_b))
-
-
-def harmonic_extension_1d(grid, f_a, f_b):
-    """Affine interpolant of the boundary data; annihilated by the stencil."""
-    t = (grid.nodes - grid.a) / (grid.b - grid.a)
-    return StateField1D(grid, f_a + (f_b - f_a) * t, float(f_a), float(f_b))
-
-
 def direct_division_oracle(u):
     """Recover the potential pointwise as ``q = u'' / u``.
 

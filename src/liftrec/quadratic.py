@@ -38,12 +38,6 @@ class QuadraticInstance:
                 raise ValueError("data is inconsistent with the stated ground truth")
 
 
-def lift(x):
-    """Rank-one lift ``x x^T``; pairs with quadratic forms by construction."""
-    x = np.asarray(x, float)
-    return np.outer(x, x)
-
-
 def make_phase_retrieval(n, m, seed):
     """Seeded Gaussian phase-retrieval instance with unit-norm ground truth."""
     if m < 1:

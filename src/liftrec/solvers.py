@@ -42,7 +42,8 @@ class SolverOptions:
 
     ``rho = 0`` selects the automatic penalty ``||z|| / ||Phi||``.  Feasibility
     is measured relative to ``1 + ||z||`` and the duality gap relative to
-    ``1 + objective``.
+    ``1 + objective``.  A report's ``extras["objective_history"]`` holds the
+    objective at each convergence check, every ``check_every`` iterations.
     """
 
     max_iter: int = 50_000
@@ -50,9 +51,7 @@ class SolverOptions:
     tol_gap: float = 1e-6
     tol_fp: float = 1e-8
     rho: float = 0.0
-    momentum: bool = True
     check_every: int = 25
-    history_every: int = 10
 
 
 @dataclass
@@ -331,12 +330,10 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
         w = reg.prox(2.0 * x - y, shapes, rho)
         y = y + w - x
 
-        if it % opts.history_every == 0 or it == 1:
-            history.append(reg.value(x, shapes))
-
         if it % opts.check_every == 0 or it == 1:
             p = -mu / rho
             obj = reg.value(x, shapes)
+            history.append(obj)
             feas = float(np.linalg.norm(op.apply_vec(x) - z))
             gap = obj - float(p @ z)
             dual_viol = max(0.0, reg.dual_norm(op.adjoint_apply(p)) - 1.0)
@@ -400,27 +397,22 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR):
         grad = op.adjoint_vec(op.apply_vec(yv) - z)
         x_new = reg.prox(yv - step * grad, shapes, lam * step)
 
-        if opts.momentum:
-            # gradient-based restart keeps the momentum sequence monotone
-            if float((yv - x_new) @ (x_new - x)) > 0:
-                theta = 1.0
-                yv = x.copy()
-                grad = op.adjoint_vec(op.apply_vec(yv) - z)
-                x_new = reg.prox(yv - step * grad, shapes, lam * step)
-            theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
-            yv = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
-            theta = theta_new
-        else:
-            yv = x_new
-
+        # gradient-based restart keeps the momentum sequence monotone
+        if float((yv - x_new) @ (x_new - x)) > 0:
+            theta = 1.0
+            yv = x.copy()
+            grad = op.adjoint_vec(op.apply_vec(yv) - z)
+            x_new = reg.prox(yv - step * grad, shapes, lam * step)
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+        yv = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
+        theta = theta_new
         x = x_new
 
-        if it % opts.history_every == 0 or it == 1:
-            misfit = 0.5 * float(np.linalg.norm(op.apply_vec(x) - z) ** 2)
-            history.append(misfit + lam * reg.value(x, shapes))
-
         if it % opts.check_every == 0:
-            g = op.adjoint_vec(op.apply_vec(x) - z)
+            resid = op.apply_vec(x) - z
+            history.append(0.5 * float(np.linalg.norm(resid) ** 2)
+                           + lam * reg.value(x, shapes))
+            g = op.adjoint_vec(resid)
             x_test = reg.prox(x - step * g, shapes, lam * step)
             fp_resid = float(np.linalg.norm(x - x_test)) / step
             if fp_resid <= opts.tol_fp * lam:

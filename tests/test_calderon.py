@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from liftrec import certify
 from liftrec.calderon import (
     assemble_calderon_system,
     build_calderon_problem,
@@ -20,6 +19,7 @@ from liftrec.calderon import (
     recover_calderon,
     solve_schrodinger_2d,
 )
+from liftrec.certify import precertificate
 from liftrec.errors import EigenvalueHit
 from liftrec.hilbert import build_grid_2d
 from liftrec.solvers import SolverOptions
@@ -119,7 +119,7 @@ def test_basis_w_orthonormal_and_continuous():
 def test_boundary_basis_floor_and_gram():
     grid = build_grid_2d(9, 9)
     bdry = make_boundary_basis(grid, 4)
-    assert bdry.f1_floor > 0
+    assert np.abs(bdry.matrix[:, 0]).min() > 0
     gram = bdry.matrix.T @ (grid.boundary_weights[:, None] * bdry.matrix)
     assert np.linalg.cond(gram) < 1e3
 
@@ -223,28 +223,6 @@ def test_recover_mode_validation(small_problem):
         recover_calderon(problem, system, clean, "noisy")
 
 
-def test_lifted_stack_wrapper(small_problem):
-    from liftrec.calderon import as_lifted_stack
-
-    grid, problem, system = small_problem
-    stack = as_lifted_stack(problem, problem.true_stack_whitened())
-    assert len(stack) == problem.n_data
-    for i, fld in enumerate(stack.fields):
-        assert fld.values.shape == (grid.n_nodes, 4)
-        assert np.allclose(fld.values, np.outer(problem.u_stack[i],
-                                                problem.q_coeffs), atol=1e-10)
-    with pytest.raises(ValueError):
-        from liftrec.calderon import LiftedStack
-        from liftrec.hilbert import BivariateField, identity_inner_product
-
-        LiftedStack(fields=[
-            BivariateField(identity_inner_product(2), identity_inner_product(2),
-                           np.eye(2)),
-            BivariateField(identity_inner_product(3), identity_inner_product(2),
-                           np.zeros((3, 2))),
-        ])
-
-
 def test_assemble_operator_wrapper(small_problem):
     grid, problem, _ = small_problem
     op = assemble_calderon_system(problem).op_full
@@ -310,7 +288,8 @@ def test_precertificate_study_rows():
     basis = make_basis_w(grid, 4)
     profile = 1.0 + 0.3 * np.cos(np.pi * (grid.xs - 0.5)) * np.cos(np.pi * (grid.ys - 0.5))
     coeffs = coeffs_from_function(basis, grid, profile)
-    rows = precertificate_study(grid, 4, coeffs, [1, 2, 3])
+    problem = build_calderon_problem(grid, m=4, n_modes=1, q_coeffs=coeffs)
+    rows = precertificate_study(problem, [1, 2, 3])
     assert [r["N"] for r in rows] == [1, 2, 3]
     for row in rows:
         if not row.get("degenerate"):
@@ -327,6 +306,29 @@ def test_alternative_scale_functional_keeps_truth_feasible():
     resid = np.linalg.norm(system.op_full.apply(problem.true_stack_whitened())
                            - system.z_full)
     assert resid <= 1e-9
+
+
+def test_precertificate_study_keeps_the_scale_functional():
+    # the study rebuilds the problem for each N; it must keep the subdomain
+    # functional the problem was built with, not fall back to the integral
+    grid = build_grid_2d(9, 9)
+    mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
+    g_weights = grid.area_weights * mask
+    base = build_calderon_problem(grid, m=4, n_modes=3, g_weights=g_weights)
+    rows = precertificate_study(base, [2, 3])
+    for row in rows:
+        problem = build_calderon_problem(grid, m=4, n_modes=row["N"],
+                                         g_weights=g_weights)
+        cert = precertificate(assemble_calderon_system(problem).op_full,
+                              problem.models)
+        assert row["sigma_min"] == cert.sigma_min
+        assert row["max_w_norm"] == cert.max_w_norm
+        assert row["max_tangent_residual"] == float(cert.tangent_residuals.max())
+        assert row["ndsc_pass"] == cert.ndsc_pass
+    integral = precertificate_study(build_calderon_problem(grid, m=4, n_modes=3),
+                                    [2, 3])
+    assert all(abs(r["max_w_norm"] - s["max_w_norm"]) > 1e-3
+               for r, s in zip(rows, integral))
 
 
 def test_boundary_restriction_constant_reported(small_problem):

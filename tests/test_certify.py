@@ -4,7 +4,6 @@ import pytest
 from liftrec.certify import (
     CertificateReport,
     complement_basis,
-    cone_injectivity,
     ndsc_verify,
     precertificate,
     robustness_bounds,
@@ -67,18 +66,6 @@ def test_degenerate_when_tangent_in_kernel():
         precertificate(op, [model])
     assert err.value.sigma_min <= 1e-10
     assert tangent_injectivity(op, [model]) <= 1e-10
-
-
-def test_cone_injectivity_cases():
-    rng = np.random.default_rng(4)
-    model = _model(rng)
-    ident = AffineOperator(np.eye(12), [(4, 3)])
-    assert cone_injectivity(ident, [model])
-    zero = AffineOperator(np.zeros((2, 12)), [(4, 3)])
-    assert not cone_injectivity(zero, [model])
-    # single model with nonzero measurement: one nonzero column has full rank
-    row = np.outer(model.u, model.v).ravel()[None, :]
-    assert cone_injectivity(AffineOperator(row, [(4, 3)]), [model])
 
 
 def test_ndsc_verify_pass_and_fail():

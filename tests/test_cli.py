@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from liftrec.cli import (
     INTERNAL_SCHEMA,
     emit_table,
-    load_config,
     main,
     parse_config,
     read_table,
@@ -41,7 +39,6 @@ def test_parse_config_sections_and_comments():
     config = parse_config(GOOD_CONFIG)
     assert config.get("grid", "n", cast=int) == 21
     assert config.get("potential", "q0", cast=float) == 0.5
-    assert config.get("solver", "momentum", default=True, cast=bool) is True
     assert config.get_list("noise", "deltas", default=(1.0,)) == [1.0]
 
 
@@ -50,6 +47,9 @@ def test_parse_config_sections_and_comments():
     "[made_up_section]\nx = 1\n",
     "n = 21\n",
     "[grid]\nthis is not a pair\n",
+    "[noise]\nseeds = 0,1\n",
+    "[sweep]\nalphas = 0.1,0.2\n",
+    "[solver]\nmomentum = true\n",
 ])
 def test_parse_config_rejects_bad_input(bad):
     with pytest.raises(ConfigError):

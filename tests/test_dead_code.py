@@ -1,0 +1,66 @@
+"""Guards against dead code in the package, by AST scan (no linter needed)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "liftrec"
+
+# public definitions that no module in the package refers to, on purpose
+UNREFERENCED_OK = {
+    # the documented inverse of emit_table; the CSV round-trip test reads with it
+    ("cli", "read_table"),
+}
+# imports that no code in the importing module uses, on purpose
+UNUSED_IMPORT_OK = {
+    # liftbench's spans wrap the binding liftrec.certify:nuclear_norm by name
+    ("certify", "nuclear_norm"),
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _references(tree):
+    """(name, line) for every name read or attribute looked up in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_public_definition_is_referenced():
+    modules = _modules()
+    refs = {name: list(_references(tree)) for name, tree in modules.items()}
+    unreferenced = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or (module, node.name) in UNREFERENCED_OK:
+                continue
+            used = any(
+                ref == node.name
+                and not (other == module and node.lineno <= line <= node.end_lineno)
+                for other, found in refs.items() for ref, line in found
+            )
+            if not used:
+                unreferenced.append(f"{module}.{node.name}")
+    assert not unreferenced, f"public definitions nothing in src refers to: {unreferenced}"
+
+
+def test_no_unused_imports():
+    unused = []
+    for module, tree in _modules().items():
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in names and (module, bound) not in UNUSED_IMPORT_OK:
+                        unused.append(f"{module}: {bound}")
+    assert not unused, f"imported but never used: {unused}"

@@ -5,8 +5,6 @@ from liftrec.errors import DegenerateInput
 from liftrec.lowrank import (
     RankOneModel,
     bregman_divergence,
-    leading_rank_one,
-    make_certificate,
     nuclear_norm,
     operator_norm,
     project_tangent,
@@ -14,6 +12,8 @@ from liftrec.lowrank import (
     subdiff_check,
     svt_prox,
 )
+
+from oracles import leading_rank_one
 
 
 def _random_model(rng, n1=5, n2=4, sigma=None):
@@ -185,17 +185,6 @@ def test_strict_flag_uses_margin():
     ok_loose, _ = subdiff_check(h, model, form="ii", strict=False)
     ok_strict, _ = subdiff_check(h, model, form="ii", strict=True, margin=1e-3)
     assert ok_loose and not ok_strict
-
-
-def test_make_certificate_decomposition():
-    rng = np.random.default_rng(12)
-    model = _random_model(rng)
-    h = rng.standard_normal((5, 4))
-    cert = make_certificate(h, model)
-    assert np.allclose(cert.W, h - np.outer(model.u, model.v))
-    assert cert.w_norm == pytest.approx(
-        operator_norm(project_tangent_complement(h, model))
-    )
 
 
 def test_bregman_divergence_cases():

@@ -8,9 +8,7 @@ from liftrec.pde1d import (
     StateField1D,
     constant_potential,
     direct_division_oracle,
-    harmonic_extension_1d,
     inject_h2_noise,
-    solve_poisson_dirichlet_1d,
     solve_schrodinger_1d,
     step_potential,
 )
@@ -64,35 +62,6 @@ def test_eigenvalue_hit_is_detected():
     lam1 = 4.0 / g.h ** 2 * np.sin(np.pi * g.h / 2.0) ** 2
     with pytest.raises(EigenvalueHit):
         solve_schrodinger_1d(g, np.full(g.n, -lam1), 1.0, 1.0)
-
-
-def test_poisson_affine_and_quadratic_exact():
-    g = build_grid_1d(21, 0.0, 1.0)
-    u = solve_poisson_dirichlet_1d(g, np.zeros(g.n), 0.5, 2.0)
-    assert np.abs(u.values - (0.5 + 1.5 * g.nodes)).max() < 1e-12
-    v = solve_poisson_dirichlet_1d(g, np.full(g.n, 2.0), 0.0, 0.0)
-    assert np.abs(v.values - (g.nodes ** 2 - g.nodes)).max() < 1e-12
-
-
-def test_poisson_superposition():
-    g = build_grid_1d(33, 0.0, 1.0)
-    rng = np.random.default_rng(4)
-    r1, r2 = rng.standard_normal((2, g.n))
-    a, b = 0.7, -1.9
-    u1 = solve_poisson_dirichlet_1d(g, r1, 1.0, 0.0)
-    u2 = solve_poisson_dirichlet_1d(g, r2, 0.0, 2.0)
-    u = solve_poisson_dirichlet_1d(g, a * r1 + b * r2, a * 1.0, b * 2.0)
-    assert np.abs(u.values - (a * u1.values + b * u2.values)).max() < 1e-12
-
-
-def test_harmonic_extension():
-    g = build_grid_1d(11, 0.0, 1.0)
-    flat = harmonic_extension_1d(g, 1.0, 1.0)
-    assert np.allclose(flat.values, 1.0)
-    ramp = harmonic_extension_1d(g, 0.0, 2.0)
-    assert np.allclose(ramp.values, 2.0 * g.nodes)
-    lap = (ramp.values[:-2] - 2 * ramp.values[1:-1] + ramp.values[2:]) / g.h ** 2
-    assert np.abs(lap).max() < 1e-10
 
 
 def test_direct_division_round_trip_interior():

@@ -6,7 +6,6 @@ from liftrec.lowrank import RankOneModel
 from liftrec.quadratic import (
     QuadraticInstance,
     add_noise,
-    lift,
     make_phase_retrieval,
     recover_phaselift,
     sign_aligned_error,
@@ -14,24 +13,6 @@ from liftrec.quadratic import (
 from liftrec.solvers import AffineOperator, SolverOptions
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
-
-
-def test_lift_matches_quadratic_forms():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(6)
-    big_x = lift(x)
-    for _ in range(50):
-        v = rng.standard_normal((6, 6))
-        v = 0.5 * (v + v.T)
-        lhs = float(np.sum(v * big_x))
-        rhs = float(x @ v @ x)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-    assert np.allclose(lift(np.zeros(3)), 0.0)
-    e1 = np.zeros(4)
-    e1[0] = 1.0
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0
-    assert np.array_equal(lift(e1), expected)
 
 
 def test_instance_generation():
@@ -65,7 +46,7 @@ def test_single_measurement_is_underdetermined():
     x_hat, x_mat, report = recover_phaselift(inst, opts=TIGHT)
     # minimum-trace completion of one rank-one constraint is rank one, so
     # check the matrix is NOT close to the true lift instead
-    assert np.linalg.norm(x_mat - lift(inst.x_true)) > 1e-2
+    assert np.linalg.norm(x_mat - np.outer(inst.x_true, inst.x_true)) > 1e-2
 
 
 def test_homogeneity_of_the_lift():
@@ -95,7 +76,7 @@ def test_ndsc_implies_exact_recovery():
             continue
         hits += 1
         _, x_mat, _ = recover_phaselift(inst, opts=TIGHT)
-        assert np.linalg.norm(x_mat - lift(inst.x_true)) <= 1e-4
+        assert np.linalg.norm(x_mat - np.outer(inst.x_true, inst.x_true)) <= 1e-4
     assert hits >= 3          # the condition holds on a decent fraction
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check, leading_rank_one
+from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check
 from liftrec.quadratic import make_phase_retrieval
 from liftrec.solvers import (
     NUCLEAR,
@@ -22,6 +22,8 @@ from liftrec.solvers import (
     solve_regularized_nnm,
     unpack_blocks,
 )
+
+from oracles import leading_rank_one
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
@@ -116,7 +118,7 @@ def test_equality_objective_monotone_after_burn_in():
     op = _random_op(rng, 8, [(5, 5)])
     truth = np.outer(rng.standard_normal(5), rng.standard_normal(5))
     z = op.apply([truth])
-    _, report = solve_equality_nnm(op, z, opts=SolverOptions(history_every=1))
+    _, report = solve_equality_nnm(op, z, opts=SolverOptions(check_every=1))
     hist = np.asarray(report.extras["objective_history"], float)
     windows = [hist[i:i + 10].mean() for i in range(10, len(hist) - 10, 10)]
     diffs = np.diff(windows)
