@@ -79,7 +79,7 @@ def criterion_2():
         problem, meas = build_internal_problem(grid, step_potential(grid, q0=q0))
         op = assemble_internal_operator(problem)
         cert = certify.precertificate(op, [problem.model])
-        q_hat, f_white, report = recover_internal(problem, meas, "exact", opts=_TIGHT)
+        q_hat, f_white, report = recover_internal(problem, meas, opts=_TIGHT)
         oracle = direct_division_oracle(problem.u_true)
         rel_err = problem.l2.norm(q_hat.values - oracle.values) \
             / problem.l2.norm(oracle.values)
@@ -365,7 +365,7 @@ def criterion_10():
             for s in range(3):
                 z_noisy = quadratic.add_noise(inst_v, d, 100 + s)
                 xh, _, _ = quadratic.recover_phaselift(
-                    inst_v, mode="regularized", lam=d, z=z_noisy
+                    inst_v, lam=d, z=z_noisy
                 )
                 errs.append(quadratic.sign_aligned_error(xh, inst_v.x_true))
             medians.append(float(np.median(errs)))
@@ -401,8 +401,7 @@ def criterion_11(context):
     if final["max_w_norm"] < 1.0:
         meas = cal.make_calderon_measurements(problem, system)
         opts = solvers.SolverOptions(tol_gap=1e-8, tol_feas=1e-9)
-        q_hat, _, report = cal.recover_calderon(problem, system, meas, "exact",
-                                                opts=opts)
+        q_hat, _, report = cal.recover_calderon(problem, system, meas, opts=opts)
         q_err = float(np.linalg.norm(q_hat - problem.q_coeffs)
                       / np.linalg.norm(problem.q_coeffs))
         ok = ok and q_err <= 1e-2 and report.status == solvers.STATUS_CONVERGED
@@ -413,8 +412,7 @@ def criterion_11(context):
         errs = []
         for d in deltas:
             meas_d = cal.make_calderon_measurements(problem, system, delta=d, seed=11)
-            q_d, blocks_d, _ = cal.recover_calderon(problem, system, meas_d,
-                                                    "noisy", c=1.0)
+            q_d, blocks_d, _ = cal.recover_calderon(problem, system, meas_d, c=1.0)
             errs.append(float(np.linalg.norm(q_d - problem.q_coeffs)))
             context["bound_reports"].append(certify.robustness_bounds(
                 system.op_full, blocks_d, f_true, problem.models,

@@ -5,7 +5,8 @@ datum contributes a lifted coefficient stack coupling grid values of the
 state with basis coordinates of the potential.  Three constraint families
 make the lifted problem linear: flux consistency of the sourced Poisson
 state, proportionality to the state through the known potential integral,
-and cross-block equality of the potential component along the boundary.
+and equality of the potential component along the boundary, each datum
+against datum 0 (the constant datum).
 
 Flux conventions: measurements use second-order one-sided normal
 differences; the adjoint-consistent "variational" flux (exact discrete
@@ -401,10 +402,10 @@ def assemble_calderon_system(problem):
     """Dense whitened assembly of the three constraint families.
 
     Per block: flux of the sourced Poisson state of the diagonal, the
-    integrated stack against the known potential integral, and the pairwise
-    boundary equality rows.  Row scalings realize the codomain norms
-    (boundary-weighted l2, the first-order Sobolev structure, and the
-    boundary-weighted stack norm).
+    integrated stack against the known potential integral, and the boundary
+    equality rows of each block against datum 0.  Row scalings realize the
+    codomain norms (boundary-weighted l2, the first-order Sobolev structure,
+    and the boundary-weighted stack norm).
     """
     grid = problem.grid
     n = grid.n_nodes
@@ -433,8 +434,7 @@ def assemble_calderon_system(problem):
     phi2_block = uw @ (ig - problem.int_q * (mv @ dg))
 
     d = n * m
-    pairs = [(i, j) for i in range(nd) for j in range(i + 1, nd)]
-    rows_full = nd * nb + nd * n + len(pairs) * nb * m
+    rows_full = nd * nb + nd * n + (nd - 1) * nb * m
     a_full = np.zeros((rows_full, nd * d))
 
     for i in range(nd):
@@ -442,15 +442,15 @@ def assemble_calderon_system(problem):
         r0 = nd * nb + i * n
         a_full[r0:r0 + n, i * d:(i + 1) * d] = phi2_block
 
+    # datum 0 is the constant 1, so the pairs (0, j) span every pair (i, j):
+    # row (i, j) = f_i * row(0, j) - f_j * row(0, i), node by node
     e_bdry = uinv[bidx, :]
+    blk_j = -np.kron(sqrt_wb[:, None] * e_bdry, np.eye(m))
     r0 = nd * nb + nd * n
-    for (i, j) in pairs:
-        fi = problem.bdry.matrix[:, i]
+    for j in range(1, nd):
         fj = problem.bdry.matrix[:, j]
-        blk_i = np.kron((sqrt_wb * fj)[:, None] * e_bdry, np.eye(m))
-        blk_j = np.kron((sqrt_wb * fi)[:, None] * e_bdry, np.eye(m))
-        a_full[r0:r0 + nb * m, i * d:(i + 1) * d] = blk_i
-        a_full[r0:r0 + nb * m, j * d:(j + 1) * d] = -blk_j
+        a_full[r0:r0 + nb * m, :d] = np.kron((sqrt_wb * fj)[:, None] * e_bdry, np.eye(m))
+        a_full[r0:r0 + nb * m, j * d:(j + 1) * d] = blk_j
         r0 += nb * m
 
     shapes = [(n, m)] * nd
@@ -463,7 +463,7 @@ def assemble_calderon_system(problem):
     ])
     z_hard = np.concatenate(
         [uw @ (problem.int_q * problem.f_tilde_stack[i]) for i in range(nd)]
-        + [np.zeros(len(pairs) * nb * m)]
+        + [np.zeros((nd - 1) * nb * m)]
     )
     return CalderonSystem(
         op_full=op_full, op_data=op_data, op_hard=op_hard,
@@ -500,29 +500,23 @@ def extract_q_calderon(c_vals, f_bdry_vals, problem):
     return num / den
 
 
-def recover_calderon(problem, system, measurements, mode="exact", c=1.0, opts=None):
+def recover_calderon(problem, system, measurements, c=1.0, opts=None):
     """Convex recovery of the potential coordinates from the lifted solve.
 
-    ``exact``: equality-constrained solve on all three families.  ``noisy``:
-    data fidelity on the flux block only, with the remaining families kept
-    as hard constraints inside the splitting and ``lambda = c * delta``.
-    The potential estimate averages the per-block boundary extractions.
+    Noiseless measurements (``delta == 0``): equality-constrained solve on
+    all three families.  Noisy ones: data fidelity on the flux block only,
+    with the remaining families kept as hard constraints inside the
+    splitting and ``lambda = c * delta``.  The potential estimate averages
+    the per-block boundary extractions.
     """
-    if mode == "exact":
-        if measurements.delta != 0:
-            raise ValueError("exact mode requires noiseless measurements")
+    if measurements.delta == 0:
         z_full = np.concatenate([measurements.z_data, system.z_hard])
         blocks, report = solve_equality_nnm(system.op_full, z_full, opts=opts)
-    elif mode == "noisy":
-        lam = c * measurements.delta
-        if lam <= 0:
-            raise ValueError("noisy mode requires delta > 0")
+    else:
         blocks, report = solve_regularized_constrained(
             system.op_data, measurements.z_data, system.op_hard, system.z_hard,
-            lam, opts=opts,
+            c * measurements.delta, opts=opts,
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     uinv = problem.x_unwhitener
     extractions = []
@@ -671,16 +665,16 @@ def precertificate_study(base, n_list, margin=1e-3):
     """Least-norm certificate diagnostics across data-family sizes.
 
     Each N rebuilds ``base`` (a :class:`CalderonProblem`) with N boundary
-    data, keeping its grid, basis, potential and scale functional.  One row
-    per N: the smallest tangent singular value, the worst tangent residual
-    and off-tangent norm.  No pass threshold is asserted; the table is the
-    deliverable.
+    data, keeping its grid, basis, potential and scale functional; the N of
+    ``base`` itself reuses it.  One row per N: the smallest tangent singular
+    value, the worst tangent residual and off-tangent norm.  No pass
+    threshold is asserted; the table is the deliverable.
     """
     from .certify import precertificate
 
     rows = []
     for n_modes in n_list:
-        problem = build_calderon_problem(
+        problem = base if n_modes == base.n_data else build_calderon_problem(
             base.grid, m=base.basis_w.m, n_modes=n_modes, q_coeffs=base.q_coeffs,
             g_weights=base.g_weights,
         )

@@ -36,9 +36,7 @@ class CertificateReport:
     tangent_residuals: np.ndarray
     w_norms: np.ndarray
     ndsc_pass: bool
-    margin: float
     p: np.ndarray | None = None
-    p_norm: float = 0.0
     sigma_min: float = 0.0
     extras: dict = field(default_factory=dict)
 
@@ -135,8 +133,7 @@ def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL):
     wn = np.asarray(wn)
     passed = bool(np.all(resid <= tol) and np.all(wn <= 1.0 - margin))
     return CertificateReport(
-        h_blocks=list(h_blocks), tangent_residuals=resid, w_norms=wn,
-        ndsc_pass=passed, margin=margin,
+        h_blocks=list(h_blocks), tangent_residuals=resid, w_norms=wn, ndsc_pass=passed,
     )
 
 
@@ -172,7 +169,6 @@ def precertificate(op, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL,
     h_blocks = op.adjoint_apply(p)
     report = ndsc_verify(h_blocks, models, margin=margin, tol=tol)
     report.p = p
-    report.p_norm = float(np.linalg.norm(p))
     report.sigma_min = sigma_min
     report.extras["system_residual"] = float(np.linalg.norm(m_t.T @ p - rhs))
     return report

@@ -253,9 +253,7 @@ def _internal_state(config, q0):
 def _internal_row(states, q0, delta, seed, c, opts):
     problem, op, columns = states[q0]
     meas = make_measurements(problem, delta=delta, seed=seed)
-    mode = "exact" if delta == 0 else "noisy"
-    q_hat, _, report = recover_internal(problem, meas, mode=mode, c=c, opts=opts,
-                                        op=op)
+    q_hat, _, report = recover_internal(problem, meas, c=c, opts=opts, op=op)
     err = problem.l2.norm(q_hat.values - problem.q_true.values)
     return {
         **columns, "err_L2": err,
@@ -401,9 +399,8 @@ def run_calderon(config, out_dir, seed, jobs, task):
         delta = config.get("noise", "delta", 0.0, float)
         c = config.get("noise", "c", 1.0, float)
         meas = cal.make_calderon_measurements(problem, system, delta=delta, seed=seed)
-        mode = "exact" if delta == 0 else "noisy"
         q_hat, _, report = cal.recover_calderon(
-            problem, system, meas, mode=mode, c=c, opts=_solver_options(config)
+            problem, system, meas, c=c, opts=_solver_options(config)
         )
         err = float(np.linalg.norm(q_hat - problem.q_coeffs)
                     / np.linalg.norm(problem.q_coeffs))
@@ -450,7 +447,7 @@ def run_phaselift(config, out_dir, seed, jobs, n=None, m=None, noise=None):
         else:
             z_noisy = quadratic.add_noise(inst, delta, seed + 1 + i)
             x_hat, _, report = quadratic.recover_phaselift(
-                inst, mode="regularized", lam=delta, z=z_noisy, opts=opts
+                inst, lam=delta, z=z_noisy, opts=opts
             )
         rows.append({
             "n": n, "m": m, "delta": delta,

@@ -232,14 +232,11 @@ class InnerProduct:
         The SPD Gram matrix G.
     whitener : ndarray
         Upper triangular L with ``L.T @ L == G`` (Cholesky factor).
-    kind : str
-        One of ``l2``, ``h1``, ``h2``.
     """
 
     dim: int
     gram: np.ndarray
     whitener: np.ndarray
-    kind: str
 
     def norm(self, u):
         return float(np.linalg.norm(self.whitener @ u))
@@ -288,7 +285,7 @@ def assemble_inner_product(grid, kind):
             d2 = second_difference_1d(grid)
             gram = gram + d2.T @ wmat @ d2
         whitener = _cholesky_or_raise(gram, kind)
-        return InnerProduct(dim=grid.n, gram=gram, whitener=whitener, kind=kind)
+        return InnerProduct(dim=grid.n, gram=gram, whitener=whitener)
 
     if isinstance(grid, Grid2D):
         if kind == "h2":
@@ -299,7 +296,7 @@ def assemble_inner_product(grid, kind):
             dx, dy = _axis_differences_2d(grid)
             gram = gram + dx.T @ np.diag(w) @ dx + dy.T @ np.diag(w) @ dy
         whitener = _cholesky_or_raise(gram, kind)
-        return InnerProduct(dim=grid.n_nodes, gram=gram, whitener=whitener, kind=kind)
+        return InnerProduct(dim=grid.n_nodes, gram=gram, whitener=whitener)
 
     raise TypeError(f"unsupported grid type {type(grid)!r}")
 

@@ -247,11 +247,11 @@ def extract_q_from_trace(f_values, problem):
     return Potential1D(problem.grid, vals)
 
 
-def recover_internal(problem, measurements, mode="exact", c=1.0, opts=None, op=None):
+def recover_internal(problem, measurements, c=1.0, opts=None, op=None):
     """Solve the convex relaxation and extract the potential.
 
-    ``exact`` runs the equality-constrained solve (requires noiseless
-    measurements); ``noisy`` runs the regularized solve with weight
+    Noiseless measurements (``delta == 0``) run the equality-constrained
+    solve; noisy ones run the regularized solve with weight
     ``lambda = c * delta``.  ``op`` is the problem's assembled operator,
     built here when the caller holds none.  Returns the potential estimate,
     the whitened recovered field, and the solve report (with the rank
@@ -260,17 +260,10 @@ def recover_internal(problem, measurements, mode="exact", c=1.0, opts=None, op=N
     if op is None:
         op = assemble_internal_operator(problem)
     z = measurement_vector(problem, measurements)
-    if mode == "exact":
-        if measurements.delta != 0:
-            raise ValueError("exact mode requires noiseless measurements")
+    if measurements.delta == 0:
         blocks, report = solve_equality_nnm(op, z, opts=opts)
-    elif mode == "noisy":
-        lam = c * measurements.delta
-        if lam <= 0:
-            raise ValueError("noisy mode requires delta > 0")
-        blocks, report = solve_regularized_nnm(op, z, lam, opts=opts)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        blocks, report = solve_regularized_nnm(op, z, c * measurements.delta, opts=opts)
 
     f_white = blocks[0]
     svals = np.linalg.svd(f_white, compute_uv=False)
@@ -520,7 +513,7 @@ def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
         delta, seed = task
         meas = make_measurements(problem, delta=delta, seed=seed)
         q_hat, f_white, report = recover_internal(
-            problem, meas, mode="noisy", c=c, opts=opts, op=op
+            problem, meas, c=c, opts=opts, op=op
         )
         err = problem.l2.norm(q_hat.values - problem.q_true.values)
         rel = err / problem.l2.norm(problem.q_true.values)

@@ -64,7 +64,7 @@ def add_noise(instance, delta, seed):
     return instance.z + e
 
 
-def recover_phaselift(instance, mode="exact", lam=0.0, z=None, opts=None):
+def recover_phaselift(instance, lam=0.0, z=None, opts=None):
     """PSD trace-minimization recovery with rank-one extraction.
 
     Solves the lifted problem through the PSD solver, then extracts
@@ -81,7 +81,7 @@ def recover_phaselift(instance, mode="exact", lam=0.0, z=None, opts=None):
     """
     data = instance.z if z is None else np.asarray(z, float)
     x_mat, report = solve_psd_trace_min(
-        instance.measurements, data, mode=mode, lam=lam, opts=opts
+        instance.measurements, data, lam=lam, opts=opts
     )
     evals, evecs = np.linalg.eigh(x_mat)
     top = float(max(evals[-1], 0.0))

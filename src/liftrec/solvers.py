@@ -198,7 +198,9 @@ class _AffineProjector:
     """Cached projector onto {x : A x = z} with multiplier extraction.
 
     Uses an eigendecomposition of ``A A^T`` with rank truncation, so redundant
-    rows (for instance antisymmetry-induced dependencies) are handled; for an
+    rows are handled (in the Calderon system: the boundary-equality rows along
+    the scale-functional direction, which the integral rows already imply, and
+    the flux rows at the four corners, zero in both ``A`` and ``z``); for an
     inconsistent ``z`` the projection lands on the least-squares affine set
     and the constant residual exposes the infeasibility.
     """
@@ -512,21 +514,19 @@ def _psd_operator(vs):
     return AffineOperator(matrix, [(n, n)])
 
 
-def solve_psd_trace_min(vs, z, mode="exact", lam=0.0, opts=None):
+def solve_psd_trace_min(vs, z, lam=0.0, opts=None):
     """Trace minimization over the PSD cone under linear measurements.
 
-    ``exact`` solves ``min trace(X) s.t. X >= 0, <V_k, X> = z_k``;
-    ``regularized`` solves ``min 0.5 sum(<V_k,X> - z_k)^2 + lam * trace(X)``
+    ``lam == 0`` solves ``min trace(X) s.t. X >= 0, <V_k, X> = z_k``;
+    ``lam > 0`` solves ``min 0.5 sum(<V_k,X> - z_k)^2 + lam * trace(X)``
     over the PSD cone.  Trace equals the nuclear norm on the cone.
     """
     op = _psd_operator(vs)
     z = np.asarray(z, float)
-    if mode == "exact":
+    if lam == 0:
         blocks, report = solve_equality_nnm(op, z, opts=opts, reg=PSD_TRACE)
-    elif mode == "regularized":
-        blocks, report = solve_regularized_nnm(op, z, lam, opts=opts, reg=PSD_TRACE)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        blocks, report = solve_regularized_nnm(op, z, lam, opts=opts, reg=PSD_TRACE)
     x = 0.5 * (blocks[0] + blocks[0].T)
     return x, report
 
@@ -539,8 +539,6 @@ def solve_psd_trace_min(vs, z, mode="exact", lam=0.0, opts=None):
 class GapReport:
     gap: float
     per_block: list
-    dual_feasible: bool
-    primal_feasible: bool
     flagged: bool
 
 
@@ -567,6 +565,5 @@ def duality_gap(blocks, p, op, z, tol=1e-6):
         float(np.linalg.norm(op.apply(blocks) - z)) <= tol * (1.0 + np.linalg.norm(z))
     )
     return GapReport(
-        gap=gap, per_block=per_block, dual_feasible=dual_feasible,
-        primal_feasible=primal_feasible, flagged=not (dual_feasible and primal_feasible),
+        gap=gap, per_block=per_block, flagged=not (dual_feasible and primal_feasible),
     )

@@ -149,6 +149,28 @@ def test_phi3_vanishes_on_truth_and_antisymmetry(small_problem):
     assert np.allclose(pair_01, -pair_10)
 
 
+def test_boundary_rows_tie_each_datum_to_datum_0(small_problem):
+    grid, problem, system = small_problem
+    nd, nb, n, m = problem.n_data, grid.boundary_index.size, grid.n_nodes, 4
+    assert nd == 3
+    assert system.op_full.matrix.shape[0] == nd * nb + nd * n + (nd - 1) * nb * m
+    # rows of the pair (1, 2), which the family leaves out: f_2 c_1 - f_1 c_2
+    # on the boundary, in whitened coordinates and boundary weights
+    e_bdry = (np.sqrt(grid.boundary_weights)[:, None]
+              * problem.x_unwhitener[grid.boundary_index])
+    f = problem.bdry.matrix
+    d = n * m
+    pair_12 = np.zeros((nb * m, nd * d))
+    pair_12[:, d:2 * d] = np.kron(f[:, 2][:, None] * e_bdry, np.eye(m))
+    pair_12[:, 2 * d:] = -np.kron(f[:, 1][:, None] * e_bdry, np.eye(m))
+    hard = system.op_hard.matrix
+    rank = np.linalg.matrix_rank(hard)
+    assert np.linalg.matrix_rank(np.vstack([hard, pair_12])) == rank
+    # a generic row is not in the span, so the rank test can see one
+    probe = np.random.default_rng(3).standard_normal((1, nd * d))
+    assert np.linalg.matrix_rank(np.vstack([hard, probe])) == rank + 1
+
+
 def test_scaling_invariance_is_broken_by_integral_block(small_problem):
     # the factor pair (mu u, q / mu) produces the same lifted stack, so the
     # flux and boundary-pair residuals cannot see mu; only the integral
@@ -185,8 +207,7 @@ def test_extraction_is_exact_on_rank_one(small_problem):
 def test_exact_recovery_small(small_problem):
     grid, problem, system = small_problem
     meas = make_calderon_measurements(problem, system)
-    q_hat, blocks, report = recover_calderon(problem, system, meas, "exact",
-                                             opts=TIGHT)
+    q_hat, blocks, report = recover_calderon(problem, system, meas, opts=TIGHT)
     rel = np.linalg.norm(q_hat - problem.q_coeffs) / np.linalg.norm(problem.q_coeffs)
     assert rel <= 1e-6
     assert report.feas_residual <= 1e-7
@@ -199,7 +220,7 @@ def test_constant_potential_single_datum():
     problem = build_calderon_problem(grid, m=4, n_modes=1, q_coeffs=coeffs)
     system = assemble_calderon_system(problem)
     meas = make_calderon_measurements(problem, system)
-    q_hat, _, report = recover_calderon(problem, system, meas, "exact", opts=TIGHT)
+    q_hat, _, report = recover_calderon(problem, system, meas, opts=TIGHT)
     rel = np.linalg.norm(q_hat - problem.q_coeffs) / np.linalg.norm(problem.q_coeffs)
     assert rel <= 1e-5
 
@@ -207,20 +228,18 @@ def test_constant_potential_single_datum():
 def test_noisy_recovery_keeps_hard_constraints(small_problem):
     grid, problem, system = small_problem
     meas = make_calderon_measurements(problem, system, delta=1e-3, seed=5)
-    q_hat, blocks, report = recover_calderon(problem, system, meas, "noisy", c=1.0)
+    q_hat, blocks, report = recover_calderon(problem, system, meas, c=1.0)
     assert report.extras["hard_residual"] <= 1e-8
     err = np.linalg.norm(q_hat - problem.q_coeffs)
     assert err <= 1e-1
 
 
-def test_recover_mode_validation(small_problem):
+def test_recover_rejects_nonpositive_weight(small_problem):
     grid, problem, system = small_problem
     noisy = make_calderon_measurements(problem, system, delta=1e-3, seed=1)
-    with pytest.raises(ValueError):
-        recover_calderon(problem, system, noisy, "exact")
-    clean = make_calderon_measurements(problem, system)
-    with pytest.raises(ValueError):
-        recover_calderon(problem, system, clean, "noisy")
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            recover_calderon(problem, system, noisy, c=c)
 
 
 def test_assemble_operator_wrapper(small_problem):
@@ -329,6 +348,26 @@ def test_precertificate_study_keeps_the_scale_functional():
                                     [2, 3])
     assert all(abs(r["max_w_norm"] - s["max_w_norm"]) > 1e-3
                for r, s in zip(rows, integral))
+
+
+def test_precertificate_study_reuses_its_base(small_problem, monkeypatch):
+    import liftrec.calderon as cal
+
+    grid, problem, system = small_problem
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(kwargs["n_modes"])
+        return build_calderon_problem(*args, **kwargs)
+
+    monkeypatch.setattr(cal, "build_calderon_problem", counting_build)
+    (row,) = precertificate_study(problem, [problem.n_data])
+    assert builds == []
+    cert = precertificate(system.op_full, problem.models, margin=1e-3)
+    assert row["max_w_norm"] == cert.max_w_norm
+    assert row["sigma_min"] == cert.sigma_min
+    precertificate_study(problem, [2, problem.n_data])
+    assert builds == [2]
 
 
 def test_boundary_restriction_constant_reported(small_problem):

@@ -51,6 +51,30 @@ def test_every_public_definition_is_referenced():
     assert not unreferenced, f"public definitions nothing in src refers to: {unreferenced}"
 
 
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    modules = _modules()
+    loaded = {node.attr for tree in modules.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and node.target.id not in loaded):
+                    unread.append(f"{module}.{cls.name}.{node.target.id}")
+    assert not unread, f"dataclass fields nothing in src reads: {unread}"
+
+
 def test_no_unused_imports():
     unused = []
     for module, tree in _modules().items():

@@ -100,7 +100,7 @@ def _field_pair(n=13, seed=0):
 
 
 def _identity(dim):
-    return InnerProduct(dim=dim, gram=np.eye(dim), whitener=np.eye(dim), kind="l2")
+    return InnerProduct(dim=dim, gram=np.eye(dim), whitener=np.eye(dim))
 
 
 def test_whiten_identity_grams_is_identity():

@@ -150,7 +150,7 @@ def test_adjoint_matches_kernel_form_unwhitened():
 
 def test_exact_recovery(step_instance):
     grid, problem, meas = step_instance
-    q_hat, f_white, report = recover_internal(problem, meas, "exact", opts=TIGHT)
+    q_hat, f_white, report = recover_internal(problem, meas, opts=TIGHT)
     oracle = direct_division_oracle(problem.u_true)
     rel = problem.l2.norm(q_hat.values - oracle.values) / problem.l2.norm(oracle.values)
     assert rel <= 1e-3
@@ -164,17 +164,16 @@ def test_exact_recovery_constant_potential():
     problem, meas = build_internal_problem(grid, constant_potential(grid, 2.0))
     lhs, _, _ = sufficient_condition(problem)
     assert lhs == pytest.approx(0.0, abs=1e-12)      # no variation
-    q_hat, _, report = recover_internal(problem, meas, "exact", opts=TIGHT)
+    q_hat, _, report = recover_internal(problem, meas, opts=TIGHT)
     assert problem.l2.norm(q_hat.values - 2.0) <= 1e-6
 
 
-def test_recover_mode_validation(step_instance):
+def test_recover_rejects_nonpositive_weight(step_instance):
     grid, problem, meas = step_instance
-    with pytest.raises(ValueError):
-        recover_internal(problem, meas, "noisy")     # delta == 0
     noisy = make_measurements(problem, delta=1e-3, seed=1)
-    with pytest.raises(ValueError):
-        recover_internal(problem, noisy, "exact")
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            recover_internal(problem, noisy, c=c)
 
 
 def test_extract_q_from_trace(step_instance):

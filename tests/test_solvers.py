@@ -246,8 +246,8 @@ def test_psd_trace_recovers_phase_retrieval_lift():
 def test_psd_trace_validates_input():
     with pytest.raises(ValueError):
         solve_psd_trace_min([np.array([[0.0, 1.0], [0.0, 0.0]])], np.array([1.0]))
-    with pytest.raises(ValueError):
-        solve_psd_trace_min([np.eye(2)], np.array([1.0]), mode="other")
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        solve_psd_trace_min([np.eye(2)], np.array([1.0]), lam=-1.0)
 
 
 def test_duality_gap_audit_cases():
@@ -265,7 +265,8 @@ def test_duality_gap_audit_cases():
     assert zero_p.gap == pytest.approx(report.objective, rel=1e-10)
 
     scaled = duality_gap(blocks, 100.0 * report.dual, op, z)
-    assert scaled.flagged and not scaled.dual_feasible
+    assert scaled.flagged
+    assert NUCLEAR.dual_norm(op.adjoint_apply(100.0 * report.dual)) > 1.0
 
 
 def test_constrained_regularized_keeps_hard_constraints():
