@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DegenerateCertificate
 from .lowrank import (
@@ -26,6 +27,9 @@ from .lowrank import (
 TANGENT_TOL = 1e-8
 DEFAULT_MARGIN = 1e-3
 RANK_RTOL = 1e-12
+# smallest lambda_min / lambda_max of the tangent Gram (condition number of
+# the tangent map below 1e3) that is solved by Cholesky instead of the SVD
+_GRAM_RCOND = 1e-6
 
 
 @dataclass
@@ -106,15 +110,42 @@ def _tangent_map(op, models, symmetric=False):
     return np.hstack(cols), np.asarray(rhs), np.asarray(col_block)
 
 
+def _tangent_least_norm(m_t, rhs):
+    """Extreme singular values of ``M_T`` and the least-norm ``p`` of ``M_T^T p = rhs``.
+
+    A well-conditioned tall map is solved from its ``k x k`` Gram
+    ``G = M_T^T M_T``: ``sigma = sqrt(eigvalsh(G))`` and
+    ``p = M_T G^{-1} rhs`` by Cholesky.  Below the cutoff the Gram's
+    rounding floor, about ``k * eps * lambda_max``, would blur the small
+    singular values, so the thin SVD of ``M_T`` gives them and every rank
+    decision near ``RANK_RTOL`` stays the SVD's.
+    A map with fewer rows than columns cannot be injective on the tangent
+    space, so its ``sigma_min`` is 0.
+
+    Returns ``(sigma_min, sigma_max, p)``.
+    """
+    rows, k = m_t.shape
+    if rows >= k:
+        gram = m_t.T @ m_t
+        evals = np.linalg.eigvalsh(gram)
+        if evals[0] > _GRAM_RCOND * evals[-1]:
+            p = m_t @ scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(gram, overwrite_a=True), rhs)
+            return float(np.sqrt(evals[0])), float(np.sqrt(evals[-1])), p
+    u_svd, svals, vt_svd = np.linalg.svd(m_t, full_matrices=False)
+    p = u_svd @ ((vt_svd @ rhs) / svals)
+    sigma_min = float(svals[-1]) if rows >= k else 0.0
+    return sigma_min, (float(svals[0]) if svals.size else 0.0), p
+
+
 def tangent_injectivity(op, models, symmetric=False):
     """Smallest singular value of Phi restricted to the tangent space.
 
     A positive value certifies discrete injectivity; its reciprocal is the
     empirical stability constant.
     """
-    m_t, _, _ = _tangent_map(op, models, symmetric=symmetric)
-    svals = np.linalg.svd(m_t, compute_uv=False)
-    return float(svals[-1]) if svals.size else 0.0
+    m_t, rhs, _ = _tangent_map(op, models, symmetric=symmetric)
+    return _tangent_least_norm(m_t, rhs)[0]
 
 
 def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL):
@@ -142,8 +173,9 @@ def precertificate(op, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL,
     """Least-norm dual vector interpolating the tangent conditions.
 
     Assembles the measurement map restricted to the tangent space, solves
-    ``(P_T Phi^*) p = (u_i v_i^T)_i`` for the minimum-norm ``p`` through the
-    SVD pseudoinverse, and reports the resulting certificate diagnostics.
+    ``(P_T Phi^*) p = (u_i v_i^T)_i`` for the minimum-norm ``p`` (from the
+    tangent Gram, or the SVD pseudoinverse when the map is ill-conditioned),
+    and reports the resulting certificate diagnostics.
 
     Raises
     ------
@@ -152,20 +184,16 @@ def precertificate(op, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL,
         the offending smallest singular value.
     """
     m_t, rhs, _ = _tangent_map(op, models, symmetric=symmetric)
-    u_svd, svals, vt_svd = np.linalg.svd(m_t, full_matrices=False)
-    sigma_min = float(svals[-1]) if svals.size else 0.0
+    sigma_min, sigma_max, p = _tangent_least_norm(m_t, rhs)
     # scale against the full operator so a tangent space inside the kernel
     # registers as degenerate rather than as a tiny full-rank system
-    scale = max(float(svals[0]) if svals.size else 0.0,
-                op.max_abs_entry())
-    if svals.size == 0 or scale == 0.0 or sigma_min <= RANK_RTOL * scale:
+    scale = max(sigma_max, op.max_abs_entry())
+    if scale == 0.0 or sigma_min <= RANK_RTOL * scale:
         raise DegenerateCertificate(
             f"tangent system is rank deficient (sigma_min = {sigma_min:.3e}); "
             "the least-norm pre-certificate is not defined",
             sigma_min=sigma_min,
         )
-    # least-norm solution of M_T^T p = rhs
-    p = u_svd @ ((vt_svd @ rhs) / svals)
     h_blocks = op.adjoint_apply(p)
     report = ndsc_verify(h_blocks, models, margin=margin, tol=tol)
     report.p = p

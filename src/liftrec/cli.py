@@ -453,10 +453,10 @@ def run_phaselift(config, out_dir, seed, jobs, n=None, m=None, noise=None):
             "n": n, "m": m, "delta": delta,
             "err": quadratic.sign_aligned_error(x_hat, inst.x_true),
             "rank_ratio": report.extras["rank_ratio"],
-            "iters": report.iterations,
+            "iters": report.iterations, "status": report.status,
         })
     emit_table(rows, [("n", int), ("m", int), ("delta", float), ("err", float),
-                      ("rank_ratio", float), ("iters", int)],
+                      ("rank_ratio", float), ("iters", int), ("status", str)],
                os.path.join(out_dir, "phaselift.csv"))
     _write_summary(out_dir, {"kind": "phaselift", "seed": seed, "rows": len(rows)})
     return 0

@@ -140,7 +140,7 @@ class AffineOperator:
 
     def max_abs_entry(self):
         """Largest absolute entry of the matrix form."""
-        return float(np.abs(self.matrix).max())
+        return float(max(self.matrix.max(), -self.matrix.min()))
 
     def apply(self, blocks):
         return self._matvec(pack_blocks(blocks))
@@ -244,7 +244,10 @@ class _AffineProjector:
 def psd_trace_prox(m, tau):
     """Prox of ``tau * trace + PSD indicator``: clipped eigenvalue shrinkage."""
     sym = 0.5 * (m + m.T)
-    evals, evecs = np.linalg.eigh(sym)
+    try:
+        evals, evecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure("eigendecomposition did not converge") from exc
     shrunk = np.maximum(evals - tau, 0.0)
     return (evecs * shrunk) @ evecs.T
 

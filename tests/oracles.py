@@ -51,3 +51,15 @@ def leading_rank_one(m):
     uvec = uvec / np.linalg.norm(uvec)
     vvec = vvec / np.linalg.norm(vvec)
     return RankOneModel(sigma=sigma, u=uvec, v=vvec)
+
+
+def svd_least_norm(m_t, rhs):
+    """Least-norm ``p`` of ``M_T^T p = rhs`` from the thin SVD of ``M_T``.
+
+    Returns ``(sigma_min, sigma_max, p)``; ``sigma_min`` is 0 when ``M_T``
+    has fewer rows than columns, since such a map cannot be injective.
+    """
+    rows, k = m_t.shape
+    u, s, vt = np.linalg.svd(m_t, full_matrices=False)
+    p = u @ ((vt @ rhs) / s)
+    return (float(s[-1]) if rows >= k else 0.0), float(s[0]), p

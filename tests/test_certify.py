@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftrec.certify import (
+    RANK_RTOL,
     CertificateReport,
+    _tangent_least_norm,
     complement_basis,
     ndsc_verify,
     precertificate,
@@ -13,6 +17,8 @@ from liftrec.certify import (
 from liftrec.errors import DegenerateCertificate
 from liftrec.lowrank import RankOneModel, operator_norm, project_tangent_complement
 from liftrec.solvers import AffineOperator
+
+from oracles import svd_least_norm
 
 
 def _model(rng, n1=4, n2=3):
@@ -66,6 +72,63 @@ def test_degenerate_when_tangent_in_kernel():
         precertificate(op, [model])
     assert err.value.sigma_min <= 1e-10
     assert tangent_injectivity(op, [model]) <= 1e-10
+
+
+def test_wide_tangent_map_is_degenerate():
+    # k = 6 tangent directions seen through 3 rows: the thin SVD has only 3
+    # singular values, none of which measures the 3-dimensional kernel
+    rng = np.random.default_rng(4)
+    model = _model(rng)
+    op = AffineOperator(rng.standard_normal((3, 12)), [(4, 3)])
+    with pytest.raises(DegenerateCertificate) as err:
+        precertificate(op, [model])
+    assert err.value.sigma_min == 0.0
+    assert tangent_injectivity(op, [model]) == 0.0
+
+
+def _map_with_singular_values(rng, rows, svals):
+    k = svals.size
+    q_left, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (q_left * svals) @ q_right.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["gram", "svd", "deficient"]), k=st.integers(2, 40),
+       extra_rows=st.integers(0, 30), log_cond=st.floats(0.0, 1.0),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_tangent_solve_matches_svd_oracle(case, k, extra_rows, log_cond, log_scale,
+                                          seed):
+    # condition number in [1, 1e3] takes the Gram branch, [1e4, 1e8] the SVD
+    # branch; a zero singular value must be caught as degenerate
+    rng = np.random.default_rng(seed)
+    exponent = 4.0 + 4.0 * log_cond if case == "svd" else 3.0 * log_cond
+    t = np.concatenate([[0.0], np.sort(rng.uniform(size=k - 2)), [1.0]])
+    svals = 10.0 ** (log_scale - exponent * t)
+    if case == "deficient":
+        svals[-rng.integers(1, k):] = 0.0
+    m_t = _map_with_singular_values(rng, k + extra_rows, svals)
+    rhs = rng.standard_normal(k)
+    if case == "deficient":
+        # the tangent map of a (n1 x n2) model has k = n1 + n2 - 1 columns;
+        # an operator M B^T on the tangent basis B restricts to M
+        n1 = (k + 2) // 2
+        model = _model(rng, n1, k + 1 - n1)
+        basis = np.stack([b.ravel() for b in tangent_basis(model)], axis=1)
+        op = AffineOperator(m_t @ basis.T, [(n1, k + 1 - n1)])
+        with pytest.raises(DegenerateCertificate):
+            precertificate(op, [model])
+        assert tangent_injectivity(op, [model]) <= RANK_RTOL * svals[0]
+        return
+    got = _tangent_least_norm(m_t, rhs)
+    want = svd_least_norm(m_t, rhs)
+    if case == "svd":
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2])
+    else:
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
+        assert got[1] == pytest.approx(want[1], rel=1e-9)
+        assert np.linalg.norm(got[2] - want[2]) <= 1e-9 * np.linalg.norm(want[2])
 
 
 def test_ndsc_verify_pass_and_fail():

@@ -179,8 +179,9 @@ def test_cli_phaselift_smoke(tmp_path):
     assert code == 0
     rows = read_table(out / "phaselift.csv",
                       [("n", int), ("m", int), ("delta", float), ("err", float),
-                       ("rank_ratio", float), ("iters", int)])
+                       ("rank_ratio", float), ("iters", int), ("status", str)])
     assert rows[0]["err"] <= 1e-3
+    assert rows[0]["status"] == "converged"
 
 
 def test_cli_calderon_certify_smoke(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftrec.errors import NumericFailure
 from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check
 from liftrec.quadratic import make_phase_retrieval
 from liftrec.solvers import (
@@ -248,6 +249,20 @@ def test_psd_trace_validates_input():
         solve_psd_trace_min([np.array([[0.0, 1.0], [0.0, 0.0]])], np.array([1.0]))
     with pytest.raises(ValueError, match="lambda must be positive"):
         solve_psd_trace_min([np.eye(2)], np.array([1.0]), lam=-1.0)
+
+
+@pytest.mark.parametrize("reg", [NUCLEAR, PSD_TRACE])
+@pytest.mark.parametrize("lam", [0.0, 1e-2])
+def test_nan_datum_raises_numeric_failure(reg, lam):
+    # a NaN in z must surface as NumericFailure from either prox, never as
+    # a raw LinAlgError from the decomposition inside it
+    op = _random_op(np.random.default_rng(13), 4, [(3, 3)])
+    z = np.array([1.0, np.nan, 0.5, -0.2])
+    with pytest.raises(NumericFailure):
+        if lam == 0:
+            solve_equality_nnm(op, z, reg=reg)
+        else:
+            solve_regularized_nnm(op, z, lam, reg=reg)
 
 
 def test_duality_gap_audit_cases():
