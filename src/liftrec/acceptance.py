@@ -79,7 +79,7 @@ def criterion_2():
         problem, meas = build_internal_problem(grid, step_potential(grid, q0=q0))
         op = assemble_internal_operator(problem)
         cert = certify.precertificate(op, [problem.model])
-        q_hat, f_white, report = recover_internal(problem, meas, opts=_TIGHT)
+        q_hat, f_white, report = recover_internal(problem, meas, opts=_TIGHT, op=op)
         oracle = direct_division_oracle(problem.u_true)
         rel_err = problem.l2.norm(q_hat.values - oracle.values) \
             / problem.l2.norm(oracle.values)

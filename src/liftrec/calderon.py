@@ -401,11 +401,11 @@ class CalderonSystem:
 def assemble_calderon_system(problem):
     """Dense whitened assembly of the three constraint families.
 
-    Per block: flux of the sourced Poisson state of the diagonal, the
-    integrated stack against the known potential integral, and the boundary
-    equality rows of each block against datum 0.  Row scalings realize the
-    codomain norms (boundary-weighted l2, the first-order Sobolev structure,
-    and the boundary-weighted stack norm).
+    Per block: flux of the sourced Poisson state of the diagonal off the four
+    corners, the integrated stack against the known potential integral, and
+    the boundary equality rows of each block against datum 0.  Row scalings
+    realize the codomain norms (boundary-weighted l2, the first-order Sobolev
+    structure, and the boundary-weighted stack norm).
     """
     grid = problem.grid
     n = grid.n_nodes
@@ -428,25 +428,28 @@ def assemble_calderon_system(problem):
     mv[np.ix_(grid.interior_index, grid.interior_index)] = -a0_inv
     fl = _onesided_flux_matrix(grid)
 
-    phi1_block = (sqrt_wb[:, None] * fl) @ (mv @ dg)
+    # the one-sided corner stencil reads only boundary nodes: zero flux rows
+    flux = ~_corner_mask(grid)
+    nf = int(flux.sum())
+    phi1_block = (sqrt_wb[flux, None] * fl[flux]) @ (mv @ dg)
     g_omega = problem.basis_w.integrals if problem.g_omega is None else problem.g_omega
     ig = np.einsum("xi,k->xik", uinv, g_omega).reshape(n, n * m)
     phi2_block = uw @ (ig - problem.int_q * (mv @ dg))
 
     d = n * m
-    rows_full = nd * nb + nd * n + (nd - 1) * nb * m
+    rows_full = nd * nf + nd * n + (nd - 1) * nb * m
     a_full = np.zeros((rows_full, nd * d))
 
     for i in range(nd):
-        a_full[i * nb:(i + 1) * nb, i * d:(i + 1) * d] = phi1_block
-        r0 = nd * nb + i * n
+        a_full[i * nf:(i + 1) * nf, i * d:(i + 1) * d] = phi1_block
+        r0 = nd * nf + i * n
         a_full[r0:r0 + n, i * d:(i + 1) * d] = phi2_block
 
     # datum 0 is the constant 1, so the pairs (0, j) span every pair (i, j):
     # row (i, j) = f_i * row(0, j) - f_j * row(0, i), node by node
     e_bdry = uinv[bidx, :]
     blk_j = -np.kron(sqrt_wb[:, None] * e_bdry, np.eye(m))
-    r0 = nd * nb + nd * n
+    r0 = nd * nf + nd * n
     for j in range(1, nd):
         fj = problem.bdry.matrix[:, j]
         a_full[r0:r0 + nb * m, :d] = np.kron((sqrt_wb * fj)[:, None] * e_bdry, np.eye(m))
@@ -455,12 +458,10 @@ def assemble_calderon_system(problem):
 
     shapes = [(n, m)] * nd
     op_full = AffineOperator(a_full, shapes)
-    op_data = AffineOperator(a_full[: nd * nb], shapes)
-    op_hard = AffineOperator(a_full[nd * nb:], shapes)
+    op_data = AffineOperator(a_full[: nd * nf], shapes)
+    op_hard = AffineOperator(a_full[nd * nf:], shapes)
 
-    z_data = np.concatenate([
-        sqrt_wb * (problem.flux_u[i] - problem.flux_f_tilde[i]) for i in range(nd)
-    ])
+    z_data = (sqrt_wb * (problem.flux_u - problem.flux_f_tilde))[:, flux].ravel()
     z_hard = np.concatenate(
         [uw @ (problem.int_q * problem.f_tilde_stack[i]) for i in range(nd)]
         + [np.zeros((nd - 1) * nb * m)]
@@ -661,7 +662,7 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8, damping=1e-8):
     return {"misfits": misfits, "trajectory": trajectory, "coeffs": coeffs}
 
 
-def precertificate_study(base, n_list, margin=1e-3):
+def precertificate_study(base, n_list):
     """Least-norm certificate diagnostics across data-family sizes.
 
     Each N rebuilds ``base`` (a :class:`CalderonProblem`) with N boundary
@@ -680,7 +681,7 @@ def precertificate_study(base, n_list, margin=1e-3):
         )
         system = assemble_calderon_system(problem)
         try:
-            report = precertificate(system.op_full, problem.models, margin=margin)
+            report = precertificate(system.op_full, problem.models)
             rows.append({
                 "N": n_modes,
                 "sigma_min": report.sigma_min,

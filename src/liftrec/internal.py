@@ -493,7 +493,7 @@ def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f=1.0, tol=1e-3):
 
 
 def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
-                    seeds=range(5), opts=None, jobs=1, with_bounds=False):
+                    seeds=range(5), with_bounds=False):
     """Noisy recovery sweep over noise levels and seeds.
 
     Returns one row per (delta, seed) with the relative and absolute
@@ -512,9 +512,7 @@ def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
     def one(task):
         delta, seed = task
         meas = make_measurements(problem, delta=delta, seed=seed)
-        q_hat, f_white, report = recover_internal(
-            problem, meas, c=c, opts=opts, op=op
-        )
+        q_hat, f_white, report = recover_internal(problem, meas, c=c, op=op)
         err = problem.l2.norm(q_hat.values - problem.q_true.values)
         rel = err / problem.l2.norm(problem.q_true.values)
         row = {
@@ -522,7 +520,7 @@ def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
             "err_L2": err, "rel_err_L2": rel, "iters": report.iterations,
             "status": report.status,
         }
-        if with_bounds and cert is not None:
+        if with_bounds:
             c_eff = (c * delta) / meas.delta_meas
             row["bounds"] = robustness_bounds(
                 op, [f_white], f_ref, [problem.model], cert.h_blocks,
@@ -531,7 +529,7 @@ def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
         return row
 
     tasks = [(float(d), int(s)) for d in deltas for s in seeds]
-    return map_rows(one, tasks, jobs)
+    return map_rows(one, tasks, 1)
 
 
 def loglog_slope(deltas, errors):

@@ -35,6 +35,9 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_INFEASIBLE = "infeasible_suspected"
 
+# eigenvalues of ``Phi Phi^*`` at or below this share of the largest are zero
+RANK_RTOL = 1e-12
+
 
 @dataclass
 class SolverOptions:
@@ -90,7 +93,8 @@ class AffineOperator:
     The base class holds the map as a dense matrix.  A structured subclass
     overrides only the private hooks ``_matvec``/``_rmatvec`` and the public
     hooks ``apply_block``, ``gram`` and ``max_abs_entry``; the public applies
-    and the operator-norm estimate stay on this class and delegate to them.
+    and the spectral data (one cached eigendecomposition of ``gram()``) stay
+    on this class and delegate to them.
 
     Parameters
     ----------
@@ -114,7 +118,7 @@ class AffineOperator:
         self._offsets = [0, *itertools.accumulate(r * c for r, c in self.domain_shapes)]
         self.domain_dim = self._offsets[-1]
         self.codomain_dim = int(codomain_dim)
-        self._opnorm = None
+        self._eig = None
 
     @property
     def n_blocks(self):
@@ -154,13 +158,30 @@ class AffineOperator:
     def adjoint_vec(self, p):
         return self._rmatvec(p)
 
+    def _range(self):
+        """Eigenpairs of ``Phi Phi^*`` above the rank cutoff, computed once.
+
+        Non-finite eigenvalues raise: the cutoff would drop them silently.
+        Pool threads sharing an operator may both compute it on first use;
+        both get the same pairs, so no lock is taken.
+        """
+        if self._eig is None:
+            try:
+                evals, evecs = np.linalg.eigh(self.gram())
+            except np.linalg.LinAlgError as exc:
+                raise NumericFailure("measurement Gram eigendecomposition failed") from exc
+            if not np.all(np.isfinite(evals)):
+                raise NumericFailure("measurement Gram has non-finite eigenvalues")
+            keep = evals > RANK_RTOL * max(evals[-1], 0.0)
+            if not np.any(keep):
+                raise NumericFailure("measurement operator is numerically zero")
+            self._eig = evals[keep], np.ascontiguousarray(evecs[:, keep])
+        return self._eig
+
     @property
     def opnorm_estimate(self):
-        """Largest singular value, estimated by seeded power iteration."""
-        if self._opnorm is None:
-            self._opnorm = _power_iteration(self._matvec, self._rmatvec,
-                                            self.domain_dim)
-        return self._opnorm
+        """Largest singular value, from the cached Gram eigendecomposition."""
+        return float(np.sqrt(self._range()[0][-1]))
 
     def check_adjoint(self, rng=None, n_probes=10):
         """Max relative defect of the adjoint identity over random probes."""
@@ -176,46 +197,22 @@ class AffineOperator:
         return worst
 
 
-def _power_iteration(matvec, rmatvec, dim, iters=500, rtol=1e-13, seed=0):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = rmatvec(matvec(v))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        new_est = np.sqrt(nw)
-        if abs(new_est - est) <= rtol * max(new_est, 1e-30):
-            return float(new_est)
-        est = new_est
-    return float(est)
-
-
 class _AffineProjector:
     """Cached projector onto {x : A x = z} with multiplier extraction.
 
-    Uses an eigendecomposition of ``A A^T`` with rank truncation, so redundant
-    rows are handled (in the Calderon system: the boundary-equality rows along
-    the scale-functional direction, which the integral rows already imply, and
-    the flux rows at the four corners, zero in both ``A`` and ``z``); for an
-    inconsistent ``z`` the projection lands on the least-squares affine set
-    and the constant residual exposes the infeasibility.
+    Reads the operator's rank-truncated eigendecomposition of ``A A^T``, so
+    redundant rows are handled (in the Calderon system: the boundary-equality
+    rows along the scale-functional direction, which the integral rows
+    already imply); for an inconsistent ``z`` the projection lands on the
+    least-squares affine set and the constant residual exposes the
+    infeasibility.
     """
 
-    def __init__(self, op, z, rank_rtol=1e-12):
+    def __init__(self, op, z):
         self.op = op
         self.z = np.asarray(z, float)
-        gram = op.gram()
-        evals, evecs = np.linalg.eigh(gram)
-        cutoff = rank_rtol * max(evals[-1], 0.0)
-        keep = evals > cutoff
-        if not np.any(keep):
-            raise NumericFailure("measurement operator is numerically zero")
-        self._evecs = np.ascontiguousarray(evecs[:, keep])
-        self._inv_evals = 1.0 / evals[keep]
+        evals, self._evecs = op._range()
+        self._inv_evals = 1.0 / evals
         self.range_residual = float(np.linalg.norm(self.z - self._apply_range(self.z)))
 
     def _pinv_gram(self, r):
@@ -314,8 +311,7 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
     shapes = op.domain_shapes
 
     znorm = float(np.linalg.norm(z))
-    opn = max(op.opnorm_estimate, 1e-30)
-    rho = opts.rho if opts.rho > 0 else max(znorm, 1e-12) / opn
+    rho = opts.rho if opts.rho > 0 else max(znorm, 1e-12) / op.opnorm_estimate
 
     projector = _AffineProjector(op, z)
     feas_floor = projector.range_residual
@@ -384,10 +380,7 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR):
     z = np.asarray(z_noisy, float)
     shapes = op.domain_shapes
 
-    opn = op.opnorm_estimate
-    if not np.isfinite(opn) or opn <= 0:
-        raise NumericFailure("could not estimate the operator norm for the step size")
-    lip = (opn * (1.0 + 1e-3)) ** 2
+    lip = (op.opnorm_estimate * (1.0 + 1e-3)) ** 2
     step = 1.0 / lip
 
     x = np.zeros(op.domain_dim)

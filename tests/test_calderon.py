@@ -135,7 +135,8 @@ def test_phi3_vanishes_on_truth_and_antisymmetry(small_problem):
     grid, problem, system = small_problem
     nd, nb, n, m = problem.n_data, grid.boundary_index.size, grid.n_nodes, 4
     out = system.op_full.apply(problem.true_stack_whitened())
-    z3 = out[nd * nb + nd * n:]
+    z3 = out[nd * (nb - 4) + nd * n:]
+    assert z3.size == (nd - 1) * nb * m
     assert np.abs(z3).max() <= 1e-11
     # antisymmetry: swapping the pair roles flips the sign
     rng = np.random.default_rng(0)
@@ -153,7 +154,10 @@ def test_boundary_rows_tie_each_datum_to_datum_0(small_problem):
     grid, problem, system = small_problem
     nd, nb, n, m = problem.n_data, grid.boundary_index.size, grid.n_nodes, 4
     assert nd == 3
-    assert system.op_full.matrix.shape[0] == nd * nb + nd * n + (nd - 1) * nb * m
+    # flux rows at the boundary nodes off the four corners
+    assert system.op_data.matrix.shape[0] == nd * (nb - 4)
+    assert system.op_full.matrix.shape[0] == nd * (nb - 4) + nd * n + (nd - 1) * nb * m
+    assert np.abs(system.op_data.matrix).max(axis=1).min() > 0
     # rows of the pair (1, 2), which the family leaves out: f_2 c_1 - f_1 c_2
     # on the boundary, in whitened coordinates and boundary weights
     e_bdry = (np.sqrt(grid.boundary_weights)[:, None]

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftrec.errors import NumericFailure
+from liftrec.hilbert import build_grid_1d
+from liftrec.internal import assemble_internal_operator, build_internal_problem
 from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check
+from liftrec.pde1d import step_potential
 from liftrec.quadratic import make_phase_retrieval
 from liftrec.solvers import (
     NUCLEAR,
@@ -55,6 +58,54 @@ def test_operator_validates_shapes_and_adjoint():
     assert op.check_adjoint() < 1e-10
     svals = np.linalg.svd(op.matrix, compute_uv=False)
     assert op.opnorm_estimate >= svals[0] * (1.0 - 1e-3)
+
+
+def test_opnorm_is_the_largest_singular_value():
+    grid = build_grid_1d(25, 0.0, 1.0)
+    problem, _ = build_internal_problem(grid, step_potential(grid, q0=0.5))
+    ops = [_random_op(np.random.default_rng(2), 9, [(3, 3), (2, 4)]),
+           assemble_internal_operator(problem)]
+    for op in ops:
+        sigma = np.linalg.svd(op.matrix, compute_uv=False)[0]
+        assert abs(op.opnorm_estimate - sigma) <= 1e-12 * sigma
+
+
+class _CountingOperator(AffineOperator):
+    grams = 0
+
+    def gram(self):
+        self.grams += 1
+        return super().gram()
+
+
+def test_gram_is_factored_once_per_operator():
+    rng = np.random.default_rng(4)
+    op = _CountingOperator(rng.standard_normal((5, 9)), [(3, 3)])
+    opts = SolverOptions(max_iter=200)
+    assert op.opnorm_estimate > 0
+    for _ in range(2):
+        solve_equality_nnm(op, rng.standard_normal(5), opts=opts)
+    solve_regularized_nnm(op, rng.standard_normal(5), 1e-2, opts=opts)
+    assert op.grams == 1
+
+
+@pytest.mark.parametrize("broken", ["nan_entry", "zero"])
+@pytest.mark.parametrize("lam", [0.0, 1e-2])
+def test_degenerate_operator_raises_numeric_failure(broken, lam):
+    # a NaN entry gives NaN eigenvalues, which the rank cutoff would drop
+    # silently; a zero operator leaves nothing above the cutoff
+    matrix = np.random.default_rng(5).standard_normal((4, 9))
+    if broken == "nan_entry":
+        matrix[1, 2] = np.nan
+    else:
+        matrix[:] = 0.0
+    op = AffineOperator(matrix, [(3, 3)])
+    z = np.array([1.0, 0.5, -0.2, 0.3])
+    with pytest.raises(NumericFailure):
+        if lam == 0:
+            solve_equality_nnm(op, z)
+        else:
+            solve_regularized_nnm(op, z, lam)
 
 
 @settings(max_examples=50, deadline=None)
