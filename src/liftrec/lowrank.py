@@ -16,6 +16,7 @@ column space of the model, with orthogonal projector
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,10 @@ from .errors import NumericFailure
 # precision, above round-off), strict inequalities by a separate margin.
 DEFAULT_TOL = 1e-8
 DEFAULT_MARGIN = 1e-3
+
+# svt_prox takes the thin SVD once the Gram eigenvalue error reaches this
+# share of tau^2: from sigma_max / tau of about 6e5 at n = 121
+_SVT_GRAM_RTOL = 1e-2
 
 
 @dataclass
@@ -81,15 +86,42 @@ def svt_prox(m, tau):
     Soft-shrinks the singular values of ``m`` by ``tau``; the output X
     satisfies the prox optimality condition ``(m - X) / tau`` in the
     subdifferential of the nuclear norm at X.
+
+    With ``a`` the tall orientation of ``m`` and ``a^T a = V diag(lam) V^T``,
+    the output is ``a V_k diag(1 - tau / sqrt(lam_k)) V_k^T`` over the pairs
+    with ``lam_k > tau^2``: the exact identity, from one small symmetric
+    eigendecomposition in place of a thin SVD.  The eigenvalues carry an
+    absolute error of about ``n eps lam_max``; once that reaches a share
+    ``_SVT_GRAM_RTOL`` of ``tau^2`` the Gram cannot place the threshold and
+    the thin SVD runs instead, as it does when entries beyond about 1e154
+    overflow the Gram.
     """
+    if not math.isfinite(tau):
+        raise NumericFailure(f"non-finite SVT threshold {tau}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    m = np.asarray(m, float)
+    if not np.isfinite(m).all():
+        raise NumericFailure("non-finite entry in the SVT input")
+    wide = m.shape[0] < m.shape[1]
+    a = m.T if wide else m
     try:
-        u, s, vt = np.linalg.svd(np.asarray(m, float), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure("SVD did not converge") from exc
-    shrunk = np.maximum(s - tau, 0.0)
-    return (u * shrunk) @ vt
+        evals, evecs = np.linalg.eigh(a.T @ a)
+    except np.linalg.LinAlgError:
+        evals = None
+    # negated: a Gram that overflowed (inf or NaN eigenvalues) takes the SVD
+    if evals is None or not (
+        max(m.shape) * np.finfo(float).eps * evals[-1] < _SVT_GRAM_RTOL * tau * tau
+    ):
+        try:
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure("SVD did not converge") from exc
+        return (u * np.maximum(s - tau, 0.0)) @ vt
+    keep = evals > tau * tau
+    v = evecs[:, keep]
+    x = ((a @ v) * (1.0 - tau / np.sqrt(evals[keep]))) @ v.T
+    return x.T if wide else x
 
 
 def project_tangent(m, model):

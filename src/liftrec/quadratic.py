@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import solve_psd_trace_min
+from .solvers import require_symmetric, solve_psd_trace_min
 
 
 @dataclass
@@ -26,11 +26,9 @@ class QuadraticInstance:
 
     def __post_init__(self):
         self.z = np.asarray(self.z, float)
-        for v in self.measurements:
-            if v.shape != (self.n, self.n):
-                raise ValueError("measurement matrices must be n x n")
-            if not np.allclose(v, v.T, atol=1e-12 * max(1.0, np.abs(v).max())):
-                raise ValueError("measurement matrices must be symmetric")
+        if any(v.shape != (self.n, self.n) for v in self.measurements):
+            raise ValueError("measurement matrices must be n x n")
+        require_symmetric(self.measurements, self.n, "measurement matrices must be symmetric")
         if self.x_true is not None:
             self.x_true = np.asarray(self.x_true, float)
             pred = np.array([self.x_true @ v @ self.x_true for v in self.measurements])

@@ -63,3 +63,11 @@ def svd_least_norm(m_t, rhs):
     u, s, vt = np.linalg.svd(m_t, full_matrices=False)
     p = u @ ((vt @ rhs) / s)
     return (float(s[-1]) if rows >= k else 0.0), float(s[0]), p
+
+
+def svd_svt(m, tau):
+    """Singular value thresholding from the thin SVD: soft-shrink every
+    singular value by ``tau`` and rebuild."""
+    u, s, vt = np.linalg.svd(np.asarray(m, float), full_matrices=False)
+    shrunk = np.maximum(s - tau, 0.0)
+    return (u * shrunk) @ vt

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liftrec import lowrank
 from liftrec.errors import DegenerateInput
 from liftrec.lowrank import (
     RankOneModel,
@@ -13,7 +16,7 @@ from liftrec.lowrank import (
     svt_prox,
 )
 
-from oracles import leading_rank_one
+from oracles import leading_rank_one, svd_svt
 
 
 def _random_model(rng, n1=5, n2=4, sigma=None):
@@ -107,6 +110,69 @@ def test_svt_prox_matches_subgradient_descent_oracle():
         sub = (x - m) + tau * (u * (s > 1e-12)) @ vt
         x = x - (2.0 / (k + 2.0)) * sub          # strongly convex schedule
     assert np.linalg.norm(best - svt_prox(m, tau)) <= 1e-6
+
+
+@st.composite
+def _svt_cases(draw):
+    """A matrix of chosen shape, rank and singular values, and a threshold
+    below its smallest nonzero singular value, between two of them, or above
+    the largest."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rank = draw(st.integers(0, min(rows, cols)))
+    sigma = np.sort(10.0 ** np.array(draw(st.lists(
+        st.floats(-6, 6), min_size=rank, max_size=rank))))[::-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+    m = (u * sigma) @ v.T
+    where = draw(st.sampled_from(["below", "between", "above"]))
+    if rank == 0:
+        tau = 10.0 ** draw(st.floats(-6, 6))
+    elif where == "below":
+        tau = sigma[-1] * 10.0 ** -draw(st.floats(1e-6, 12))
+    elif where == "between" and rank > 1:
+        i = draw(st.integers(0, rank - 2))
+        tau = sigma[i + 1] + draw(st.floats(0.01, 0.99)) * (sigma[i] - sigma[i + 1])
+    else:
+        tau = sigma[0] * (1.0 + draw(st.floats(1e-6, 10)))
+    return m, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_svt_cases())
+def test_svt_prox_matches_svd_oracle(case):
+    # Gram branch within round-off of the thin-SVD SVT; the SVD fallback,
+    # taken when tau is too small for the Gram to resolve, bit-identical.
+    # Near the switch either branch may run, so only the tolerance applies.
+    m, tau = case
+    got, want = svt_prox(m, tau), svd_svt(m, tau)
+    assert got.shape == want.shape
+    sigma_max = np.linalg.norm(m, 2)
+    gram_error = max(m.shape) * np.finfo(float).eps * sigma_max**2
+    if gram_error >= 2 * lowrank._SVT_GRAM_RTOL * tau**2:
+        assert np.array_equal(got, want)
+    else:
+        bound = 1e-12 * np.linalg.norm(m) * max(1.0, sigma_max / tau)
+        assert np.linalg.norm(got - want) <= bound
+
+
+def test_svt_prox_decomposes_the_small_side_gram(monkeypatch):
+    # the saving over the thin SVD rests on a min(rows, cols)-sized Gram
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: sizes.append(g.shape) or eigh(g))
+    rng = np.random.default_rng(17)
+    for shape in [(7, 3), (3, 7)]:
+        svt_prox(rng.standard_normal(shape), 0.1)
+    assert sizes == [(3, 3), (3, 3)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_svt_prox_takes_the_svd_when_the_gram_overflows():
+    rng = np.random.default_rng(18)
+    for shape in [(6, 4), (40, 40)]:
+        m = 1e200 * rng.standard_normal(shape)
+        assert np.array_equal(svt_prox(m, 1e199), svd_svt(m, 1e199))
 
 
 def test_projection_identities():

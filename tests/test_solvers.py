@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from liftrec.errors import NumericFailure
 from liftrec.hilbert import build_grid_1d
 from liftrec.internal import assemble_internal_operator, build_internal_problem
-from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check
+from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check, svt_prox
 from liftrec.pde1d import step_potential
 from liftrec.quadratic import make_phase_retrieval
 from liftrec.solvers import (
@@ -314,6 +314,18 @@ def test_nan_datum_raises_numeric_failure(reg, lam):
             solve_equality_nnm(op, z, reg=reg)
         else:
             solve_regularized_nnm(op, z, lam, reg=reg)
+
+
+@pytest.mark.parametrize("prox", [svt_prox, psd_trace_prox])
+def test_prox_non_finite_input_raises_numeric_failure(prox):
+    # eigh returns NaN eigenvalues silently, and a thresholding comparison
+    # would read them as small: the proxes must refuse NaN up front
+    bad = np.eye(3)
+    bad[0, 1] = bad[1, 0] = np.nan
+    with pytest.raises(NumericFailure):
+        prox(bad, 0.5)
+    with pytest.raises(NumericFailure):
+        prox(np.eye(3), np.nan)
 
 
 def test_duality_gap_audit_cases():
