@@ -9,7 +9,8 @@ and seed produce identical CSV bytes; the timestamp lives only in the
 summary.
 
 Exit codes: 0 success, 1 assertion failure (the failing criterion is
-named), 2 configuration error.
+named), 2 configuration error, 3 a solve stopped at ``max_iter`` (the CSV
+is still written, and its ``status`` column names the rows).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .internal import (
 from .pde1d import constant_potential, step_potential
 
 log = logging.getLogger("liftrec")
+
+EXIT_MAX_ITER = 3
 
 KNOWN_KEYS = {
     "experiment": {"kind", "task"},
@@ -165,6 +168,15 @@ def read_table(path, schema):
                     row[name] = cast(raw)
             out.append(row)
     return out
+
+
+def _exit_code(rows, table):
+    """0, or ``EXIT_MAX_ITER`` with a warning when a row stopped at max_iter."""
+    stalled = sum(row["status"] == solvers.STATUS_MAX_ITER for row in rows)
+    if not stalled:
+        return 0
+    log.warning("%s: %d of %d rows stopped at max_iter", table, stalled, len(rows))
+    return EXIT_MAX_ITER
 
 
 def _write_summary(out_dir, payload):
@@ -325,7 +337,7 @@ def run_internal(config, out_dir, seed, jobs, task):
         emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, "recover.csv"))
         _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
                                  "rows": len(rows)})
-        return 0
+        return _exit_code(rows, "recover.csv")
 
     if task == "sweep":
         q0_values = config.get_list("sweep", "q0_values", default=(-0.3, 0.3, 0.5))
@@ -334,7 +346,7 @@ def run_internal(config, out_dir, seed, jobs, task):
         emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, "sweep.csv"))
         _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
                                  "rows": len(rows)})
-        return 0
+        return _exit_code(rows, "sweep.csv")
     raise ConfigError(f"unknown internal task {task!r}")
 
 
@@ -414,7 +426,7 @@ def run_calderon(config, out_dir, seed, jobs, task):
                    os.path.join(out_dir, "recover.csv"))
         _write_summary(out_dir, {"kind": "calderon", "task": task, "seed": seed,
                                  "assertions": {"converged": report.status}})
-        return 0
+        return _exit_code(rows, "recover.csv")
 
     if task == "baseline":
         rng = np.random.default_rng(seed)
@@ -441,13 +453,16 @@ def run_phaselift(config, out_dir, seed, jobs, n=None, m=None, noise=None):
     opts = _solver_options(config)
     inst = quadratic.make_phase_retrieval(n, m, seed)
     rows = []
+    # a noisy row starts from the lift of the row before it: the lift moves
+    # by O(delta) between noise levels, so that start saves APG iterations
+    x_prev = None
     for i, delta in enumerate(deltas):
         if delta == 0:
-            x_hat, _, report = quadratic.recover_phaselift(inst, opts=opts)
+            x_hat, x_prev, report = quadratic.recover_phaselift(inst, opts=opts)
         else:
             z_noisy = quadratic.add_noise(inst, delta, seed + 1 + i)
-            x_hat, _, report = quadratic.recover_phaselift(
-                inst, lam=delta, z=z_noisy, opts=opts
+            x_hat, x_prev, report = quadratic.recover_phaselift(
+                inst, lam=delta, z=z_noisy, opts=opts, x0=x_prev
             )
         rows.append({
             "n": n, "m": m, "delta": delta,
@@ -459,7 +474,7 @@ def run_phaselift(config, out_dir, seed, jobs, n=None, m=None, noise=None):
                       ("rank_ratio", float), ("iters", int), ("status", str)],
                os.path.join(out_dir, "phaselift.csv"))
     _write_summary(out_dir, {"kind": "phaselift", "seed": seed, "rows": len(rows)})
-    return 0
+    return _exit_code(rows, "phaselift.csv")
 
 
 def run_certify(config, out_dir, seed, jobs):

@@ -39,9 +39,6 @@ STATUS_INFEASIBLE = "infeasible_suspected"
 # eigenvalues of ``Phi Phi^*`` at or below this share of the largest are zero
 RANK_RTOL = 1e-12
 
-# entries per slice of the symmetry test in require_symmetric
-_SYMMETRY_CHUNK = 4096
-
 
 @dataclass
 class SolverOptions:
@@ -49,13 +46,17 @@ class SolverOptions:
 
     ``rho = 0`` selects the automatic penalty ``||z|| / ||Phi||``.  Feasibility
     is measured relative to ``1 + ||z||`` and the duality gap relative to
-    ``1 + objective``.  A report's ``extras["objective_history"]`` holds the
-    objective at each convergence check, every ``check_every`` iterations.
+    ``1 + objective``.  ``tol_dual`` bounds how far the equality solve's dual
+    vector may leave the regularizer's dual unit ball (``dual_norm(Phi^* p)
+    <= 1 + tol_dual``) before it is accepted.  A report's
+    ``extras["objective_history"]`` holds the objective at each convergence
+    check, every ``check_every`` iterations.
     """
 
     max_iter: int = 50_000
     tol_feas: float = 1e-8
     tol_gap: float = 1e-6
+    tol_dual: float = 1e-6
     tol_fp: float = 1e-8
     rho: float = 0.0
     check_every: int = 25
@@ -294,6 +295,18 @@ NUCLEAR = _NuclearNorm()
 PSD_TRACE = _PSDTrace()
 
 
+def _require_finite(**values):
+    """Raise ``NumericFailure`` naming the first non-finite value or array."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise NumericFailure(f"non-finite {name}")
+
+
+def _at_iteration(solver, it, exc):
+    """The failure ``exc`` restated with the solver and iteration it hit."""
+    return NumericFailure(f"{solver}: {exc} at iteration {it}")
+
+
 # ---------------------------------------------------------------------------
 # equality-constrained solver (Douglas-Rachford)
 
@@ -318,45 +331,51 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
     opts = opts or SolverOptions()
     z = np.asarray(z, float)
     shapes = op.domain_shapes
-
-    znorm = float(np.linalg.norm(z))
-    rho = opts.rho if opts.rho > 0 else max(znorm, 1e-12) / op.opnorm_estimate
-
-    projector = _AffineProjector(op, z)
-    feas_floor = projector.range_residual
-    infeasible = feas_floor > opts.tol_feas * (1.0 + znorm)
-
-    y = projector.least_norm_point()
-    history = []
-    status = STATUS_MAX_ITER
-    x = y
-    p = np.zeros_like(z)
-    gap = np.inf
-    feas = np.inf
     it = 0
+    try:
+        _require_finite(data=z)
 
-    for it in range(1, opts.max_iter + 1):
-        x, mu = projector.project(y)
-        w = reg.prox(2.0 * x - y, shapes, rho)
-        y = y + w - x
+        znorm = float(np.linalg.norm(z))
+        rho = opts.rho if opts.rho > 0 else max(znorm, 1e-12) / op.opnorm_estimate
 
-        if it % opts.check_every == 0 or it == 1:
-            p = -mu / rho
-            obj = reg.value(x, shapes)
-            history.append(obj)
-            feas = float(np.linalg.norm(op.apply_vec(x) - z))
-            gap = obj - float(p @ z)
-            dual_viol = max(0.0, reg.dual_norm(op.adjoint_apply(p)) - 1.0)
-            if infeasible:
-                status = STATUS_INFEASIBLE
-                break
-            if (
-                feas <= opts.tol_feas * (1.0 + znorm)
-                and abs(gap) <= opts.tol_gap * (1.0 + abs(obj))
-                and dual_viol <= 1e-6
-            ):
-                status = STATUS_CONVERGED
-                break
+        projector = _AffineProjector(op, z)
+        feas_floor = projector.range_residual
+        infeasible = feas_floor > opts.tol_feas * (1.0 + znorm)
+
+        y = projector.least_norm_point()
+        history = []
+        status = STATUS_MAX_ITER
+        x = y
+        p = np.zeros_like(z)
+        gap = np.inf
+        feas = np.inf
+
+        for it in range(1, opts.max_iter + 1):
+            x, mu = projector.project(y)
+            w = reg.prox(2.0 * x - y, shapes, rho)
+            y = y + w - x
+
+            if it % opts.check_every == 0 or it == 1:
+                p = -mu / rho
+                feas = float(np.linalg.norm(op.apply_vec(x) - z))
+                _require_finite(residual=feas)
+                obj = reg.value(x, shapes)
+                _require_finite(objective=obj)
+                history.append(obj)
+                gap = obj - float(p @ z)
+                dual_viol = max(0.0, reg.dual_norm(op.adjoint_apply(p)) - 1.0)
+                if infeasible:
+                    status = STATUS_INFEASIBLE
+                    break
+                if (
+                    feas <= opts.tol_feas * (1.0 + znorm)
+                    and abs(gap) <= opts.tol_gap * (1.0 + abs(obj))
+                    and dual_viol <= opts.tol_dual
+                ):
+                    status = STATUS_CONVERGED
+                    break
+    except NumericFailure as exc:
+        raise _at_iteration("solve_equality_nnm", it, exc) from exc
 
     obj = reg.value(x, shapes)
     feas = float(np.linalg.norm(op.apply_vec(x) - z))
@@ -374,57 +393,68 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
 # regularized solver (accelerated proximal gradient with restart)
 
 
-def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR):
+def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR, x0=None):
     """Minimize ``0.5 ||Phi F - z||^2 + lambda * reg(F)``.
 
     Forward-backward with momentum and gradient-based restart; the step is
-    ``1 / ||Phi||^2``.  Terminates when the fixed-point residual of the
-    prox-gradient map falls below ``tol_fp * lambda``.  The reported gap is
-    the Fenchel gap at the dual candidate ``(z - Phi F) / lambda``, scaled
-    into the dual unit ball of ``reg``.
+    ``1 / ||Phi||^2``.  The iteration starts from the blocks ``x0``, or from
+    zero when ``x0`` is None; a nearby solution (the same problem at a
+    neighbouring ``z`` or ``lambda``) saves iterations.  Terminates when the
+    fixed-point residual of the prox-gradient map falls below
+    ``tol_fp * lambda``.  The reported gap is the Fenchel gap at the dual
+    candidate ``(z - Phi F) / lambda``, scaled into the dual unit ball of
+    ``reg``.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     opts = opts or SolverOptions()
     z = np.asarray(z_noisy, float)
     shapes = op.domain_shapes
-
-    lip = (op.opnorm_estimate * (1.0 + 1e-3)) ** 2
-    step = 1.0 / lip
-
-    x = np.zeros(op.domain_dim)
-    yv = x.copy()
-    theta = 1.0
-    history = []
-    status = STATUS_MAX_ITER
-    fp_resid = np.inf
+    x = np.zeros(op.domain_dim) if x0 is None else pack_blocks(x0)
+    if x.size != op.domain_dim:
+        raise ValueError(f"start point has {x.size} entries, blocks need {op.domain_dim}")
     it = 0
+    try:
+        _require_finite(data=z, start=x)
 
-    for it in range(1, opts.max_iter + 1):
-        grad = op.adjoint_vec(op.apply_vec(yv) - z)
-        x_new = reg.prox(yv - step * grad, shapes, lam * step)
+        lip = (op.opnorm_estimate * (1.0 + 1e-3)) ** 2
+        step = 1.0 / lip
 
-        # gradient-based restart keeps the momentum sequence monotone
-        if float((yv - x_new) @ (x_new - x)) > 0:
-            theta = 1.0
-            yv = x.copy()
+        yv = x.copy()
+        theta = 1.0
+        history = []
+        status = STATUS_MAX_ITER
+        fp_resid = np.inf
+
+        for it in range(1, opts.max_iter + 1):
             grad = op.adjoint_vec(op.apply_vec(yv) - z)
             x_new = reg.prox(yv - step * grad, shapes, lam * step)
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
-        yv = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
-        theta = theta_new
-        x = x_new
 
-        if it % opts.check_every == 0:
-            resid = op.apply_vec(x) - z
-            history.append(0.5 * float(np.linalg.norm(resid) ** 2)
-                           + lam * reg.value(x, shapes))
-            g = op.adjoint_vec(resid)
-            x_test = reg.prox(x - step * g, shapes, lam * step)
-            fp_resid = float(np.linalg.norm(x - x_test)) / step
-            if fp_resid <= opts.tol_fp * lam:
-                status = STATUS_CONVERGED
-                break
+            # gradient-based restart keeps the momentum sequence monotone
+            if float((yv - x_new) @ (x_new - x)) > 0:
+                theta = 1.0
+                yv = x.copy()
+                grad = op.adjoint_vec(op.apply_vec(yv) - z)
+                x_new = reg.prox(yv - step * grad, shapes, lam * step)
+            theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+            yv = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
+            theta = theta_new
+            x = x_new
+
+            if it % opts.check_every == 0:
+                resid = op.apply_vec(x) - z
+                obj = 0.5 * float(np.linalg.norm(resid) ** 2) + lam * reg.value(x, shapes)
+                _require_finite(objective=obj)
+                history.append(obj)
+                g = op.adjoint_vec(resid)
+                x_test = reg.prox(x - step * g, shapes, lam * step)
+                fp_resid = float(np.linalg.norm(x - x_test)) / step
+                _require_finite(residual=fp_resid)
+                if fp_resid <= opts.tol_fp * lam:
+                    status = STATUS_CONVERGED
+                    break
+    except NumericFailure as exc:
+        raise _at_iteration("solve_regularized_nnm", it, exc) from exc
 
     misfit_vec = op.apply_vec(x) - z
     obj = 0.5 * float(np.linalg.norm(misfit_vec) ** 2) + lam * reg.value(x, shapes)
@@ -461,35 +491,40 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
     shapes = op_data.domain_shapes
     zd = np.asarray(z_data, float)
     zh = np.asarray(z_hard, float)
-
-    # step below the 2 / L cocoercivity limit of the smooth term
-    lip = (op_data.opnorm_estimate * (1.0 + 1e-3)) ** 2
-    gamma = 1.8 / lip
-    projector = _AffineProjector(op_hard, zh)
-
-    y = projector.least_norm_point()
-    status = STATUS_MAX_ITER
-    x_g = y
-    kkt = np.inf
     it = 0
-    for it in range(1, opts.max_iter + 1):
-        x_g, _ = projector.project(y)
-        grad = op_data.adjoint_vec(op_data.apply_vec(x_g) - zd)
-        prox_in = 2.0 * x_g - y - gamma * grad
-        x_f = NUCLEAR.prox(prox_in, shapes, lam * gamma)
-        shift = x_f - x_g
-        if it % opts.check_every == 0:
-            # stationarity: the prox supplies an exact nuclear-norm
-            # subgradient at x_f; project the full gradient onto the
-            # constraint null space and account for the iterate mismatch
-            sub = (prox_in - x_f) / gamma
-            kkt = float(np.linalg.norm(projector.project_null(grad + sub))) \
-                + float(np.linalg.norm(shift)) / gamma
-            if kkt <= opts.tol_fp * lam * (1.0 + np.linalg.norm(x_g)):
-                y = y + shift
-                status = STATUS_CONVERGED
-                break
-        y = y + shift
+    try:
+        _require_finite(data=zd, constraint_data=zh)
+
+        # step below the 2 / L cocoercivity limit of the smooth term
+        lip = (op_data.opnorm_estimate * (1.0 + 1e-3)) ** 2
+        gamma = 1.8 / lip
+        projector = _AffineProjector(op_hard, zh)
+
+        y = projector.least_norm_point()
+        status = STATUS_MAX_ITER
+        x_g = y
+        kkt = np.inf
+        for it in range(1, opts.max_iter + 1):
+            x_g, _ = projector.project(y)
+            grad = op_data.adjoint_vec(op_data.apply_vec(x_g) - zd)
+            prox_in = 2.0 * x_g - y - gamma * grad
+            x_f = NUCLEAR.prox(prox_in, shapes, lam * gamma)
+            shift = x_f - x_g
+            if it % opts.check_every == 0:
+                # stationarity: the prox supplies an exact nuclear-norm
+                # subgradient at x_f; project the full gradient onto the
+                # constraint null space and account for the iterate mismatch
+                sub = (prox_in - x_f) / gamma
+                kkt = float(np.linalg.norm(projector.project_null(grad + sub))) \
+                    + float(np.linalg.norm(shift)) / gamma
+                _require_finite(residual=kkt)
+                if kkt <= opts.tol_fp * lam * (1.0 + np.linalg.norm(x_g)):
+                    y = y + shift
+                    status = STATUS_CONVERGED
+                    break
+            y = y + shift
+    except NumericFailure as exc:
+        raise _at_iteration("solve_regularized_constrained", it, exc) from exc
 
     hard_resid = float(np.linalg.norm(op_hard.apply_vec(x_g) - zh))
     misfit = float(np.linalg.norm(op_data.apply_vec(x_g) - zd))
@@ -507,47 +542,26 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
 # PSD trace minimization
 
 
-def require_symmetric(vs, n, message):
-    """Stack ``n x n`` matrices and check that each one is symmetric.
-
-    A matrix ``V`` passes when ``np.allclose(V, V.T)`` holds at the absolute
-    tolerance ``1e-12 * max(1, max|V|)``; otherwise ``ValueError(message)``
-    is raised.  Returns the ``(m, n, n)`` float stack.
-
-    The test runs on slices of about ``_SYMMETRY_CHUNK`` entries: testing a
-    PhaseLift stack (120 matrices of 20 x 20) whole raised the peak memory
-    of a run by 1.3 MB.
-    """
-    stack = np.reshape(np.asarray(vs, float), (-1, n, n))
-    for part in np.array_split(stack, max(1, stack.size // _SYMMETRY_CHUNK)):
-        atol = 1e-12 * np.fmax(1.0, np.abs(part).max(axis=(1, 2)))
-        if not np.all(np.isclose(part, part.transpose(0, 2, 1), atol=atol[:, None, None])):
-            raise ValueError(message)
-    return stack
-
-
-def _psd_operator(vs):
-    vs = [np.asarray(v, float) for v in vs]
-    n = vs[0].shape[0]
-    if any(v.shape != (n, n) for v in vs):
-        raise ValueError("all constraint matrices must share a common square size")
-    stack = require_symmetric(vs, n, "constraint matrices must be symmetric")
-    return AffineOperator(stack.reshape(len(vs), n * n), [(n, n)])
-
-
-def solve_psd_trace_min(vs, z, lam=0.0, opts=None):
+def solve_psd_trace_min(op, z, lam=0.0, opts=None, x0=None):
     """Trace minimization over the PSD cone under linear measurements.
 
-    ``lam == 0`` solves ``min trace(X) s.t. X >= 0, <V_k, X> = z_k``;
-    ``lam > 0`` solves ``min 0.5 sum(<V_k,X> - z_k)^2 + lam * trace(X)``
-    over the PSD cone.  Trace equals the nuclear norm on the cone.
+    ``op`` maps one symmetric ``n x n`` block to the measurements
+    ``<V_k, X>``.  ``lam == 0`` solves ``min trace(X) s.t. X >= 0,
+    <V_k, X> = z_k``; ``lam > 0`` solves ``min 0.5 sum(<V_k,X> - z_k)^2 +
+    lam * trace(X)`` over the PSD cone, starting from the matrix ``x0`` when
+    one is given.  Trace equals the nuclear norm on the cone.
     """
-    op = _psd_operator(vs)
+    if op.n_blocks != 1 or op.domain_shapes[0][0] != op.domain_shapes[0][1]:
+        raise ValueError("the PSD solve needs one square block")
     z = np.asarray(z, float)
     if lam == 0:
+        if x0 is not None:
+            raise ValueError("the exact solve starts from the least-norm point, not x0")
         blocks, report = solve_equality_nnm(op, z, opts=opts, reg=PSD_TRACE)
     else:
-        blocks, report = solve_regularized_nnm(op, z, lam, opts=opts, reg=PSD_TRACE)
+        blocks, report = solve_regularized_nnm(
+            op, z, lam, opts=opts, reg=PSD_TRACE, x0=None if x0 is None else [x0]
+        )
     x = 0.5 * (blocks[0] + blocks[0].T)
     return x, report
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liftrec.cli import (
+    EXIT_MAX_ITER,
     INTERNAL_SCHEMA,
     emit_table,
     main,
@@ -11,6 +12,9 @@ from liftrec.cli import (
     read_table,
 )
 from liftrec.errors import ConfigError
+
+PHASELIFT_SCHEMA = [("n", int), ("m", int), ("delta", float), ("err", float),
+                    ("rank_ratio", float), ("iters", int), ("status", str)]
 
 GOOD_CONFIG = """
 # internal recovery experiment
@@ -130,9 +134,21 @@ def test_cli_internal_sweep_reports_max_iter_rows(tmp_path):
                    "[solver]\nmax_iter = 5\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--jobs", "2",
-                 "internal", "sweep"]) == 0
+                 "internal", "sweep"]) == EXIT_MAX_ITER
     rows = read_table(out / "sweep.csv", INTERNAL_SCHEMA)
     assert [(r["iters"], r["status"]) for r in rows] == [(5, "max_iter")] * 2
+
+
+def test_cli_phaselift_reports_max_iter_rows(tmp_path, caplog):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[noise]\ndeltas = 0,1e-3\n[solver]\nmax_iter = 5\n")
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="liftrec"):
+        assert main(["--config", str(cfg), "--out", str(out), "phaselift"]) \
+            == EXIT_MAX_ITER
+    rows = read_table(out / "phaselift.csv", PHASELIFT_SCHEMA)
+    assert [(r["iters"], r["status"]) for r in rows] == [(5, "max_iter")] * 2
+    assert "phaselift.csv: 2 of 2 rows stopped at max_iter" in caplog.text
 
 
 def test_cli_internal_certify_emits_json(tmp_path):
@@ -177,9 +193,7 @@ def test_cli_phaselift_smoke(tmp_path):
     out = tmp_path / "out"
     code = main(["--out", str(out), "--seed", "7", "phaselift"])
     assert code == 0
-    rows = read_table(out / "phaselift.csv",
-                      [("n", int), ("m", int), ("delta", float), ("err", float),
-                       ("rank_ratio", float), ("iters", int), ("status", str)])
+    rows = read_table(out / "phaselift.csv", PHASELIFT_SCHEMA)
     assert rows[0]["err"] <= 1e-3
     assert rows[0]["status"] == "converged"
 

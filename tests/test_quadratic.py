@@ -10,7 +10,7 @@ from liftrec.quadratic import (
     recover_phaselift,
     sign_aligned_error,
 )
-from liftrec.solvers import AffineOperator, SolverOptions
+from liftrec.solvers import SolverOptions
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
@@ -66,12 +66,9 @@ def test_ndsc_implies_exact_recovery():
     hits = 0
     for seed in range(20, 30):
         inst = make_phase_retrieval(5, 20, seed)
-        op = AffineOperator(
-            np.stack([v.ravel() for v in inst.measurements]), [(5, 5)]
-        )
         u = inst.x_true / np.linalg.norm(inst.x_true)
         model = RankOneModel(sigma=1.0, u=u, v=u)
-        cert = certify.precertificate(op, [model], symmetric=True)
+        cert = certify.precertificate(inst.op, [model], symmetric=True)
         if not cert.ndsc_pass:
             continue
         hits += 1
@@ -84,3 +81,37 @@ def test_noise_injection_norm():
     inst = make_phase_retrieval(5, 20, 7)
     z_noisy = add_noise(inst, 1e-2, 5)
     assert np.linalg.norm(z_noisy - inst.z) == pytest.approx(1e-2, rel=1e-12)
+
+
+def test_phaselift_validates_input():
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticInstance(n=2, measurements=[np.array([[0.0, 1.0], [0.0, 0.0]])],
+                          z=np.array([1.0]))
+    inst = make_phase_retrieval(5, 20, 7)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        recover_phaselift(inst, lam=-1.0)
+
+
+@pytest.mark.parametrize("seed", range(7, 12))
+@pytest.mark.parametrize("delta", [1e-2, 1e-3])
+def test_warm_noisy_lift_matches_cold(seed, delta):
+    # the noisy lift stays within O(delta) of the exact one, so a start there
+    # reaches the same minimizer in no more iterations
+    inst = make_phase_retrieval(5, 20, seed)
+    _, x_exact, _ = recover_phaselift(inst)
+    z_noisy = add_noise(inst, delta, seed + 1)
+    _, x_cold, cold = recover_phaselift(inst, lam=delta, z=z_noisy)
+    _, x_warm, warm = recover_phaselift(inst, lam=delta, z=z_noisy, x0=x_exact)
+    assert cold.status == warm.status == "converged"
+    assert np.linalg.norm(x_warm - x_cold) <= 1e-7 * delta
+    assert warm.iterations <= cold.iterations
+
+
+def test_solves_on_one_instance_share_the_gram_factorization(monkeypatch):
+    inst = make_phase_retrieval(5, 20, 7)
+    calls = []
+    gram = inst.op.gram
+    monkeypatch.setattr(inst.op, "gram", lambda: calls.append(1) or gram())
+    _, x_exact, _ = recover_phaselift(inst)
+    recover_phaselift(inst, lam=1e-3, z=add_noise(inst, 1e-3, 8), x0=x_exact)
+    assert len(calls) == 1

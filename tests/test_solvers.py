@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftrec import solvers
 from liftrec.errors import NumericFailure
 from liftrec.hilbert import build_grid_1d
 from liftrec.internal import assemble_internal_operator, build_internal_problem
@@ -39,6 +40,12 @@ def _identity_op(n=2):
 def _random_op(rng, m, shapes):
     total = sum(r * c for r, c in shapes)
     return AffineOperator(rng.standard_normal((m, total)), shapes)
+
+
+def _psd_op(vs):
+    """The operator ``X -> (<V_k, X>)_k`` of square symmetric matrices."""
+    n = vs[0].shape[0]
+    return AffineOperator(np.stack(vs).reshape(len(vs), n * n), [(n, n)])
 
 
 def test_pack_unpack_round_trip():
@@ -273,8 +280,7 @@ def test_regularizer_prox_optimality(reg, sizes, tau, seed):
 
 def test_psd_trace_unit_constraint():
     # feasible set {X >= 0, tr X = 1} has objective exactly 1
-    vs = [np.eye(2)]
-    x, report = solve_psd_trace_min(vs, np.array([1.0]), opts=TIGHT)
+    x, report = solve_psd_trace_min(_psd_op([np.eye(2)]), np.array([1.0]), opts=TIGHT)
     assert report.objective <= 1.0 + 1e-6
     assert np.trace(x) == pytest.approx(1.0, abs=1e-8)
     assert np.linalg.eigvalsh(x).min() >= -1e-9
@@ -282,13 +288,13 @@ def test_psd_trace_unit_constraint():
 
 def test_psd_trace_zero_data():
     vs = [np.eye(3), np.diag([1.0, 0.0, -1.0])]
-    x, _ = solve_psd_trace_min(vs, np.zeros(2), opts=TIGHT)
+    x, _ = solve_psd_trace_min(_psd_op(vs), np.zeros(2), opts=TIGHT)
     assert np.abs(x).max() <= 1e-8
 
 
 def test_psd_trace_recovers_phase_retrieval_lift():
     inst = make_phase_retrieval(5, 20, 7)
-    x, report = solve_psd_trace_min(inst.measurements, inst.z, opts=TIGHT)
+    x, report = solve_psd_trace_min(inst.op, inst.z, opts=TIGHT)
     target = np.outer(inst.x_true, inst.x_true)
     assert np.linalg.norm(x - target) <= 1e-3
     evals = np.linalg.eigvalsh(x)
@@ -296,10 +302,39 @@ def test_psd_trace_recovers_phase_retrieval_lift():
 
 
 def test_psd_trace_validates_input():
-    with pytest.raises(ValueError):
-        solve_psd_trace_min([np.array([[0.0, 1.0], [0.0, 0.0]])], np.array([1.0]))
+    # non-symmetric measurement matrices are refused where the operator is
+    # built: see tests/test_quadratic.py::test_phaselift_validates_input
+    op = _psd_op([np.eye(2)])
     with pytest.raises(ValueError, match="lambda must be positive"):
-        solve_psd_trace_min([np.eye(2)], np.array([1.0]), lam=-1.0)
+        solve_psd_trace_min(op, np.array([1.0]), lam=-1.0)
+    with pytest.raises(ValueError, match="least-norm point"):
+        solve_psd_trace_min(op, np.array([1.0]), x0=np.eye(2))
+    with pytest.raises(ValueError, match="one square block"):
+        solve_psd_trace_min(AffineOperator(np.ones((1, 6)), [(2, 3)]), np.array([1.0]))
+    with pytest.raises(ValueError, match="one square block"):
+        solve_psd_trace_min(AffineOperator(np.ones((1, 2)), [(1, 1), (1, 1)]),
+                            np.array([1.0]))
+
+
+@pytest.mark.parametrize("reg", [NUCLEAR, PSD_TRACE])
+def test_regularized_start_point(reg):
+    # a zero start is the cold start, bit for bit; a start at the solution
+    # converges at the first check to the same point
+    rng = np.random.default_rng(14)
+    shapes = [(3, 3)]
+    op = _random_op(rng, 6, shapes)
+    truth = np.outer(rng.standard_normal(3), rng.standard_normal(3))
+    truth = truth @ truth.T if reg is PSD_TRACE else truth
+    z = op.apply([truth]) + 1e-2 * rng.standard_normal(6)
+    cold, cold_rep = solve_regularized_nnm(op, z, 1e-2, reg=reg)
+    zero, zero_rep = solve_regularized_nnm(op, z, 1e-2, reg=reg, x0=[np.zeros((3, 3))])
+    assert np.array_equal(cold[0], zero[0])
+    assert cold_rep.iterations == zero_rep.iterations
+    warm, warm_rep = solve_regularized_nnm(op, z, 1e-2, reg=reg, x0=cold)
+    assert warm_rep.iterations == SolverOptions().check_every < cold_rep.iterations
+    assert np.linalg.norm(warm[0] - cold[0]) <= 1e-8
+    with pytest.raises(ValueError, match="start point"):
+        solve_regularized_nnm(op, z, 1e-2, reg=reg, x0=[np.zeros((2, 2))])
 
 
 @pytest.mark.parametrize("reg", [NUCLEAR, PSD_TRACE])
@@ -314,6 +349,51 @@ def test_nan_datum_raises_numeric_failure(reg, lam):
             solve_equality_nnm(op, z, reg=reg)
         else:
             solve_regularized_nnm(op, z, lam, reg=reg)
+
+
+def _run_solver(name, z_scale=1.0):
+    rng = np.random.default_rng(15)
+    shapes = [(3, 3)]
+    op = _random_op(rng, 6, shapes)
+    z = z_scale * op.apply([np.outer(rng.standard_normal(3), rng.standard_normal(3))])
+    if name == "solve_equality_nnm":
+        return solve_equality_nnm(op, z)
+    if name == "solve_regularized_nnm":
+        return solve_regularized_nnm(op, z, 1e-2)
+    return solve_regularized_constrained(op, z, _random_op(rng, 2, shapes),
+                                         np.zeros(2), 1e-2)
+
+
+SOLVER_NAMES = ["solve_equality_nnm", "solve_regularized_nnm",
+                "solve_regularized_constrained"]
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_non_finite_values_name_the_solver_and_iteration(name, monkeypatch):
+    with pytest.raises(NumericFailure, match=rf"^{name}: non-finite data at iteration 0$"):
+        _run_solver(name, z_scale=np.nan)
+
+    # a prox failure inside the loop is restated with where it happened
+    calls = []
+
+    def failing_prox(m, tau):
+        calls.append(tau)
+        if len(calls) == 3:
+            raise NumericFailure("non-finite entry in the SVT input")
+        return svt_prox(m, tau)
+
+    monkeypatch.setattr(solvers, "svt_prox", failing_prox)
+    with pytest.raises(NumericFailure, match=rf"^{name}: non-finite entry in the "
+                                             rf"SVT input at iteration [23]$"):
+        _run_solver(name)
+
+    # a prox that overflows: the next check sees a non-finite objective or
+    # residual
+    monkeypatch.setattr(solvers, "svt_prox", lambda m, tau: np.full_like(m, np.inf))
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            NumericFailure,
+            match=rf"^{name}: non-finite (objective|residual) at iteration 25$"):
+        _run_solver(name)
 
 
 @pytest.mark.parametrize("prox", [svt_prox, psd_trace_prox])
