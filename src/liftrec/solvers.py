@@ -38,6 +38,8 @@ STATUS_INFEASIBLE = "infeasible_suspected"
 
 # eigenvalues of ``Phi Phi^*`` at or below this share of the largest are zero
 RANK_RTOL = 1e-12
+# the equality solve accepts a dual vector with ``dual_norm(Phi^* p) <= 1 + TOL_DUAL``
+TOL_DUAL = 1e-6
 
 
 @dataclass
@@ -46,17 +48,13 @@ class SolverOptions:
 
     ``rho = 0`` selects the automatic penalty ``||z|| / ||Phi||``.  Feasibility
     is measured relative to ``1 + ||z||`` and the duality gap relative to
-    ``1 + objective``.  ``tol_dual`` bounds how far the equality solve's dual
-    vector may leave the regularizer's dual unit ball (``dual_norm(Phi^* p)
-    <= 1 + tol_dual``) before it is accepted.  A report's
-    ``extras["objective_history"]`` holds the objective at each convergence
-    check, every ``check_every`` iterations.
+    ``1 + objective``.  A report's ``extras["objective_history"]`` holds the
+    objective at each convergence check, every ``check_every`` iterations.
     """
 
     max_iter: int = 50_000
     tol_feas: float = 1e-8
     tol_gap: float = 1e-6
-    tol_dual: float = 1e-6
     tol_fp: float = 1e-8
     rho: float = 0.0
     check_every: int = 25
@@ -370,7 +368,7 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
                 if (
                     feas <= opts.tol_feas * (1.0 + znorm)
                     and abs(gap) <= opts.tol_gap * (1.0 + abs(obj))
-                    and dual_viol <= opts.tol_dual
+                    and dual_viol <= TOL_DUAL
                 ):
                     status = STATUS_CONVERGED
                     break

@@ -107,6 +107,22 @@ def test_warm_noisy_lift_matches_cold(seed, delta):
     assert warm.iterations <= cold.iterations
 
 
+@pytest.mark.parametrize("seed", range(7, 12))
+@pytest.mark.parametrize("delta_prev, delta", [(1e-2, 1e-3), (1e-3, 1e-2)])
+def test_warm_lift_from_other_noisy_row_matches_cold(seed, delta_prev, delta):
+    # a noisy row may follow another noisy row, at another delta and with
+    # another noise draw, when deltas lists several noise levels
+    inst = make_phase_retrieval(5, 20, seed)
+    z_prev = add_noise(inst, delta_prev, seed + 1)
+    _, x_prev, _ = recover_phaselift(inst, lam=delta_prev, z=z_prev)
+    z_noisy = add_noise(inst, delta, seed + 2)
+    _, x_cold, cold = recover_phaselift(inst, lam=delta, z=z_noisy)
+    _, x_warm, warm = recover_phaselift(inst, lam=delta, z=z_noisy, x0=x_prev)
+    assert cold.status == warm.status == "converged"
+    assert np.linalg.norm(x_warm - x_cold) <= 1e-7 * delta
+    assert warm.iterations <= cold.iterations
+
+
 def test_solves_on_one_instance_share_the_gram_factorization(monkeypatch):
     inst = make_phase_retrieval(5, 20, 7)
     calls = []
