@@ -17,6 +17,7 @@ from . import calderon as cal
 from . import certify, lowrank, quadratic, solvers
 from .hilbert import build_grid_1d, build_grid_2d, whiten
 from .internal import (
+    apriori_constant,
     assemble_internal_operator,
     build_internal_problem,
     certificate_norm,
@@ -154,8 +155,6 @@ def criterion_5():
     grid = build_grid_1d(41, 0.0, 1.0)
     problem, _ = build_internal_problem(grid, step_potential(grid, q0=0.5))
     op = assemble_internal_operator(problem)
-    from .internal import apriori_constant
-
     c_phi = apriori_constant(problem)
     rng = np.random.default_rng(5)
     u_n, q_n = problem.u_normalized, problem.q_normalized
@@ -346,12 +345,9 @@ def criterion_10():
     cert_w = None
     for seed in range(7, 15):
         probe = quadratic.make_phase_retrieval(5, 20, seed)
-        op = solvers.AffineOperator(
-            np.stack([v.ravel() for v in probe.measurements]), [(5, 5)]
-        )
         u = probe.x_true / np.linalg.norm(probe.x_true)
         model = lowrank.RankOneModel(sigma=1.0, u=u, v=u)
-        cert = certify.precertificate(op, [model], symmetric=True)
+        cert = certify.precertificate(probe.op, [model], symmetric=True)
         if cert.ndsc_pass:
             ndsc_seed, cert_w = seed, cert.max_w_norm
             inst_v = probe

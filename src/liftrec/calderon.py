@@ -17,13 +17,13 @@ forward-map derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import certify
 from .errors import DegenerateCertificate, EigenvalueHit
 from .hilbert import Grid2D, assemble_inner_product
 from .lowrank import RankOneModel
@@ -34,68 +34,15 @@ from .solvers import (
 )
 
 # ---------------------------------------------------------------------------
-# finite-difference machinery
+# finite-difference machinery (the stencils live on the grid)
 
 
-def _interior_maps(grid):
-    """Interior operator, boundary coupling and index bookkeeping."""
-    n = grid.n_nodes
-    int_idx = grid.interior_index
-    bdry_idx = grid.boundary_index
-    n_int = int_idx.size
-    pos_int = -np.ones(n, dtype=int)
-    pos_int[int_idx] = np.arange(n_int)
-    pos_bdry = -np.ones(n, dtype=int)
-    pos_bdry[bdry_idx] = np.arange(bdry_idx.size)
-    return int_idx, bdry_idx, pos_int, pos_bdry
-
-
-def _neighbors(grid, flat):
-    ix, iy = divmod(flat, grid.ny)
-    out = []
-    if ix > 0:
-        out.append(flat - grid.ny)
-    if ix < grid.nx - 1:
-        out.append(flat + grid.ny)
-    if iy > 0:
-        out.append(flat - 1)
-    if iy < grid.ny - 1:
-        out.append(flat + 1)
-    return out
-
-
-def _interior_operator(grid, q_vals=None):
-    """Sparse 5-point (-Lap + q) on interior nodes, Dirichlet eliminated.
-
-    Also returns the coupling matrix C with ``A u_int + C u_bdry = 0`` for
-    discrete solutions of the homogeneous equation.
-    """
-    int_idx, bdry_idx, pos_int, pos_bdry = _interior_maps(grid)
-    h2 = grid.h ** 2
-    rows, cols, vals = [], [], []
-    crows, ccols, cvals = [], [], []
-    for j, flat in enumerate(int_idx):
-        diag = 4.0 / h2
-        if q_vals is not None:
-            diag += q_vals[flat]
-        rows.append(j)
-        cols.append(j)
-        vals.append(diag)
-        for nb in _neighbors(grid, flat):
-            if pos_int[nb] >= 0:
-                rows.append(j)
-                cols.append(pos_int[nb])
-                vals.append(-1.0 / h2)
-            else:
-                crows.append(j)
-                ccols.append(pos_bdry[nb])
-                cvals.append(-1.0 / h2)
-    n_int = int_idx.size
-    a = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n_int, n_int))
-    c = scipy.sparse.csc_matrix(
-        (cvals, (crows, ccols)), shape=(n_int, bdry_idx.size)
-    )
-    return a, c
+def _interior_operator(grid, q_vals):
+    """Sparse 5-point ``-Lap + q`` on interior nodes, Dirichlet eliminated."""
+    a_0, _ = grid.laplacian_blocks
+    if q_vals is None:
+        return a_0
+    return (a_0 + scipy.sparse.diags(q_vals[grid.interior_index])).tocsc()
 
 
 def _factorize(a):
@@ -107,11 +54,14 @@ def _factorize(a):
         ) from exc
 
 
-def solve_schrodinger_2d(grid, q_vals, f_bdry, factor=None, coupling=None):
-    """Solve ``-Lap u + q u = 0`` with Dirichlet data on the boundary loop."""
-    if factor is None or coupling is None:
-        a, coupling = _interior_operator(grid, q_vals)
-        factor = _factorize(a)
+def solve_schrodinger_2d(grid, q_vals, f_bdry, factor=None):
+    """Solve ``-Lap u + q u = 0`` with Dirichlet data on the boundary loop.
+
+    ``factor`` is the ``splu`` of :func:`_interior_operator` at ``q_vals``.
+    """
+    if factor is None:
+        factor = _factorize(_interior_operator(grid, q_vals))
+    _, coupling = grid.laplacian_blocks
     u_int = factor.solve(-(coupling @ np.asarray(f_bdry, float)))
     if not np.all(np.isfinite(u_int)) or np.abs(u_int).max() > 1e12 * max(
         1.0, np.abs(f_bdry).max()
@@ -123,62 +73,26 @@ def solve_schrodinger_2d(grid, q_vals, f_bdry, factor=None, coupling=None):
     return u
 
 
-def _onesided_flux_matrix(grid):
-    """Second-order one-sided normal derivative at each boundary node."""
-    h = grid.h
-    fl = np.zeros((grid.boundary_index.size, grid.n_nodes))
-
-    def dx_row(row, ix, iy, sign):
-        base = grid.flat(ix, iy)
-        if ix == 0:
-            stencil = [(0, -3.0), (1, 4.0), (2, -1.0)]
-        elif ix == grid.nx - 1:
-            stencil = [(0, 3.0), (-1, -4.0), (-2, 1.0)]
-        else:
-            row[grid.flat(ix + 1, iy)] += sign * 0.5 / h
-            row[grid.flat(ix - 1, iy)] -= sign * 0.5 / h
-            return
-        for off, coef in stencil:
-            row[base + off * grid.ny] += sign * coef / (2.0 * h)
-
-    def dy_row(row, ix, iy, sign):
-        base = grid.flat(ix, iy)
-        if iy == 0:
-            stencil = [(0, -3.0), (1, 4.0), (2, -1.0)]
-        elif iy == grid.ny - 1:
-            stencil = [(0, 3.0), (-1, -4.0), (-2, 1.0)]
-        else:
-            row[grid.flat(ix, iy + 1)] += sign * 0.5 / h
-            row[grid.flat(ix, iy - 1)] -= sign * 0.5 / h
-            return
-        for off, coef in stencil:
-            row[base + off] += sign * coef / (2.0 * h)
-
-    for k, flat in enumerate(grid.boundary_index):
-        ix, iy = divmod(int(flat), grid.ny)
-        nx_, ny_ = grid.boundary_normals[k]
-        if nx_ != 0.0:
-            dx_row(fl[k], ix, iy, nx_)
-        if ny_ != 0.0:
-            dy_row(fl[k], ix, iy, ny_)
-    return fl
+def _forward_states(grid, q_vals, f_bdry):
+    """Factor ``-Lap + q`` once; return it and the state of each column of
+    ``f_bdry`` (one row per datum)."""
+    factor = _factorize(_interior_operator(grid, q_vals))
+    return factor, np.stack([solve_schrodinger_2d(grid, q_vals, f, factor)
+                             for f in f_bdry.T])
 
 
-def dtn_flux(grid, u_vals, method="onesided", coupling=None):
+def dtn_flux(grid, u_vals, method="onesided"):
     """Normal derivative of a grid function along the boundary loop.
 
     ``onesided`` differentiates pointwise at second order.  ``variational``
     reads the flux off the discrete Green identity (exact adjoint symmetry,
     first-order consistency; zero at corners, which carry no coupling).
-    ``coupling`` is the interior-boundary block of :func:`_interior_operator`;
-    it does not depend on the potential.
     """
     u_vals = np.asarray(u_vals, float)
     if method == "onesided":
-        return _onesided_flux_matrix(grid) @ u_vals
+        return grid.normal_derivative @ u_vals
     if method == "variational":
-        if coupling is None:
-            _, coupling = _interior_operator(grid)
+        _, coupling = grid.laplacian_blocks
         base = (grid.h ** 2) * (coupling.T @ u_vals[grid.interior_index])
         base = base + np.where(_corner_mask(grid), 0.0, u_vals[grid.boundary_index])
         return base / grid.boundary_weights
@@ -186,11 +100,8 @@ def dtn_flux(grid, u_vals, method="onesided", coupling=None):
 
 
 def _corner_mask(grid):
-    corners = {
-        grid.flat(0, 0), grid.flat(grid.nx - 1, 0),
-        grid.flat(grid.nx - 1, grid.ny - 1), grid.flat(0, grid.ny - 1),
-    }
-    return np.array([int(b) in corners for b in grid.boundary_index])
+    """Boundary positions whose outward normal has two nonzero components."""
+    return np.all(grid.boundary_normals != 0.0, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +202,10 @@ class CalderonProblem:
     models: list
     g_weights: np.ndarray = None     # nodal weights of the scale functional
     g_omega: np.ndarray = None       # scale functional applied to the basis
-    _uinv: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_data(self):
         return self.bdry.n
-
-    @property
-    def x_unwhitener(self):
-        if self._uinv is None:
-            self._uinv = scipy.linalg.solve_triangular(
-                self.h1.whitener, np.eye(self.grid.n_nodes), lower=False
-            )
-        return self._uinv
 
     def true_stack(self):
         """Unwhitened coefficient matrices of the true lifted stacks."""
@@ -339,23 +241,9 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
     if int_q <= 0:
         raise ValueError("the scale functional must be positive on the potential")
 
-    a_q, coupling = _interior_operator(grid, q_values)
-    factor_q = _factorize(a_q)
-    a_0, _ = _interior_operator(grid)
-    factor_0 = _factorize(a_0)
-
-    n = bdry.n
-    u_stack = np.stack([
-        solve_schrodinger_2d(grid, q_values, bdry.matrix[:, i],
-                             factor=factor_q, coupling=coupling)
-        for i in range(n)
-    ])
-    f_tilde_stack = np.stack([
-        solve_schrodinger_2d(grid, None, bdry.matrix[:, i],
-                             factor=factor_0, coupling=coupling)
-        for i in range(n)
-    ])
-    fl = _onesided_flux_matrix(grid)
+    _, u_stack = _forward_states(grid, q_values, bdry.matrix)
+    _, f_tilde_stack = _forward_states(grid, None, bdry.matrix)
+    fl = grid.normal_derivative
     flux_u = u_stack @ fl.T
     flux_f_tilde = f_tilde_stack @ fl.T
 
@@ -363,7 +251,7 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
 
     q_w_norm = float(np.linalg.norm(q_coeffs))
     models = []
-    for i in range(n):
+    for i in range(bdry.n):
         uw = h1.whiten_vec(u_stack[i])
         nrm = float(np.linalg.norm(uw))
         models.append(RankOneModel(
@@ -413,7 +301,7 @@ def assemble_calderon_system(problem):
     nd = problem.n_data
     bidx = grid.boundary_index
     nb = bidx.size
-    uinv = problem.x_unwhitener
+    uinv = problem.h1.unwhitener
     wmat = problem.basis_w.matrix
     sqrt_wb = np.sqrt(grid.boundary_weights)
     uw = problem.h1.whitener
@@ -422,11 +310,11 @@ def assemble_calderon_system(problem):
     dg = np.einsum("xi,xk->xik", uinv, wmat).reshape(n, n * m)
     # states of the lifted equation: Lap v = d with zero boundary data,
     # so the interior solve flips the sign of the 5-point operator
-    a_0, _ = _interior_operator(grid)
+    a_0, _ = grid.laplacian_blocks
     a0_inv = np.linalg.inv(a_0.toarray())
     mv = np.zeros((n, n))
     mv[np.ix_(grid.interior_index, grid.interior_index)] = -a0_inv
-    fl = _onesided_flux_matrix(grid)
+    fl = grid.normal_derivative
 
     # the one-sided corner stencil reads only boundary nodes: zero flux rows
     flux = ~_corner_mask(grid)
@@ -519,7 +407,7 @@ def recover_calderon(problem, system, measurements, c=1.0, opts=None):
             c * measurements.delta, opts=opts,
         )
 
-    uinv = problem.x_unwhitener
+    uinv = problem.h1.unwhitener
     extractions = []
     for i, blk in enumerate(blocks):
         c_vals = uinv @ blk
@@ -542,7 +430,7 @@ def boundary_restriction_constant(problem):
     boundary-weighted stack norm; reported as a diagnostic (the continuum
     trace theorem offers no quantitative constant to assert against).
     """
-    uinv = problem.x_unwhitener
+    uinv = problem.h1.unwhitener
     bidx = problem.grid.boundary_index
     weighted = np.sqrt(problem.grid.boundary_weights)[:, None] * uinv[bidx, :]
     svals = np.linalg.svd(weighted, compute_uv=False)
@@ -551,14 +439,8 @@ def boundary_restriction_constant(problem):
 
 def dtn_map(grid, q_vals, bdry, method="onesided"):
     """Flux matrix of the boundary-data-to-flux map, one row per datum."""
-    a_q, coupling = _interior_operator(grid, q_vals)
-    factor = _factorize(a_q)
-    rows = []
-    for i in range(bdry.n):
-        u = solve_schrodinger_2d(grid, q_vals, bdry.matrix[:, i],
-                                 factor=factor, coupling=coupling)
-        rows.append(dtn_flux(grid, u, method, coupling))
-    return np.stack(rows)
+    _, states = _forward_states(grid, q_vals, bdry.matrix)
+    return np.stack([dtn_flux(grid, u, method) for u in states])
 
 
 def frechet_derivative(problem, q_vals, h_vals, method="onesided"):
@@ -572,18 +454,19 @@ def frechet_derivative(problem, q_vals, h_vals, method="onesided"):
 
 
 def _frechet_matrix(grid, bdry, q_vals, h_vals, method):
-    a_q, coupling = _interior_operator(grid, q_vals)
-    factor = _factorize(a_q)
+    factor, states = _forward_states(grid, q_vals, bdry.matrix)
+    return _derivative_fluxes(grid, factor, states, h_vals, method)
+
+
+def _derivative_fluxes(grid, factor, states, h_vals, method="onesided"):
+    """Fluxes of the linearized states ``(-Lap + q) v = -h u``, ``v = 0`` on
+    the boundary, one row per state; ``factor`` is the ``splu`` at ``q``."""
     h_vals = np.asarray(h_vals, float)
     rows = []
-    for i in range(bdry.n):
-        u = solve_schrodinger_2d(grid, q_vals, bdry.matrix[:, i],
-                                 factor=factor, coupling=coupling)
+    for u in states:
         v = np.zeros(grid.n_nodes)
-        v[grid.interior_index] = factor.solve(
-            -(h_vals * u)[grid.interior_index]
-        )
-        rows.append(dtn_flux(grid, v, method, coupling))
+        v[grid.interior_index] = factor.solve(-(h_vals * u)[grid.interior_index])
+        rows.append(dtn_flux(grid, v, method))
     return np.stack(rows)
 
 
@@ -632,18 +515,20 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8, damping=1e-8):
     misfits = []
     trajectory = [coeffs.copy()]
     for _ in range(iters):
-        q_vals = basis.values(coeffs)
         try:
-            fluxes = dtn_map(grid, q_vals, bdry) * sqrt_wb[None, :]
+            factor, states = _forward_states(grid, basis.values(coeffs), bdry.matrix)
         except EigenvalueHit:
             misfits.append(np.inf)
             break
+        fluxes = np.stack([dtn_flux(grid, u) for u in states]) * sqrt_wb[None, :]
         resid = (fluxes - observed).ravel()
         misfits.append(float(np.linalg.norm(resid)))
         if misfits[-1] < 1e-12:
             break
+        # one factor and N states per iteration serve the misfit and every
+        # Jacobian column
         jac = np.stack([
-            (_frechet_matrix(grid, bdry, q_vals, basis.matrix[:, k], "onesided")
+            (_derivative_fluxes(grid, factor, states, basis.matrix[:, k])
              * sqrt_wb[None, :]).ravel()
             for k in range(basis.m)
         ], axis=1)
@@ -656,8 +541,7 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8, damping=1e-8):
         coeffs = coeffs + step
         trajectory.append(coeffs.copy())
     else:
-        q_vals = basis.values(coeffs)
-        fluxes = dtn_map(grid, q_vals, bdry) * sqrt_wb[None, :]
+        fluxes = dtn_map(grid, basis.values(coeffs), bdry) * sqrt_wb[None, :]
         misfits.append(float(np.linalg.norm((fluxes - observed).ravel())))
     return {"misfits": misfits, "trajectory": trajectory, "coeffs": coeffs}
 
@@ -671,8 +555,6 @@ def precertificate_study(base, n_list):
     value, the worst tangent residual and off-tangent norm.  No pass
     threshold is asserted; the table is the deliverable.
     """
-    from .certify import precertificate
-
     rows = []
     for n_modes in n_list:
         problem = base if n_modes == base.n_data else build_calderon_problem(
@@ -681,7 +563,7 @@ def precertificate_study(base, n_list):
         )
         system = assemble_calderon_system(problem)
         try:
-            report = precertificate(system.op_full, problem.models)
+            report = certify.precertificate(system.op_full, problem.models)
             rows.append({
                 "N": n_modes,
                 "sigma_min": report.sigma_min,

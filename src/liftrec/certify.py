@@ -17,6 +17,8 @@ import scipy.linalg
 
 from .errors import DegenerateCertificate
 from .lowrank import (
+    DEFAULT_MARGIN,
+    DEFAULT_TOL,
     bregman_divergence,
     nuclear_norm,  # noqa: F401  liftbench traces this binding by name
     operator_norm,
@@ -24,8 +26,6 @@ from .lowrank import (
     project_tangent_complement,
 )
 
-TANGENT_TOL = 1e-8
-DEFAULT_MARGIN = 1e-3
 RANK_RTOL = 1e-12
 # smallest lambda_min / lambda_max of the tangent Gram (condition number of
 # the tangent map below 1e3) that is solved by Cholesky instead of the SVD
@@ -148,7 +148,7 @@ def tangent_injectivity(op, models, symmetric=False):
     return _tangent_least_norm(m_t, rhs)[0]
 
 
-def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL):
+def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN, tol=DEFAULT_TOL):
     """Evaluate tangent residual and off-tangent norm for each block.
 
     Passing requires every tangent residual below ``tol`` and every
@@ -168,7 +168,7 @@ def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL):
     )
 
 
-def precertificate(op, models, margin=DEFAULT_MARGIN, tol=TANGENT_TOL,
+def precertificate(op, models, margin=DEFAULT_MARGIN, tol=DEFAULT_TOL,
                    symmetric=False):
     """Least-norm dual vector interpolating the tangent conditions.
 

@@ -350,7 +350,7 @@ def run_internal(config, out_dir, seed, jobs, task):
     raise ConfigError(f"unknown internal task {task!r}")
 
 
-def run_calderon(config, out_dir, seed, jobs, task):
+def run_calderon(config, out_dir, seed, task):
     grid = build_grid_2d(
         config.get("grid", "nx", 17, int), config.get("grid", "ny", 17, int)
     )
@@ -441,7 +441,7 @@ def run_calderon(config, out_dir, seed, jobs, task):
     raise ConfigError(f"unknown calderon task {task!r}")
 
 
-def run_phaselift(config, out_dir, seed, jobs, n=None, m=None, noise=None):
+def run_phaselift(config, out_dir, seed, n=None, m=None, noise=None):
     n = n if n is not None else config.get("phaselift", "n", 5, int)
     m = m if m is not None else config.get("phaselift", "m", 20, int)
     if noise is not None:
@@ -491,9 +491,8 @@ def run_certify(config, out_dir, seed, jobs):
     return code
 
 
-def run_selftest(config, out_dir, seed, jobs):
-    indices = None
-    results = acceptance.run_all(indices=indices)
+def run_selftest(config, out_dir, seed):
+    results = acceptance.run_all()
     if out_dir is not None:
         payload = {
             "kind": "selftest", "seed": seed,
@@ -559,14 +558,14 @@ def main(argv=None):
         if args.command == "internal":
             return run_internal(config, out_dir, args.seed, args.jobs, args.task)
         if args.command == "calderon":
-            return run_calderon(config, out_dir, args.seed, args.jobs, args.task)
+            return run_calderon(config, out_dir, args.seed, args.task)
         if args.command == "phaselift":
-            return run_phaselift(config, out_dir, args.seed, args.jobs,
+            return run_phaselift(config, out_dir, args.seed,
                                  n=args.n, m=args.m, noise=args.noise)
         if args.command == "certify":
             return run_certify(config, out_dir, args.seed, args.jobs)
         if args.command == "selftest":
-            return run_selftest(config, out_dir, args.seed, args.jobs)
+            return run_selftest(config, out_dir, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

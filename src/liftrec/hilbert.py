@@ -1,4 +1,4 @@
-"""Discrete grids, Hilbert structures and bivariate fields.
+"""Discrete grids, their difference stencils, Hilbert structures and fields.
 
 A discrete Hilbert structure is an SPD Gram matrix ``G`` together with a
 whitening factor ``L`` satisfying ``L^T L = G``.  Whitening turns every
@@ -17,9 +17,11 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import NumericFailure
 
@@ -77,7 +79,8 @@ class Grid2D:
 
     Nodes are flattened in row-major order, ``flat = ix * ny + iy``.  The
     boundary index runs counterclockwise starting at the (a, a) corner, so
-    that ``boundary_arclength`` parameterizes the boundary loop.
+    that ``boundary_arclength`` parameterizes the boundary loop.  The
+    difference stencils are built on first use and kept with the grid.
     """
 
     nx: int
@@ -100,6 +103,39 @@ class Grid2D:
 
     def flat(self, ix, iy):
         return ix * self.ny + iy
+
+    @cached_property
+    def laplacian_blocks(self):
+        """Interior block ``A`` and boundary coupling ``C`` of the 5-point ``-Lap``.
+
+        The interior rows of ``kron(T, I) + kron(I, T)``, ``T`` the 1-D
+        ``(-1, 2, -1) / h^2`` stencil, at the interior and at the boundary
+        columns (CSC), so that ``A u_int + C u_bdry = 0`` for discrete
+        harmonic ``u``.
+        """
+        h2 = self.h ** 2
+
+        def t(n):
+            return scipy.sparse.diags([-1.0 / h2, 2.0 / h2, -1.0 / h2], [-1, 0, 1],
+                                      shape=(n, n))
+
+        lap = (scipy.sparse.kron(t(self.nx), scipy.sparse.identity(self.ny))
+               + scipy.sparse.kron(scipy.sparse.identity(self.nx), t(self.ny)))
+        rows = lap.tocsr()[self.interior_index]
+        return (rows[:, self.interior_index].tocsc(),
+                rows[:, self.boundary_index].tocsc())
+
+    @cached_property
+    def normal_derivative(self):
+        """Dense (boundary x nodes) outward normal derivative, second order.
+
+        The boundary rows of ``n_x D_x + n_y D_y`` with the one-sided
+        :func:`first_difference_1d` stencil at the edges; a corner, whose
+        normal is diagonal, reads both axes.
+        """
+        ex, ey = _axis_differences_2d(self)
+        bidx, normals = self.boundary_index, self.boundary_normals
+        return (normals[:, :1] * ex[bidx] + normals[:, 1:] * ey[bidx]) / self.h
 
 
 def build_grid_2d(nx, ny, a=0.0, b=1.0):
@@ -206,14 +242,11 @@ def second_difference_1d(grid):
 
 
 def _axis_differences_2d(grid):
-    """First-derivative matrices along x and y on the flattened 2-D grid."""
-    gx = build_grid_1d(grid.nx, grid.a, grid.b)
-    gy = build_grid_1d(grid.ny, grid.a, grid.b)
-    d1x = first_difference_1d(gx)
-    d1y = first_difference_1d(gy)
-    dx = np.kron(d1x, np.eye(grid.ny))
-    dy = np.kron(np.eye(grid.nx), d1y)
-    return dx, dy
+    """First-derivative matrices along x and y on the flattened 2-D grid,
+    at unit spacing: divide by ``grid.h`` for the derivatives."""
+    d1x = first_difference_1d(build_grid_1d(grid.nx, 0.0, grid.nx - 1.0))
+    d1y = first_difference_1d(build_grid_1d(grid.ny, 0.0, grid.ny - 1.0))
+    return np.kron(d1x, np.eye(grid.ny)), np.kron(np.eye(grid.nx), d1y)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +265,17 @@ class InnerProduct:
         The SPD Gram matrix G.
     whitener : ndarray
         Upper triangular L with ``L.T @ L == G`` (Cholesky factor).
+    unwhitener : ndarray
+        ``L^{-1}``, computed on first use and cached.
     """
 
     dim: int
     gram: np.ndarray
     whitener: np.ndarray
+
+    @cached_property
+    def unwhitener(self):
+        return scipy.linalg.solve_triangular(self.whitener, np.eye(self.dim), lower=False)
 
     def norm(self, u):
         return float(np.linalg.norm(self.whitener @ u))
@@ -293,7 +332,7 @@ def assemble_inner_product(grid, kind):
         w = grid.area_weights
         gram = np.diag(w)
         if kind == "h1":
-            dx, dy = _axis_differences_2d(grid)
+            dx, dy = (d / grid.h for d in _axis_differences_2d(grid))
             gram = gram + dx.T @ np.diag(w) @ dx + dy.T @ np.diag(w) @ dy
         whitener = _cholesky_or_raise(gram, kind)
         return InnerProduct(dim=grid.n_nodes, gram=gram, whitener=whitener)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import certify
 from ._blas import map_rows
 from .errors import DegenerateInput
 from .hilbert import (
@@ -31,7 +32,9 @@ from .hilbert import (
     Grid1D,
     assemble_inner_product,
     build_grid_1d,
+    first_difference_1d,
     second_difference_1d,
+    unwhiten,
     whiten,
 )
 from .lowrank import RankOneModel, operator_norm, project_tangent_complement
@@ -65,22 +68,12 @@ class InternalProblem:
     u_normalized: np.ndarray = field(default=None, repr=False)
     q_normalized: np.ndarray = field(default=None, repr=False)
     model: RankOneModel = field(default=None, repr=False)
-    _uinv: np.ndarray = field(default=None, repr=False)
 
     @property
     def field_true(self):
         return BivariateField(
             self.h2, self.l2, np.outer(self.u_true.values, self.q_true.values)
         )
-
-    @property
-    def x_unwhitener(self):
-        """Cached inverse of the H2 whitening factor."""
-        if self._uinv is None:
-            self._uinv = scipy.linalg.solve_triangular(
-                self.h2.whitener, np.eye(self.grid.n), lower=False
-            )
-        return self._uinv
 
 
 @dataclass
@@ -222,7 +215,7 @@ def assemble_internal_operator(problem):
     block); block 2 integrates over the second variable, measured in H2.
     The adjoint is the transpose in whitened coordinates.
     """
-    return InternalOperator(problem.x_unwhitener, np.sqrt(problem.grid.quad_weights))
+    return InternalOperator(problem.h2.unwhitener, np.sqrt(problem.grid.quad_weights))
 
 
 def measurement_vector(problem, measurements):
@@ -268,15 +261,9 @@ def recover_internal(problem, measurements, c=1.0, opts=None, op=None):
     f_white = blocks[0]
     svals = np.linalg.svd(f_white, compute_uv=False)
     report.extras["rank_ratio"] = float(svals[1] / svals[0]) if svals[0] > 0 else 0.0
-    f_field = _unwhiten_field(problem, f_white)
+    f_field = unwhiten(f_white, problem.h2, problem.l2)
     q_hat = extract_q_from_trace(f_field.values, problem)
     return q_hat, f_white, report
-
-
-def _unwhiten_field(problem, f_white):
-    from .hilbert import unwhiten
-
-    return unwhiten(f_white, problem.h2, problem.l2)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +357,6 @@ def summed_h2_norm(grid, values):
     quadratic-form one; it is the convention of the reference computation
     behind the jump-size interval, so the scalar condition below uses it.
     """
-    from .hilbert import first_difference_1d
-
     w = grid.quad_weights
     d1 = first_difference_1d(grid)
     d2 = second_difference_1d(grid)
@@ -500,13 +485,11 @@ def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
     recovery errors; with ``with_bounds`` each row also carries the
     robustness-bound report built on the least-norm pre-certificate.
     """
-    from .certify import precertificate, robustness_bounds
-
     grid = build_grid_1d(n, 0.0, 1.0)
     q = step_potential(grid, q0=q0)
     problem, _ = build_internal_problem(grid, q)
     op = assemble_internal_operator(problem)
-    cert = precertificate(op, [problem.model]) if with_bounds else None
+    cert = certify.precertificate(op, [problem.model]) if with_bounds else None
     f_ref = [whiten(problem.field_true)]
 
     def one(task):
@@ -522,7 +505,7 @@ def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
         }
         if with_bounds:
             c_eff = (c * delta) / meas.delta_meas
-            row["bounds"] = robustness_bounds(
+            row["bounds"] = certify.robustness_bounds(
                 op, [f_white], f_ref, [problem.model], cert.h_blocks,
                 cert.p, c_eff, meas.delta_meas,
             )

@@ -1,8 +1,10 @@
 """Independent reference computations that the tests check the pipelines against."""
 
 import numpy as np
+import scipy.sparse
 
-from liftrec.errors import DegenerateInput
+from liftrec.calderon import dtn_map, frechet_derivative
+from liftrec.errors import DegenerateInput, EigenvalueHit
 from liftrec.hilbert import BivariateField
 from liftrec.lowrank import RankOneModel
 from liftrec.pde1d import Potential1D
@@ -71,3 +73,112 @@ def svd_svt(m, tau):
     u, s, vt = np.linalg.svd(np.asarray(m, float), full_matrices=False)
     shrunk = np.maximum(s - tau, 0.0)
     return (u * shrunk) @ vt
+
+
+def interior_operator_loops(grid, q_vals=None):
+    """5-point ``-Lap + q`` on the interior nodes and its boundary coupling,
+    built node by node: the loop reference for ``Grid2D.laplacian_blocks``.
+
+    Returns CSC ``(A, C)`` with ``A u_int + C u_bdry = 0`` for discrete
+    solutions of the homogeneous equation.
+    """
+    pos_int = -np.ones(grid.n_nodes, dtype=int)
+    pos_int[grid.interior_index] = np.arange(grid.interior_index.size)
+    pos_bdry = -np.ones(grid.n_nodes, dtype=int)
+    pos_bdry[grid.boundary_index] = np.arange(grid.boundary_index.size)
+    h2 = grid.h ** 2
+    rows, cols, vals = [], [], []
+    crows, ccols, cvals = [], [], []
+    for j, flat in enumerate(grid.interior_index):
+        diag = 4.0 / h2
+        if q_vals is not None:
+            diag += q_vals[flat]
+        rows.append(j)
+        cols.append(j)
+        vals.append(diag)
+        ix, iy = divmod(int(flat), grid.ny)
+        neighbors = [grid.flat(ix + dx, iy + dy)
+                     for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                     if 0 <= ix + dx < grid.nx and 0 <= iy + dy < grid.ny]
+        for nb in neighbors:
+            if pos_int[nb] >= 0:
+                rows.append(j)
+                cols.append(pos_int[nb])
+                vals.append(-1.0 / h2)
+            else:
+                crows.append(j)
+                ccols.append(pos_bdry[nb])
+                cvals.append(-1.0 / h2)
+    n_int = grid.interior_index.size
+    a = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n_int, n_int))
+    c = scipy.sparse.csc_matrix(
+        (cvals, (crows, ccols)), shape=(n_int, grid.boundary_index.size)
+    )
+    return a, c
+
+
+def onesided_flux_loops(grid):
+    """Second-order one-sided normal derivative at each boundary node, row by
+    row: the loop reference for ``Grid2D.normal_derivative``."""
+    h = grid.h
+    fl = np.zeros((grid.boundary_index.size, grid.n_nodes))
+
+    def add_axis(row, i, n, step, base, sign):
+        # i: index along the axis of length n; step: flat stride of the axis
+        if i == 0:
+            stencil = [(0, -3.0), (1, 4.0), (2, -1.0)]
+        elif i == n - 1:
+            stencil = [(0, 3.0), (-1, -4.0), (-2, 1.0)]
+        else:
+            row[base + step] += sign * 0.5 / h
+            row[base - step] -= sign * 0.5 / h
+            return
+        for off, coef in stencil:
+            row[base + off * step] += sign * coef / (2.0 * h)
+
+    for k, flat in enumerate(grid.boundary_index):
+        ix, iy = divmod(int(flat), grid.ny)
+        nx_, ny_ = grid.boundary_normals[k]
+        if nx_ != 0.0:
+            add_axis(fl[k], ix, grid.nx, grid.ny, int(flat), nx_)
+        if ny_ != 0.0:
+            add_axis(fl[k], iy, grid.ny, 1, int(flat), ny_)
+    return fl
+
+
+def gauss_newton_per_column(problem, q_init_coeffs, iters=8, damping=1e-8):
+    """Regularized Gauss-Newton misfits with the Jacobian taken one column at
+    a time from ``frechet_derivative``, each column with its own forward
+    solves and factorization."""
+    grid, bdry, basis = problem.grid, problem.bdry, problem.basis_w
+    sqrt_wb = np.sqrt(grid.boundary_weights)
+    observed = problem.flux_u * sqrt_wb[None, :]
+    coeffs = np.asarray(q_init_coeffs, float).copy()
+    misfits = []
+    for _ in range(iters):
+        q_vals = basis.values(coeffs)
+        try:
+            fluxes = dtn_map(grid, q_vals, bdry) * sqrt_wb[None, :]
+        except EigenvalueHit:
+            misfits.append(np.inf)
+            break
+        resid = (fluxes - observed).ravel()
+        misfits.append(float(np.linalg.norm(resid)))
+        if misfits[-1] < 1e-12:
+            break
+        jac = np.stack([
+            (frechet_derivative(problem, q_vals, basis.matrix[:, k])
+             * sqrt_wb[None, :]).ravel()
+            for k in range(basis.m)
+        ], axis=1)
+        gram = jac.T @ jac
+        mu = damping * max(np.trace(gram) / basis.m, 1e-30)
+        try:
+            step = np.linalg.solve(gram + mu * np.eye(basis.m), -jac.T @ resid)
+        except np.linalg.LinAlgError:
+            break
+        coeffs = coeffs + step
+    else:
+        fluxes = dtn_map(grid, basis.values(coeffs), bdry) * sqrt_wb[None, :]
+        misfits.append(float(np.linalg.norm((fluxes - observed).ravel())))
+    return misfits

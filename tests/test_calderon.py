@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from liftrec.calderon import (
+    _corner_mask,
+    _interior_operator,
     assemble_calderon_system,
     build_calderon_problem,
     coeffs_from_function,
@@ -23,6 +26,7 @@ from liftrec.certify import precertificate
 from liftrec.errors import EigenvalueHit
 from liftrec.hilbert import build_grid_2d
 from liftrec.solvers import SolverOptions
+from oracles import gauss_newton_per_column, interior_operator_loops, onesided_flux_loops
 
 TIGHT = SolverOptions(tol_gap=1e-8, tol_feas=1e-9)
 
@@ -90,6 +94,30 @@ def test_manufactured_flux_accuracy():
     assert np.abs(flux - exact_flux).max() <= 10.0 * grid.h
 
 
+@pytest.mark.parametrize("nn", [9, 17, 33])
+@pytest.mark.parametrize("with_q", [False, True])
+def test_stencils_equal_the_loop_reference(nn, with_q):
+    grid = build_grid_2d(nn, nn)
+    q = (1.0 + grid.xs * np.sin(3.0 * grid.ys)) if with_q else None
+    ref_a, ref_c = interior_operator_loops(grid, q)
+    for got, ref in ((_interior_operator(grid, q), ref_a),
+                     (grid.laplacian_blocks[1], ref_c)):
+        assert got.format == ref.format == "csc"
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+    ref_fl = onesided_flux_loops(grid)
+    assert np.array_equal(grid.normal_derivative, ref_fl)
+    corners = {grid.flat(0, 0), grid.flat(nn - 1, 0), grid.flat(nn - 1, nn - 1),
+               grid.flat(0, nn - 1)}
+    mask = _corner_mask(grid)
+    assert set(grid.boundary_index[mask]) == corners
+    # a corner row reads both axes: 5 nodes, all on the boundary
+    for row in grid.normal_derivative[mask]:
+        assert np.count_nonzero(row) == 5
+        assert set(np.flatnonzero(row)) <= set(grid.boundary_index)
+
+
 def test_eigenvalue_hit_2d():
     grid = build_grid_2d(9, 9)
     lam1 = 2 * (4.0 / grid.h ** 2) * np.sin(np.pi * grid.h / 2.0) ** 2
@@ -142,7 +170,7 @@ def test_phi3_vanishes_on_truth_and_antisymmetry(small_problem):
     rng = np.random.default_rng(0)
     stack = [rng.standard_normal((n, m)) for _ in range(nd)]
     bidx = grid.boundary_index
-    uinv = problem.x_unwhitener
+    uinv = problem.h1.unwhitener
     c_vals = [uinv @ s for s in stack]
     f = problem.bdry.matrix
     pair_01 = f[:, 1][:, None] * c_vals[0][bidx] - f[:, 0][:, None] * c_vals[1][bidx]
@@ -161,7 +189,7 @@ def test_boundary_rows_tie_each_datum_to_datum_0(small_problem):
     # rows of the pair (1, 2), which the family leaves out: f_2 c_1 - f_1 c_2
     # on the boundary, in whitened coordinates and boundary weights
     e_bdry = (np.sqrt(grid.boundary_weights)[:, None]
-              * problem.x_unwhitener[grid.boundary_index])
+              * problem.h1.unwhitener[grid.boundary_index])
     f = problem.bdry.matrix
     d = n * m
     pair_12 = np.zeros((nb * m, nd * d))
@@ -304,6 +332,30 @@ def test_gauss_newton_baseline(small_problem):
     assert near["misfits"][-1] <= near["misfits"][0]
     far = gauss_newton_baseline(problem, 10.0 * problem.q_coeffs, iters=4)
     assert len(far["misfits"]) >= 1          # history emitted, no assertion
+
+
+def test_gauss_newton_factors_once_per_iteration(small_problem, monkeypatch):
+    grid, problem, _ = small_problem
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(a):
+        calls.append(a.shape)
+        return splu(a)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    q0 = problem.q_coeffs + 0.1 * np.random.default_rng(4).standard_normal(4)
+    out = gauss_newton_baseline(problem, q0, iters=3)
+    assert len(out["trajectory"]) == 4                  # no early stop
+    assert len(calls) == 3 + 1                          # + the final misfit
+
+
+@pytest.mark.parametrize("scale", [0.1, 3.0])
+def test_gauss_newton_matches_the_per_column_jacobian(small_problem, scale):
+    grid, problem, _ = small_problem
+    q0 = problem.q_coeffs + scale * np.random.default_rng(6).standard_normal(4)
+    got = gauss_newton_baseline(problem, q0, iters=5)["misfits"]
+    assert got == gauss_newton_per_column(problem, q0, iters=5)
 
 
 def test_precertificate_study_rows():

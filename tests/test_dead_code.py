@@ -90,3 +90,15 @@ def test_no_unused_imports():
                     if bound not in names and (module, bound) not in UNUSED_IMPORT_OK:
                         unused.append(f"{module}: {bound}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_imports_sit_at_module_level():
+    """No function body in ``src/`` imports: the package has no import
+    cycle to break, and a deferred import hides a module's dependencies."""
+    nested = []
+    for module, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.extend(f"{module}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                              if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not nested, f"imports inside functions: {nested}"
