@@ -271,13 +271,146 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
 # lifted measurement operator
 
 
+# row families of the lifted map, in the order the codomain stacks them
+FAMILIES = ("flux", "integral", "coupling")
+
+
+class CalderonOperator(AffineOperator):
+    """The lifted Calderon map, applied from its per-datum block and the
+    boundary coupling.
+
+    Every datum ``i`` has an ``n x m`` whitened block ``X_i``.  On its raveled
+    ``x_i`` the flux rows are ``p1 @ x_i`` and the integral rows ``p2 @ x_i``,
+    the same matrices for every datum (``I_N`` kron ``B``).  The coupling
+    rows of the pair ``(0, j)`` are
+
+        vec_r(f_j[:, None] * (e @ X_0) - e @ X_j),
+
+    with ``e`` the boundary rows of the unwhitening scaled by the square
+    root of the boundary weights and ``f_j`` datum ``j`` on the boundary.
+    ``families`` selects and orders the row families (a subsequence of
+    :data:`FAMILIES`); operators over different selections share the
+    arrays.  The dense form is built only on request, by :attr:`matrix`.
+    """
+
+    def __init__(self, p1, p2, e, f, m, families=FAMILIES):
+        self.p1, self.p2, self.e, self.f, self.m = p1, p2, e, f, m
+        self.n = e.shape[1]
+        n_data = f.shape[1]
+        sizes = {"flux": n_data * p1.shape[0], "integral": n_data * p2.shape[0],
+                 "coupling": (n_data - 1) * e.shape[0] * m}
+        self._starts = {}
+        rows = 0
+        for name in families:
+            self._starts[name] = rows
+            rows += sizes[name]
+        self._init_shapes([(self.n, m)] * n_data, rows)
+
+    def _matvec(self, vec):
+        x = vec.reshape(self.n_blocks, self.n * self.m)
+        out = []
+        for name in self._starts:
+            if name == "flux":
+                out.append(x @ self.p1.T)
+            elif name == "integral":
+                out.append(x @ self.p2.T)
+            else:
+                ex = self.e @ x.reshape(-1, self.n, self.m)
+                out.append(self.f[:, 1:].T[:, :, None] * ex[0] - ex[1:])
+        return np.concatenate([rows.ravel() for rows in out])
+
+    def _rmatvec(self, p):
+        out = np.zeros((self.n_blocks, self.n * self.m))
+        nb = self.e.shape[0]
+        for name, start in self._starts.items():
+            if name == "flux":
+                stop = start + self.n_blocks * self.p1.shape[0]
+                out += p[start:stop].reshape(self.n_blocks, -1) @ self.p1
+            elif name == "integral":
+                stop = start + self.n_blocks * self.p2.shape[0]
+                out += p[start:stop].reshape(self.n_blocks, -1) @ self.p2
+            elif self.n_blocks > 1:
+                stop = start + (self.n_blocks - 1) * nb * self.m
+                pc = p[start:stop].reshape(-1, nb, self.m)
+                y = np.empty((self.n_blocks, nb, self.m))
+                y[0] = np.einsum("bj,jbk->bk", self.f[:, 1:], pc)
+                y[1:] = -pc
+                out += (self.e.T @ y).reshape(out.shape)
+        return out.ravel()
+
+    def _runs(self, i):
+        """``(first row, row count, factor, scale)`` of each run of codomain
+        rows that block ``i`` reaches.  The run is ``factor @ x_i`` for
+        ``p1`` and ``p2`` (``scale`` None), and ``vec_r(scale * (e @ X_i))``
+        for ``e``."""
+        nb = self.e.shape[0]
+        for name, start in self._starts.items():
+            if name == "flux":
+                yield start + i * self.p1.shape[0], self.p1.shape[0], self.p1, None
+            elif name == "integral":
+                yield start + i * self.p2.shape[0], self.p2.shape[0], self.p2, None
+            elif i == 0:
+                for j in range(1, self.n_blocks):
+                    yield (start + (j - 1) * nb * self.m, nb * self.m, self.e,
+                           self.f[:, j:j + 1])
+            else:
+                yield start + (i - 1) * nb * self.m, nb * self.m, self.e, -1.0
+
+    def _block_rows(self, i, cols):
+        """``(first row, rows)`` of each run of block ``i``'s measurements of
+        ``cols``."""
+        out = []
+        ec = None
+        for start, _, factor, scale in self._runs(i):
+            if scale is None:
+                out.append((start, factor @ cols))
+                continue
+            if ec is None:
+                # (nb, m * c): boundary node by row, (basis, column) by column
+                ec = self.e @ cols.reshape(self.n, -1)
+            out.append((start, (scale * ec).reshape(-1, cols.shape[1])))
+        return out
+
+    def apply_block(self, i, cols):
+        out = np.zeros((self.codomain_dim, cols.shape[1]))
+        for start, rows in self._block_rows(i, cols):
+            out[start:start + rows.shape[0]] = rows
+        return out
+
+    def gram(self):
+        """``sum_i S_i S_i^T`` scattered, ``S_i`` the rows block ``i``
+        reaches; the blocks past datum 0 share one ``S_i``."""
+        eye = np.eye(self.n * self.m)
+        out = np.zeros((self.codomain_dim, self.codomain_dim))
+        for i in range(min(self.n_blocks, 2)):
+            s_i = np.vstack([rows for _, rows in self._block_rows(i, eye)])
+            g_i = s_i @ s_i.T
+            for k in (range(1, self.n_blocks) if i else (0,)):
+                idx = np.concatenate([np.arange(start, start + count)
+                                      for start, count, _, _ in self._runs(k)])
+                out[np.ix_(idx, idx)] += g_i
+        return out
+
+    def max_abs_entry(self):
+        # blocks past datum 0 repeat block 1's entries
+        runs = [run for i in range(min(self.n_blocks, 2)) for run in self._runs(i)]
+        return float(max(np.abs(factor if scale is None else scale * factor).max()
+                         for _, _, factor, scale in runs))
+
+    @property
+    def matrix(self):
+        """Dense ``codomain x domain`` form, built on each access."""
+        eye = np.eye(self.n * self.m)
+        return np.hstack([self.apply_block(i, eye) for i in range(self.n_blocks)])
+
+
 @dataclass
 class CalderonSystem:
     """Assembled operators and clean measurement vectors."""
 
-    op_full: AffineOperator
-    op_data: AffineOperator
-    op_hard: AffineOperator
+    op_full: CalderonOperator
+    op_data: CalderonOperator
+    op_hard: CalderonOperator
     z_data: np.ndarray
     z_hard: np.ndarray
 
@@ -287,7 +420,7 @@ class CalderonSystem:
 
 
 def assemble_calderon_system(problem):
-    """Dense whitened assembly of the three constraint families.
+    """Whitened factors of the three constraint families.
 
     Per block: flux of the sourced Poisson state of the diagonal off the four
     corners, the integrated stack against the known potential integral, and
@@ -299,63 +432,39 @@ def assemble_calderon_system(problem):
     n = grid.n_nodes
     m = problem.basis_w.m
     nd = problem.n_data
-    bidx = grid.boundary_index
-    nb = bidx.size
+    iidx = grid.interior_index
     uinv = problem.h1.unwhitener
-    wmat = problem.basis_w.matrix
     sqrt_wb = np.sqrt(grid.boundary_weights)
     uw = problem.h1.whitener
 
     # diagonal restriction of one whitened block: (n, n*m)
-    dg = np.einsum("xi,xk->xik", uinv, wmat).reshape(n, n * m)
+    dg = np.einsum("xi,xk->xik", uinv, problem.basis_w.matrix).reshape(n, n * m)
     # states of the lifted equation: Lap v = d with zero boundary data,
     # so the interior solve flips the sign of the 5-point operator
     a_0, _ = grid.laplacian_blocks
-    a0_inv = np.linalg.inv(a_0.toarray())
-    mv = np.zeros((n, n))
-    mv[np.ix_(grid.interior_index, grid.interior_index)] = -a0_inv
-    fl = grid.normal_derivative
+    lifted = np.zeros((n, n * m))
+    lifted[iidx] = -_factorize(a_0).solve(dg[iidx])
 
     # the one-sided corner stencil reads only boundary nodes: zero flux rows
     flux = ~_corner_mask(grid)
-    nf = int(flux.sum())
-    phi1_block = (sqrt_wb[flux, None] * fl[flux]) @ (mv @ dg)
+    p1 = (sqrt_wb[flux, None] * grid.normal_derivative[flux]) @ lifted
     g_omega = problem.basis_w.integrals if problem.g_omega is None else problem.g_omega
     ig = np.einsum("xi,k->xik", uinv, g_omega).reshape(n, n * m)
-    phi2_block = uw @ (ig - problem.int_q * (mv @ dg))
-
-    d = n * m
-    rows_full = nd * nf + nd * n + (nd - 1) * nb * m
-    a_full = np.zeros((rows_full, nd * d))
-
-    for i in range(nd):
-        a_full[i * nf:(i + 1) * nf, i * d:(i + 1) * d] = phi1_block
-        r0 = nd * nf + i * n
-        a_full[r0:r0 + n, i * d:(i + 1) * d] = phi2_block
-
+    p2 = uw @ (ig - problem.int_q * lifted)
     # datum 0 is the constant 1, so the pairs (0, j) span every pair (i, j):
     # row (i, j) = f_i * row(0, j) - f_j * row(0, i), node by node
-    e_bdry = uinv[bidx, :]
-    blk_j = -np.kron(sqrt_wb[:, None] * e_bdry, np.eye(m))
-    r0 = nd * nf + nd * n
-    for j in range(1, nd):
-        fj = problem.bdry.matrix[:, j]
-        a_full[r0:r0 + nb * m, :d] = np.kron((sqrt_wb * fj)[:, None] * e_bdry, np.eye(m))
-        a_full[r0:r0 + nb * m, j * d:(j + 1) * d] = blk_j
-        r0 += nb * m
+    e = sqrt_wb[:, None] * uinv[grid.boundary_index, :]
 
-    shapes = [(n, m)] * nd
-    op_full = AffineOperator(a_full, shapes)
-    op_data = AffineOperator(a_full[: nd * nf], shapes)
-    op_hard = AffineOperator(a_full[nd * nf:], shapes)
-
+    factors = (p1, p2, e, problem.bdry.matrix, m)
     z_data = (sqrt_wb * (problem.flux_u - problem.flux_f_tilde))[:, flux].ravel()
     z_hard = np.concatenate(
         [uw @ (problem.int_q * problem.f_tilde_stack[i]) for i in range(nd)]
-        + [np.zeros((nd - 1) * nb * m)]
+        + [np.zeros((nd - 1) * grid.boundary_index.size * m)]
     )
     return CalderonSystem(
-        op_full=op_full, op_data=op_data, op_hard=op_hard,
+        op_full=CalderonOperator(*factors),
+        op_data=CalderonOperator(*factors, families=FAMILIES[:1]),
+        op_hard=CalderonOperator(*factors, families=FAMILIES[1:]),
         z_data=z_data, z_hard=z_hard,
     )
 

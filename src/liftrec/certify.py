@@ -94,20 +94,22 @@ def _tangent_map(op, models, symmetric=False):
     """Matrix of Phi restricted to the tangent product space.
 
     Columns are the measurements of the orthonormal tangent basis elements,
-    block by block; also returns the right-hand side selecting the rank-one
-    direction of each block.
+    block by block, written into one preallocated array; also returns the
+    right-hand side selecting the rank-one direction of each block.
     """
     if len(models) != op.n_blocks:
         raise ValueError(f"{len(models)} models for {op.n_blocks} blocks")
-    cols = []
-    rhs = []
-    col_block = []
-    for i, model in enumerate(models):
+    # tangent dimensions, as counted by tangent_basis
+    ends = np.cumsum([model.u.size + (0 if symmetric else model.v.size - 1)
+                      for model in models])
+    m_t = np.empty((op.codomain_dim, int(ends[-1])))
+    rhs = np.zeros(m_t.shape[1])
+    for i, (model, end) in enumerate(zip(models, ends)):
         basis = tangent_basis(model, symmetric=symmetric)
-        cols.append(op.apply_block(i, np.stack([b.ravel() for b in basis], axis=1)))
-        rhs.extend([1.0] + [0.0] * (len(basis) - 1))
-        col_block.extend([i] * len(basis))
-    return np.hstack(cols), np.asarray(rhs), np.asarray(col_block)
+        start = end - len(basis)
+        m_t[:, start:end] = op.apply_block(i, np.stack([b.ravel() for b in basis], axis=1))
+        rhs[start] = 1.0
+    return m_t, rhs
 
 
 def _tangent_least_norm(m_t, rhs):
@@ -144,7 +146,7 @@ def tangent_injectivity(op, models, symmetric=False):
     A positive value certifies discrete injectivity; its reciprocal is the
     empirical stability constant.
     """
-    m_t, rhs, _ = _tangent_map(op, models, symmetric=symmetric)
+    m_t, rhs = _tangent_map(op, models, symmetric=symmetric)
     return _tangent_least_norm(m_t, rhs)[0]
 
 
@@ -183,7 +185,7 @@ def precertificate(op, models, margin=DEFAULT_MARGIN, tol=DEFAULT_TOL,
         When the restricted map is (numerically) rank deficient, carrying
         the offending smallest singular value.
     """
-    m_t, rhs, _ = _tangent_map(op, models, symmetric=symmetric)
+    m_t, rhs = _tangent_map(op, models, symmetric=symmetric)
     sigma_min, sigma_max, p = _tangent_least_norm(m_t, rhs)
     # scale against the full operator so a tangent space inside the kernel
     # registers as degenerate rather than as a tiny full-rank system

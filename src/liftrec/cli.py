@@ -491,7 +491,7 @@ def run_certify(config, out_dir, seed, jobs):
     return code
 
 
-def run_selftest(config, out_dir, seed):
+def run_selftest(out_dir, seed):
     results = acceptance.run_all()
     if out_dir is not None:
         payload = {
@@ -565,7 +565,7 @@ def main(argv=None):
         if args.command == "certify":
             return run_certify(config, out_dir, args.seed, args.jobs)
         if args.command == "selftest":
-            return run_selftest(config, out_dir, args.seed)
+            return run_selftest(out_dir, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -133,9 +133,9 @@ class Grid2D:
         :func:`first_difference_1d` stencil at the edges; a corner, whose
         normal is diagonal, reads both axes.
         """
-        ex, ey = _axis_differences_2d(self)
-        bidx, normals = self.boundary_index, self.boundary_normals
-        return (normals[:, :1] * ex[bidx] + normals[:, 1:] * ey[bidx]) / self.h
+        ex, ey = (d[self.boundary_index].toarray() for d in _axis_differences_2d(self))
+        normals = self.boundary_normals
+        return (normals[:, :1] * ex + normals[:, 1:] * ey) / self.h
 
 
 def build_grid_2d(nx, ny, a=0.0, b=1.0):
@@ -242,11 +242,12 @@ def second_difference_1d(grid):
 
 
 def _axis_differences_2d(grid):
-    """First-derivative matrices along x and y on the flattened 2-D grid,
-    at unit spacing: divide by ``grid.h`` for the derivatives."""
+    """Sparse (CSR) first-derivative matrices along x and y on the flattened
+    2-D grid, at unit spacing: divide by ``grid.h`` for the derivatives."""
     d1x = first_difference_1d(build_grid_1d(grid.nx, 0.0, grid.nx - 1.0))
     d1y = first_difference_1d(build_grid_1d(grid.ny, 0.0, grid.ny - 1.0))
-    return np.kron(d1x, np.eye(grid.ny)), np.kron(np.eye(grid.nx), d1y)
+    return (scipy.sparse.kron(d1x, scipy.sparse.identity(grid.ny), format="csr"),
+            scipy.sparse.kron(scipy.sparse.identity(grid.nx), d1y, format="csr"))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +330,13 @@ def assemble_inner_product(grid, kind):
     if isinstance(grid, Grid2D):
         if kind == "h2":
             raise ValueError(f"kind {kind!r} is not supported on 2-D grids")
-        w = grid.area_weights
-        gram = np.diag(w)
+        wmat = scipy.sparse.diags(grid.area_weights)
+        gram = wmat
         if kind == "h1":
+            # banded stencils: only the Gram is made dense, for the Cholesky
             dx, dy = (d / grid.h for d in _axis_differences_2d(grid))
-            gram = gram + dx.T @ np.diag(w) @ dx + dy.T @ np.diag(w) @ dy
+            gram = gram + dx.T @ wmat @ dx + dy.T @ wmat @ dy
+        gram = gram.toarray()
         whitener = _cholesky_or_raise(gram, kind)
         return InnerProduct(dim=grid.n_nodes, gram=gram, whitener=whitener)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse
 
-from liftrec.calderon import dtn_map, frechet_derivative
+from liftrec.calderon import _corner_mask, dtn_map, frechet_derivative
 from liftrec.errors import DegenerateInput, EigenvalueHit
 from liftrec.hilbert import BivariateField
 from liftrec.lowrank import RankOneModel
@@ -182,3 +182,54 @@ def gauss_newton_per_column(problem, q_init_coeffs, iters=8, damping=1e-8):
         fluxes = dtn_map(grid, basis.values(coeffs), bdry) * sqrt_wb[None, :]
         misfits.append(float(np.linalg.norm((fluxes - observed).ravel())))
     return misfits
+
+
+def calderon_matrix_dense(problem):
+    """Dense whitened ``(rows, N * n * m)`` matrix of the three Calderon
+    families (flux, integral, coupling, in that row order), assembled block
+    by block with the explicit inverse of the interior 5-point operator.
+
+    Returns the matrix and the row count of each family.
+    """
+    grid = problem.grid
+    n = grid.n_nodes
+    m = problem.basis_w.m
+    nd = problem.n_data
+    bidx = grid.boundary_index
+    nb = bidx.size
+    uinv = problem.h1.unwhitener
+    wmat = problem.basis_w.matrix
+    sqrt_wb = np.sqrt(grid.boundary_weights)
+    uw = problem.h1.whitener
+
+    dg = np.einsum("xi,xk->xik", uinv, wmat).reshape(n, n * m)
+    a_0, _ = grid.laplacian_blocks
+    a0_inv = np.linalg.inv(a_0.toarray())
+    mv = np.zeros((n, n))
+    mv[np.ix_(grid.interior_index, grid.interior_index)] = -a0_inv
+    fl = grid.normal_derivative
+
+    flux = ~_corner_mask(grid)
+    nf = int(flux.sum())
+    phi1_block = (sqrt_wb[flux, None] * fl[flux]) @ (mv @ dg)
+    g_omega = problem.basis_w.integrals if problem.g_omega is None else problem.g_omega
+    ig = np.einsum("xi,k->xik", uinv, g_omega).reshape(n, n * m)
+    phi2_block = uw @ (ig - problem.int_q * (mv @ dg))
+
+    d = n * m
+    counts = {"flux": nd * nf, "integral": nd * n, "coupling": (nd - 1) * nb * m}
+    a_full = np.zeros((sum(counts.values()), nd * d))
+    for i in range(nd):
+        a_full[i * nf:(i + 1) * nf, i * d:(i + 1) * d] = phi1_block
+        r0 = nd * nf + i * n
+        a_full[r0:r0 + n, i * d:(i + 1) * d] = phi2_block
+
+    e_bdry = uinv[bidx, :]
+    blk_j = -np.kron(sqrt_wb[:, None] * e_bdry, np.eye(m))
+    r0 = nd * nf + nd * n
+    for j in range(1, nd):
+        fj = problem.bdry.matrix[:, j]
+        a_full[r0:r0 + nb * m, :d] = np.kron((sqrt_wb * fj)[:, None] * e_bdry, np.eye(m))
+        a_full[r0:r0 + nb * m, j * d:(j + 1) * d] = blk_j
+        r0 += nb * m
+    return a_full, counts

@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse.linalg
 
 from liftrec.calderon import (
+    FAMILIES,
+    CalderonOperator,
     _corner_mask,
     _interior_operator,
     assemble_calderon_system,
@@ -26,7 +28,12 @@ from liftrec.certify import precertificate
 from liftrec.errors import EigenvalueHit
 from liftrec.hilbert import build_grid_2d
 from liftrec.solvers import SolverOptions
-from oracles import gauss_newton_per_column, interior_operator_loops, onesided_flux_loops
+from oracles import (
+    calderon_matrix_dense,
+    gauss_newton_per_column,
+    interior_operator_loops,
+    onesided_flux_loops,
+)
 
 TIGHT = SolverOptions(tol_gap=1e-8, tol_feas=1e-9)
 
@@ -272,6 +279,62 @@ def test_recover_rejects_nonpositive_weight(small_problem):
     for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="lambda must be positive"):
             recover_calderon(problem, system, noisy, c=c)
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nd", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 4])
+def test_structured_operator_matches_the_dense_assembly(nd, m):
+    # N = 1 has no coupling rows
+    problem = build_calderon_problem(build_grid_2d(9, 9), m=m, n_modes=nd)
+    system = assemble_calderon_system(problem)
+    dense, counts = calderon_matrix_dense(problem)
+    bounds = np.cumsum([0, *(counts[f] for f in FAMILIES)])
+    rows = {f: np.arange(lo, hi) for f, lo, hi in zip(FAMILIES, bounds, bounds[1:])}
+    d = problem.grid.n_nodes * m
+    rng = np.random.default_rng(10 * nd + m)
+    selections = ((system.op_full, FAMILIES), (system.op_data, FAMILIES[:1]),
+                  (system.op_hard, FAMILIES[1:]))
+    for op, families in selections:
+        a = dense[np.concatenate([rows[f] for f in families])]
+        assert (op.codomain_dim, op.domain_dim) == a.shape
+        x = rng.standard_normal(a.shape[1])
+        p = rng.standard_normal(a.shape[0])
+        _assert_close(op.apply_vec(x), a @ x)
+        _assert_close(op.adjoint_vec(p), a.T @ p)
+        for i in range(nd):
+            cols = rng.standard_normal((d, 3))
+            _assert_close(op.apply_block(i, cols), a[:, i * d:(i + 1) * d] @ cols)
+        _assert_close(op.gram(), a @ a.T)
+        assert op.max_abs_entry() == np.abs(op.matrix).max()
+        assert abs(op.max_abs_entry() - np.abs(a).max()) <= 1e-12 * np.abs(a).max()
+        assert op.check_adjoint(n_probes=20) < 1e-12
+
+
+def test_structured_operator_holds_a_small_share_of_the_dense_form():
+    problem = build_calderon_problem(build_grid_2d(17, 17), m=4, n_modes=4)
+    op = assemble_calderon_system(problem).op_full
+    held = sum(a.nbytes for a in (op.p1, op.p2, op.e, op.f))
+    assert held < 0.1 * op.codomain_dim * op.domain_dim * 8
+
+
+def test_pipelines_never_build_the_dense_form(small_problem, monkeypatch):
+    grid, problem, system = small_problem
+
+    def dense_form(op):
+        raise AssertionError("the dense Calderon matrix was built")
+
+    monkeypatch.setattr(CalderonOperator, "matrix", property(dense_form))
+    fresh = assemble_calderon_system(problem)
+    precertificate_study(problem, [2, problem.n_data])
+    opts = SolverOptions(max_iter=50)
+    recover_calderon(problem, fresh, make_calderon_measurements(problem, fresh), opts=opts)
+    noisy = make_calderon_measurements(problem, fresh, delta=1e-3, seed=5)
+    recover_calderon(problem, fresh, noisy, opts=opts)
 
 
 def test_assemble_operator_wrapper(small_problem):

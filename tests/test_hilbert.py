@@ -7,6 +7,7 @@ from liftrec.hilbert import (
     assemble_inner_product,
     build_grid_1d,
     build_grid_2d,
+    first_difference_1d,
     unwhiten,
     whiten,
 )
@@ -135,3 +136,15 @@ def test_whiten_shape_mismatch():
         BivariateField(x, y, np.zeros((3, 4)))
     with pytest.raises(ValueError):
         unwhiten(np.zeros((3, 4)), x, y)
+
+
+@pytest.mark.parametrize("nn", [9, 17, 20])
+def test_h1_gram_2d_matches_the_dense_stencil_products(nn):
+    # the sparse assembly sums the same products, in another order
+    grid = build_grid_2d(nn, nn)
+    d1 = first_difference_1d(build_grid_1d(nn, 0.0, 1.0))
+    dx, dy = np.kron(d1, np.eye(nn)), np.kron(np.eye(nn), d1)
+    w = np.diag(grid.area_weights)
+    want = w + dx.T @ w @ dx + dy.T @ w @ dy
+    got = assemble_inner_product(grid, "h1").gram
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
