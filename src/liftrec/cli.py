@@ -240,14 +240,19 @@ INTERNAL_SCHEMA = [
 ]
 
 
-def _internal_state(config, q0):
-    """Everything an internal row needs that depends on the jump size alone."""
+def _internal_state(config, q0, opts):
+    """Everything an internal row needs that depends on the jump size alone.
+
+    That includes the exact (delta = 0) lift: a noiseless row reports its
+    solve, and every noisy row starts from it, since the noisy lift lies
+    within O(delta) of it.
+    """
     grid = build_grid_1d(config.get("grid", "n", 41, int), 0.0, 1.0)
     base = config.get("potential", "base", 1.0, float)
     lo = config.get("potential", "jump_lo", 0.4, float)
     hi = config.get("potential", "jump_hi", 0.6, float)
     q = step_potential(grid, base=base, q0=q0, lo=lo, hi=hi)
-    problem, _ = build_internal_problem(
+    problem, exact_meas = build_internal_problem(
         grid, q,
         f_a=config.get("boundary", "f_a", 1.0, float),
         f_b=config.get("boundary", "f_b", 1.0, float),
@@ -259,17 +264,23 @@ def _internal_state(config, q0):
         w_norm = cert.max_w_norm
     except certify.DegenerateCertificate:
         w_norm = float("nan")
-    return problem, op, {"q0": q0, "lhs": lhs, "pass": passed, "w_norm": w_norm}
+    q_hat, f_exact, report = recover_internal(problem, exact_meas, opts=opts, op=op)
+    exact = {"err_L2": problem.l2.norm(q_hat.values - problem.q_true.values),
+             "iters": report.iterations, "status": report.status}
+    return problem, op, f_exact, exact, {"q0": q0, "lhs": lhs, "pass": passed,
+                                         "w_norm": w_norm}
 
 
 def _internal_row(states, q0, delta, seed, c, opts):
-    problem, op, columns = states[q0]
+    problem, op, f_exact, exact, columns = states[q0]
+    if delta == 0:
+        return {**columns, **exact, "delta": delta, "lambda": 0.0}
     meas = make_measurements(problem, delta=delta, seed=seed)
-    q_hat, _, report = recover_internal(problem, meas, c=c, opts=opts, op=op)
+    q_hat, _, report = recover_internal(problem, meas, c=c, opts=opts, op=op,
+                                        x0=f_exact)
     err = problem.l2.norm(q_hat.values - problem.q_true.values)
     return {
-        **columns, "err_L2": err,
-        "delta": delta, "lambda": (0.0 if delta == 0 else c * delta),
+        **columns, "err_L2": err, "delta": delta, "lambda": c * delta,
         "iters": report.iterations, "status": report.status,
     }
 
@@ -277,12 +288,13 @@ def _internal_row(states, q0, delta, seed, c, opts):
 def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
     """One row per (q0, delta), seeded ``seed + k`` in that order.
 
-    The per-q0 state is built once per distinct q0; both stages run through
-    :func:`map_rows`, so every ``jobs`` gives the same bytes.
+    The per-q0 state, exact lift included, is built once per distinct q0;
+    both stages run through :func:`map_rows`, so every ``jobs`` gives the
+    same bytes.  Each row stays its own task, which keeps the pool balanced.
     """
     distinct = list(dict.fromkeys(q0_values))
     states = dict(zip(distinct, map_rows(
-        lambda q0: _internal_state(config, q0), distinct, jobs)))
+        lambda q0: _internal_state(config, q0, opts), distinct, jobs)))
     tasks = [(q0, delta, seed + k) for k, (q0, delta) in enumerate(
         (a, b) for a in q0_values for b in deltas
     )]

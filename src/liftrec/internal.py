@@ -240,23 +240,30 @@ def extract_q_from_trace(f_values, problem):
     return Potential1D(problem.grid, vals)
 
 
-def recover_internal(problem, measurements, c=1.0, opts=None, op=None):
+def recover_internal(problem, measurements, c=1.0, opts=None, op=None, x0=None):
     """Solve the convex relaxation and extract the potential.
 
     Noiseless measurements (``delta == 0``) run the equality-constrained
     solve; noisy ones run the regularized solve with weight
     ``lambda = c * delta``.  ``op`` is the problem's assembled operator,
-    built here when the caller holds none.  Returns the potential estimate,
-    the whitened recovered field, and the solve report (with the rank
-    diagnostic ``sigma2 / sigma1`` in ``extras``).
+    built here when the caller holds none.  A noisy solve starts from the
+    whitened field ``x0`` when one is given, such as the exact lift of the
+    same problem.  Returns the potential estimate, the whitened recovered
+    field, and the solve report (with the rank diagnostic
+    ``sigma2 / sigma1`` in ``extras``).
     """
     if op is None:
         op = assemble_internal_operator(problem)
     z = measurement_vector(problem, measurements)
     if measurements.delta == 0:
+        if x0 is not None:
+            raise ValueError("the exact solve starts from the least-norm point, not x0")
         blocks, report = solve_equality_nnm(op, z, opts=opts)
     else:
-        blocks, report = solve_regularized_nnm(op, z, c * measurements.delta, opts=opts)
+        blocks, report = solve_regularized_nnm(
+            op, z, c * measurements.delta, opts=opts,
+            x0=None if x0 is None else [x0],
+        )
 
     f_white = blocks[0]
     svals = np.linalg.svd(f_white, compute_uv=False)

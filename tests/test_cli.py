@@ -166,7 +166,7 @@ def test_cli_internal_certify_emits_json(tmp_path):
 def test_cli_internal_sweep_parallel_deterministic(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(
-        "[grid]\nn = 21\n[sweep]\nq0_values = -0.2,0.2\n[noise]\ndeltas = 0\n"
+        "[grid]\nn = 21\n[sweep]\nq0_values = -0.2,0.2\n[noise]\ndeltas = 0,1e-2,1e-3\n"
     )
     out1 = tmp_path / "o1"
     out2 = tmp_path / "o2"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftrec import certify
+from liftrec import certify, cli
 from liftrec.errors import EigenvalueHit
 from liftrec.hilbert import build_grid_1d, whiten
 from liftrec.internal import (
@@ -329,6 +329,41 @@ def test_noisy_recovery_rate_two_seeds():
     med = [float(np.median(by[d])) for d in deltas]
     slope = loglog_slope(deltas, med)
     assert 0.7 <= slope <= 1.3
+
+
+def test_noisy_solve_started_from_the_exact_lift(step_instance):
+    _, problem, exact = step_instance
+    op = assemble_internal_operator(problem)
+    _, f_exact, _ = recover_internal(problem, exact, op=op)
+    meas = make_measurements(problem, delta=1e-3, seed=3)
+    q_cold, _, cold = recover_internal(problem, meas, op=op)
+    q_warm, _, warm = recover_internal(problem, meas, op=op, x0=f_exact)
+    err_cold = problem.l2.norm(q_cold.values - problem.q_true.values)
+    err_warm = problem.l2.norm(q_warm.values - problem.q_true.values)
+    assert cold.status == warm.status == "converged"
+    assert abs(err_warm - err_cold) <= 1e-6 * err_cold
+    assert warm.iterations <= cold.iterations
+    with pytest.raises(ValueError):
+        recover_internal(problem, exact, op=op, x0=f_exact)
+
+
+def test_linear_rate_down_to_small_delta(tmp_path):
+    # criterion 3 stops at 3e-4; the sweep's rows start from the exact lift,
+    # so reaching 1e-6 costs no more iterations than 1e-2 does
+    deltas = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[grid]\nn = 41\n[sweep]\nq0_values = -0.3,0.5\n[noise]\n"
+                   f"deltas = {','.join(map(str, deltas))}\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "internal",
+                     "sweep"]) == 0
+    rows = cli.read_table(tmp_path / "sweep.csv", cli.INTERNAL_SCHEMA)
+    assert [r["status"] for r in rows] == ["converged"] * 2 * len(deltas)
+    for q0 in (-0.3, 0.5):
+        mine = [r for r in rows if r["q0"] == q0]
+        assert [r["delta"] for r in mine] == list(deltas)
+        slope = loglog_slope(deltas, [r["err_L2"] for r in mine])
+        assert 0.8 <= slope <= 1.2
+        assert mine[-1]["iters"] <= mine[0]["iters"]
 
 
 def test_exact_certificate_norm_random_pairs():
