@@ -304,7 +304,7 @@ class CalderonOperator(AffineOperator):
         for name in families:
             self._starts[name] = rows
             rows += sizes[name]
-        self._init_shapes([(self.n, m)] * n_data, rows)
+        super().__init__([(self.n, m)] * n_data, rows)
 
     def _matvec(self, vec):
         x = vec.reshape(self.n_blocks, self.n * self.m)
@@ -473,7 +473,6 @@ def assemble_calderon_system(problem):
 class CalderonMeasurements:
     z_data: np.ndarray
     delta: float
-    seed: int
 
 
 def make_calderon_measurements(problem, system, delta=0.0, seed=0):
@@ -484,7 +483,7 @@ def make_calderon_measurements(problem, system, delta=0.0, seed=0):
         e = rng.standard_normal(z.size)
         e *= delta / np.linalg.norm(e)
         z = z + e
-    return CalderonMeasurements(z_data=z, delta=float(delta), seed=int(seed))
+    return CalderonMeasurements(z_data=z, delta=float(delta))
 
 
 def extract_q_calderon(c_vals, f_bdry_vals, problem):

@@ -55,7 +55,7 @@ KNOWN_KEYS = {
     "boundary": {"f_a", "f_b", "n_modes", "m_basis"},
     "noise": {"delta", "deltas", "c"},
     "phaselift": {"n", "m"},
-    "solver": {"max_iter", "tol_feas", "tol_gap", "tol_fp", "rho"},
+    "solver": {"max_iter", "tol_feas", "tol_gap", "tol_fp"},
     "sweep": {"q0_values", "n_list"},
 }
 
@@ -214,20 +214,26 @@ def _solver_options(config):
         tol_feas=config.get("solver", "tol_feas", 1e-8, float),
         tol_gap=config.get("solver", "tol_gap", 1e-6, float),
         tol_fp=config.get("solver", "tol_fp", 1e-8, float),
-        rho=config.get("solver", "rho", 0.0, float),
     )
 
 
-def _potential_for(config, grid):
+def _step_shape(config):
+    """Base level and jump interval of the configured step potential."""
+    return {"base": config.get("potential", "base", 1.0, float),
+            "lo": config.get("potential", "jump_lo", 0.4, float),
+            "hi": config.get("potential", "jump_hi", 0.6, float)}
+
+
+def _potential_for(config, grid, q0=None):
+    """The configured 1-D potential; a given ``q0`` (the key of ``internal
+    recover|sweep`` rows) replaces the jump size and requires a step."""
     kind = config.get("potential", "type", "step")
-    base = config.get("potential", "base", 1.0, float)
     if kind == "step":
-        return step_potential(
-            grid, base=base,
-            q0=config.get("potential", "q0", 0.5, float),
-            lo=config.get("potential", "jump_lo", 0.4, float),
-            hi=config.get("potential", "jump_hi", 0.6, float),
-        )
+        if q0 is None:
+            q0 = config.get("potential", "q0", 0.5, float)
+        return step_potential(grid, q0=q0, **_step_shape(config))
+    if q0 is not None:
+        raise ConfigError(f"rows keyed by q0 need potential type 'step', not {kind!r}")
     if kind == "constant":
         return constant_potential(grid, config.get("potential", "value", 1.0, float))
     raise ConfigError(f"unsupported 1-D potential type {kind!r}")
@@ -248,12 +254,8 @@ def _internal_state(config, q0, opts):
     within O(delta) of it.
     """
     grid = build_grid_1d(config.get("grid", "n", 41, int), 0.0, 1.0)
-    base = config.get("potential", "base", 1.0, float)
-    lo = config.get("potential", "jump_lo", 0.4, float)
-    hi = config.get("potential", "jump_hi", 0.6, float)
-    q = step_potential(grid, base=base, q0=q0, lo=lo, hi=hi)
     problem, exact_meas = build_internal_problem(
-        grid, q,
+        grid, _potential_for(config, grid, q0),
         f_a=config.get("boundary", "f_a", 1.0, float),
         f_b=config.get("boundary", "f_b", 1.0, float),
     )
@@ -489,12 +491,12 @@ def run_phaselift(config, out_dir, seed, n=None, m=None, noise=None):
     return _exit_code(rows, "phaselift.csv")
 
 
-def run_certify(config, out_dir, seed, jobs):
+def run_certify(config, out_dir, seed):
     """Top-level certificate report for the internal geometry."""
-    code = run_internal(config, out_dir, seed, jobs, "certify")
+    code = run_internal(config, out_dir, seed, 1, "certify")
     t0 = time.time()
     lower, upper = find_condition_interval(
-        n=config.get("grid", "n", 401, int)
+        n=config.get("grid", "n", 401, int), **_step_shape(config)
     )
     with open(os.path.join(out_dir, "interval.json"), "w", encoding="utf-8") as fh:
         json.dump({"q0_lower": lower, "q0_upper": upper,
@@ -575,7 +577,7 @@ def main(argv=None):
             return run_phaselift(config, out_dir, args.seed,
                                  n=args.n, m=args.m, noise=args.noise)
         if args.command == "certify":
-            return run_certify(config, out_dir, args.seed, args.jobs)
+            return run_certify(config, out_dir, args.seed)
         if args.command == "selftest":
             return run_selftest(out_dir, args.seed)
     except ConfigError as exc:

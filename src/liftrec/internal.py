@@ -83,7 +83,6 @@ class InternalMeasurements:
     z1_values: np.ndarray          # L2 block on the full grid
     z2_values: np.ndarray          # H2 block
     delta: float
-    seed: int
     delta_meas: float              # induced bound on the measurement perturbation
 
 
@@ -144,7 +143,7 @@ def make_measurements(problem, delta=0.0, seed=0):
     z2 = problem.int_q * u_delta.values
     delta_meas = delta * np.sqrt(1.0 + problem.int_q ** 2)
     return InternalMeasurements(
-        z1_values=z1, z2_values=z2, delta=float(delta), seed=int(seed),
+        z1_values=z1, z2_values=z2, delta=float(delta),
         delta_meas=float(delta_meas),
     )
 
@@ -166,7 +165,7 @@ class InternalOperator(AffineOperator):
         self.uinv = np.ascontiguousarray(uinv, dtype=float)
         self.sqrtw = np.asarray(sqrtw, dtype=float)
         self.n = self.sqrtw.size
-        self._init_shapes([(self.n, self.n)], 2 * self.n)
+        super().__init__([(self.n, self.n)], 2 * self.n)
 
     def _matvec(self, vec):
         fw = vec.reshape(self.n, self.n)

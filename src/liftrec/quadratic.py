@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solvers import AffineOperator, solve_psd_trace_min
+from .solvers import DenseOperator, solve_psd_trace_min
 
 # entries per slice of the symmetry test in require_symmetric
 _SYMMETRY_CHUNK = 4096
@@ -50,15 +50,15 @@ class QuadraticInstance:
     measurements: list
     z: np.ndarray
     x_true: np.ndarray | None = None
-    op: AffineOperator = field(init=False, repr=False, compare=False)
+    op: DenseOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z = np.asarray(self.z, float)
         if any(v.shape != (self.n, self.n) for v in self.measurements):
             raise ValueError("measurement matrices must be n x n")
         stack = require_symmetric(self.measurements, self.n)
-        self.op = AffineOperator(stack.reshape(len(stack), self.n ** 2),
-                                 [(self.n, self.n)])
+        self.op = DenseOperator(stack.reshape(len(stack), self.n ** 2),
+                                [(self.n, self.n)])
         if self.x_true is not None:
             self.x_true = np.asarray(self.x_true, float)
             pred = np.array([self.x_true @ v @ self.x_true for v in self.measurements])

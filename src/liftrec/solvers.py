@@ -46,17 +46,16 @@ TOL_DUAL = 1e-6
 class SolverOptions:
     """Tuning knobs shared by the solvers.
 
-    ``rho = 0`` selects the automatic penalty ``||z|| / ||Phi||``.  Feasibility
-    is measured relative to ``1 + ||z||`` and the duality gap relative to
-    ``1 + objective``.  A report's ``extras["objective_history"]`` holds the
-    objective at each convergence check, every ``check_every`` iterations.
+    Feasibility is measured relative to ``1 + ||z||`` and the duality gap
+    relative to ``1 + objective``.  A report's ``extras["objective_history"]``
+    holds the objective at each convergence check, every ``check_every``
+    iterations.
     """
 
     max_iter: int = 50_000
     tol_feas: float = 1e-8
     tol_gap: float = 1e-6
     tol_fp: float = 1e-8
-    rho: float = 0.0
     check_every: int = 25
 
 
@@ -93,30 +92,22 @@ def unpack_blocks(vec, shapes):
 class AffineOperator:
     """Block-structured linear map from whitened matrices to measurements.
 
-    The base class holds the map as a dense matrix.  A structured subclass
-    overrides only the private hooks ``_matvec``/``_rmatvec`` and the public
-    hooks ``apply_block``, ``gram`` and ``max_abs_entry``; the public applies
-    and the spectral data (one cached eigendecomposition of ``gram()``) stay
-    on this class and delegate to them.
+    The interface every measurement map implements: a subclass supplies the
+    private hooks ``_matvec``/``_rmatvec`` on the concatenation of the
+    row-major raveled blocks and the public hooks ``apply_block``, ``gram``
+    and ``max_abs_entry``.  The public applies, the spectral data (one
+    cached eigendecomposition of ``gram()``) and the exact projection onto
+    ``{x : Phi x = z}`` live here and delegate to them.
 
     Parameters
     ----------
-    matrix : ndarray, shape (m, D)
-        Acts on the concatenation of the row-major raveled blocks.
     domain_shapes : list of (rows, cols)
-        One shape per block; D must equal the total entry count.
+        One shape per block.
+    codomain_dim : int
+        Number of measurements.
     """
 
-    def __init__(self, matrix, domain_shapes):
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        self._init_shapes(domain_shapes, matrix.shape[0])
-        if matrix.shape[1] != self.domain_dim:
-            raise ValueError(
-                f"matrix has {matrix.shape[1]} columns, blocks need {self.domain_dim}"
-            )
-        self.matrix = matrix
-
-    def _init_shapes(self, domain_shapes, codomain_dim):
+    def __init__(self, domain_shapes, codomain_dim):
         self.domain_shapes = [tuple(s) for s in domain_shapes]
         self._offsets = [0, *itertools.accumulate(r * c for r, c in self.domain_shapes)]
         self.domain_dim = self._offsets[-1]
@@ -126,6 +117,93 @@ class AffineOperator:
     @property
     def n_blocks(self):
         return len(self.domain_shapes)
+
+    def apply(self, blocks):
+        return self._matvec(pack_blocks(blocks))
+
+    def apply_vec(self, vec):
+        return self._matvec(vec)
+
+    def adjoint_apply(self, p):
+        return unpack_blocks(self._rmatvec(p), self.domain_shapes)
+
+    def adjoint_vec(self, p):
+        return self._rmatvec(p)
+
+    def _range(self):
+        """Eigenpairs of ``Phi Phi^*`` above the rank cutoff and the inverse
+        eigenvalues, computed once.
+
+        Non-finite eigenvalues raise: the cutoff would drop them silently.
+        Pool threads sharing an operator may both compute it on first use;
+        both get the same values, so no lock is taken.
+        """
+        if self._eig is None:
+            try:
+                evals, evecs = np.linalg.eigh(self.gram())
+            except np.linalg.LinAlgError as exc:
+                raise NumericFailure("measurement Gram eigendecomposition failed") from exc
+            if not np.all(np.isfinite(evals)):
+                raise NumericFailure("measurement Gram has non-finite eigenvalues")
+            keep = evals > RANK_RTOL * max(evals[-1], 0.0)
+            if not np.any(keep):
+                raise NumericFailure("measurement operator is numerically zero")
+            evals = evals[keep]
+            self._eig = evals, np.ascontiguousarray(evecs[:, keep]), 1.0 / evals
+        return self._eig
+
+    @property
+    def opnorm_estimate(self):
+        """Largest singular value, from the cached Gram eigendecomposition."""
+        return float(np.sqrt(self._range()[0][-1]))
+
+    def pinv_gram(self, r):
+        """``(Phi Phi^*)^+ r``, pseudo-inverse on the kept range."""
+        _, evecs, inv_evals = self._range()
+        return evecs @ (inv_evals * (evecs.T @ r))
+
+    def range_residual(self, z):
+        """Distance from ``z`` to the kept range: nonzero for inconsistent data."""
+        _, evecs, _ = self._range()
+        return float(np.linalg.norm(z - evecs @ (evecs.T @ z)))
+
+    def project(self, x, z):
+        """Projection ``x - Phi^* mu`` of ``x`` onto ``{Phi x = z}``, and ``mu``.
+
+        The rank cutoff handles redundant rows (in the Calderon system: the
+        boundary-equality rows along the scale-functional direction, which
+        the integral rows already imply); an inconsistent ``z`` lands on the
+        least-squares affine set.  ``z = 0`` projects onto the null space.
+        """
+        mu = self.pinv_gram(self.apply_vec(x) - z)
+        return x - self.adjoint_vec(mu), mu
+
+    def check_adjoint(self, rng=None, n_probes=10):
+        """Max relative defect of the adjoint identity over random probes."""
+        rng = np.random.default_rng(0) if rng is None else rng
+        worst = 0.0
+        for _ in range(n_probes):
+            x = rng.standard_normal(self.domain_dim)
+            p = rng.standard_normal(self.codomain_dim)
+            lhs = float(self._matvec(x) @ p)
+            rhs = float(x @ self._rmatvec(p))
+            scale = max(abs(lhs), abs(rhs), 1e-30)
+            worst = max(worst, abs(lhs - rhs) / scale)
+        return worst
+
+
+class DenseOperator(AffineOperator):
+    """The map held as a dense ``(m, D)`` matrix on the concatenation of the
+    row-major raveled blocks; D must equal the blocks' total entry count."""
+
+    def __init__(self, matrix, domain_shapes):
+        matrix = np.ascontiguousarray(matrix, dtype=float)
+        super().__init__(domain_shapes, matrix.shape[0])
+        if matrix.shape[1] != self.domain_dim:
+            raise ValueError(
+                f"matrix has {matrix.shape[1]} columns, blocks need {self.domain_dim}"
+            )
+        self.matrix = matrix
 
     def _matvec(self, vec):
         return self.matrix @ vec
@@ -148,93 +226,6 @@ class AffineOperator:
     def max_abs_entry(self):
         """Largest absolute entry of the matrix form."""
         return float(max(self.matrix.max(), -self.matrix.min()))
-
-    def apply(self, blocks):
-        return self._matvec(pack_blocks(blocks))
-
-    def apply_vec(self, vec):
-        return self._matvec(vec)
-
-    def adjoint_apply(self, p):
-        return unpack_blocks(self._rmatvec(p), self.domain_shapes)
-
-    def adjoint_vec(self, p):
-        return self._rmatvec(p)
-
-    def _range(self):
-        """Eigenpairs of ``Phi Phi^*`` above the rank cutoff, computed once.
-
-        Non-finite eigenvalues raise: the cutoff would drop them silently.
-        Pool threads sharing an operator may both compute it on first use;
-        both get the same pairs, so no lock is taken.
-        """
-        if self._eig is None:
-            try:
-                evals, evecs = np.linalg.eigh(self.gram())
-            except np.linalg.LinAlgError as exc:
-                raise NumericFailure("measurement Gram eigendecomposition failed") from exc
-            if not np.all(np.isfinite(evals)):
-                raise NumericFailure("measurement Gram has non-finite eigenvalues")
-            keep = evals > RANK_RTOL * max(evals[-1], 0.0)
-            if not np.any(keep):
-                raise NumericFailure("measurement operator is numerically zero")
-            self._eig = evals[keep], np.ascontiguousarray(evecs[:, keep])
-        return self._eig
-
-    @property
-    def opnorm_estimate(self):
-        """Largest singular value, from the cached Gram eigendecomposition."""
-        return float(np.sqrt(self._range()[0][-1]))
-
-    def check_adjoint(self, rng=None, n_probes=10):
-        """Max relative defect of the adjoint identity over random probes."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        worst = 0.0
-        for _ in range(n_probes):
-            x = rng.standard_normal(self.domain_dim)
-            p = rng.standard_normal(self.codomain_dim)
-            lhs = float(self._matvec(x) @ p)
-            rhs = float(x @ self._rmatvec(p))
-            scale = max(abs(lhs), abs(rhs), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / scale)
-        return worst
-
-
-class _AffineProjector:
-    """Cached projector onto {x : A x = z} with multiplier extraction.
-
-    Reads the operator's rank-truncated eigendecomposition of ``A A^T``, so
-    redundant rows are handled (in the Calderon system: the boundary-equality
-    rows along the scale-functional direction, which the integral rows
-    already imply); for an inconsistent ``z`` the projection lands on the
-    least-squares affine set and the constant residual exposes the
-    infeasibility.
-    """
-
-    def __init__(self, op, z):
-        self.op = op
-        self.z = np.asarray(z, float)
-        evals, self._evecs = op._range()
-        self._inv_evals = 1.0 / evals
-        self.range_residual = float(np.linalg.norm(self.z - self._apply_range(self.z)))
-
-    def _pinv_gram(self, r):
-        return self._evecs @ (self._inv_evals * (self._evecs.T @ r))
-
-    def _apply_range(self, r):
-        return self._evecs @ (self._evecs.T @ r)
-
-    def project(self, x):
-        """Return (projected x, multiplier mu) with projection = x - A^T mu."""
-        mu = self._pinv_gram(self.op.apply_vec(x) - self.z)
-        return x - self.op.adjoint_vec(mu), mu
-
-    def least_norm_point(self):
-        return self.op.adjoint_vec(self._pinv_gram(self.z))
-
-    def project_null(self, v):
-        """Orthogonal projection of v onto the null space of A."""
-        return v - self.op.adjoint_vec(self._pinv_gram(self.op.apply_vec(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +303,10 @@ def _at_iteration(solver, it, exc):
 def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
     """Minimize the regularizer ``reg`` subject to ``Phi F = z``.
 
-    Douglas-Rachford iteration: exact affine projection (cached factorization
-    of ``Phi Phi^*``), the prox of ``reg`` with threshold ``rho`` (blockwise
-    SVT for the default nuclear norm), reflected update.
+    Douglas-Rachford iteration: exact affine projection (``op.project``, from
+    the operator's cached factorization of ``Phi Phi^*``), the prox of ``reg``
+    with threshold ``rho = ||z|| / ||Phi||`` (blockwise SVT for the default
+    nuclear norm), reflected update.
     The multiplier of the projection supplies a dual vector; convergence is
     declared when the feasibility residual and the duality gap both clear
     their tolerances and the dual vector is feasible.
@@ -334,13 +326,12 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
         _require_finite(data=z)
 
         znorm = float(np.linalg.norm(z))
-        rho = opts.rho if opts.rho > 0 else max(znorm, 1e-12) / op.opnorm_estimate
+        rho = max(znorm, 1e-12) / op.opnorm_estimate
 
-        projector = _AffineProjector(op, z)
-        feas_floor = projector.range_residual
+        feas_floor = op.range_residual(z)
         infeasible = feas_floor > opts.tol_feas * (1.0 + znorm)
 
-        y = projector.least_norm_point()
+        y = op.adjoint_vec(op.pinv_gram(z))
         history = []
         status = STATUS_MAX_ITER
         x = y
@@ -349,7 +340,7 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
         feas = np.inf
 
         for it in range(1, opts.max_iter + 1):
-            x, mu = projector.project(y)
+            x, mu = op.project(y, z)
             w = reg.prox(2.0 * x - y, shapes, rho)
             y = y + w - x
 
@@ -496,14 +487,13 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
         # step below the 2 / L cocoercivity limit of the smooth term
         lip = (op_data.opnorm_estimate * (1.0 + 1e-3)) ** 2
         gamma = 1.8 / lip
-        projector = _AffineProjector(op_hard, zh)
 
-        y = projector.least_norm_point()
+        y = op_hard.adjoint_vec(op_hard.pinv_gram(zh))
         status = STATUS_MAX_ITER
         x_g = y
         kkt = np.inf
         for it in range(1, opts.max_iter + 1):
-            x_g, _ = projector.project(y)
+            x_g, _ = op_hard.project(y, zh)
             grad = op_data.adjoint_vec(op_data.apply_vec(x_g) - zd)
             prox_in = 2.0 * x_g - y - gamma * grad
             x_f = NUCLEAR.prox(prox_in, shapes, lam * gamma)
@@ -513,7 +503,8 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
                 # subgradient at x_f; project the full gradient onto the
                 # constraint null space and account for the iterate mismatch
                 sub = (prox_in - x_f) / gamma
-                kkt = float(np.linalg.norm(projector.project_null(grad + sub))) \
+                null_part, _ = op_hard.project(grad + sub, 0.0)
+                kkt = float(np.linalg.norm(null_part)) \
                     + float(np.linalg.norm(shift)) / gamma
                 _require_finite(residual=kkt)
                 if kkt <= opts.tol_fp * lam * (1.0 + np.linalg.norm(x_g)):

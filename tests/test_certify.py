@@ -16,7 +16,7 @@ from liftrec.certify import (
 )
 from liftrec.errors import DegenerateCertificate
 from liftrec.lowrank import RankOneModel, operator_norm, project_tangent_complement
-from liftrec.solvers import AffineOperator
+from liftrec.solvers import DenseOperator
 
 from oracles import svd_least_norm
 
@@ -54,7 +54,7 @@ def test_tangent_basis_orthonormal_and_spans_tangent():
 def test_identity_operator_certificate_is_the_model():
     rng = np.random.default_rng(2)
     model = _model(rng)
-    op = AffineOperator(np.eye(12), [(4, 3)])
+    op = DenseOperator(np.eye(12), [(4, 3)])
     report = precertificate(op, [model])
     assert report.ndsc_pass
     assert report.max_w_norm < 1e-12
@@ -67,7 +67,7 @@ def test_degenerate_when_tangent_in_kernel():
     rng = np.random.default_rng(3)
     model = _model(rng)
     probe = project_tangent_complement(rng.standard_normal((4, 3)), model)
-    op = AffineOperator(probe.ravel()[None, :], [(4, 3)])
+    op = DenseOperator(probe.ravel()[None, :], [(4, 3)])
     with pytest.raises(DegenerateCertificate) as err:
         precertificate(op, [model])
     assert err.value.sigma_min <= 1e-10
@@ -79,7 +79,7 @@ def test_wide_tangent_map_is_degenerate():
     # singular values, none of which measures the 3-dimensional kernel
     rng = np.random.default_rng(4)
     model = _model(rng)
-    op = AffineOperator(rng.standard_normal((3, 12)), [(4, 3)])
+    op = DenseOperator(rng.standard_normal((3, 12)), [(4, 3)])
     with pytest.raises(DegenerateCertificate) as err:
         precertificate(op, [model])
     assert err.value.sigma_min == 0.0
@@ -115,7 +115,7 @@ def test_tangent_solve_matches_svd_oracle(case, k, extra_rows, log_cond, log_sca
         n1 = (k + 2) // 2
         model = _model(rng, n1, k + 1 - n1)
         basis = np.stack([b.ravel() for b in tangent_basis(model)], axis=1)
-        op = AffineOperator(m_t @ basis.T, [(n1, k + 1 - n1)])
+        op = DenseOperator(m_t @ basis.T, [(n1, k + 1 - n1)])
         with pytest.raises(DegenerateCertificate):
             precertificate(op, [model])
         assert tangent_injectivity(op, [model]) <= RANK_RTOL * svals[0]
@@ -162,7 +162,7 @@ def test_ndsc_margin_stability():
 def test_precertificate_multi_block():
     rng = np.random.default_rng(7)
     models = [_model(rng), _model(rng)]
-    op = AffineOperator(np.eye(24), [(4, 3), (4, 3)])
+    op = DenseOperator(np.eye(24), [(4, 3), (4, 3)])
     report = precertificate(op, models)
     assert report.ndsc_pass
     assert report.tangent_residuals.shape == (2,)
@@ -173,7 +173,7 @@ def test_precertificate_multi_block():
 def test_robustness_bounds_trivial_case():
     rng = np.random.default_rng(8)
     model = _model(rng)
-    op = AffineOperator(np.eye(12), [(4, 3)])
+    op = DenseOperator(np.eye(12), [(4, 3)])
     f_ref = [model.matrix]
     h = [np.outer(model.u, model.v)]
     p = op.matrix @ h[0].ravel()
@@ -186,7 +186,7 @@ def test_robustness_bounds_trivial_case():
 def test_robustness_bounds_flag_violations():
     rng = np.random.default_rng(9)
     model = _model(rng)
-    op = AffineOperator(np.eye(12), [(4, 3)])
+    op = DenseOperator(np.eye(12), [(4, 3)])
     f_ref = [model.matrix]
     f_far = [model.matrix + rng.standard_normal((4, 3))]
     h = [np.outer(model.u, model.v)]

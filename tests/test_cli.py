@@ -12,6 +12,7 @@ from liftrec.cli import (
     read_table,
 )
 from liftrec.errors import ConfigError
+from liftrec.internal import find_condition_interval
 
 PHASELIFT_SCHEMA = [("n", int), ("m", int), ("delta", float), ("err", float),
                     ("rank_ratio", float), ("iters", int), ("status", str)]
@@ -54,6 +55,7 @@ def test_parse_config_sections_and_comments():
     "[noise]\nseeds = 0,1\n",
     "[sweep]\nalphas = 0.1,0.2\n",
     "[solver]\nmomentum = true\n",
+    "[solver]\nrho = 1\n",
 ])
 def test_parse_config_rejects_bad_input(bad):
     with pytest.raises(ConfigError):
@@ -161,6 +163,28 @@ def test_cli_internal_certify_emits_json(tmp_path):
     assert report["ndsc_pass"] is True
     assert "sigma_min" in report and "w_norm" in report
     assert (out / "alpha_study.csv").exists()
+
+
+@pytest.mark.parametrize("task", ["recover", "sweep"])
+@pytest.mark.parametrize("potential", ["type = constant\nvalue = 2", "type = bogus"])
+def test_cli_internal_rows_need_a_step_potential(tmp_path, task, potential):
+    # the rows are keyed by the jump size q0, which only a step has
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"[grid]\nn = 21\n[potential]\n{potential}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "internal", task]) == 2
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_certify_interval_follows_the_configured_step(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[grid]\nn = 101\n[potential]\njump_lo = 0.2\njump_hi = 0.8\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "certify"]) == 0
+    interval = json.loads((out / "interval.json").read_text())
+    expected = find_condition_interval(n=101, lo=0.2, hi=0.8)
+    assert (interval["q0_lower"], interval["q0_upper"]) == expected
+    assert expected != find_condition_interval(n=101)
 
 
 def test_cli_internal_sweep_parallel_deterministic(tmp_path):

@@ -23,7 +23,7 @@ from liftrec.internal import (
     sufficient_condition,
 )
 from liftrec.pde1d import constant_potential, direct_division_oracle, step_potential
-from liftrec.solvers import AffineOperator, SolverOptions
+from liftrec.solvers import DenseOperator, SolverOptions
 
 from oracles import linear_system_oracle
 
@@ -87,7 +87,7 @@ def test_structured_operator_matches_its_dense_form(n, seed):
     grid = build_grid_1d(n, 0.0, 1.0)
     problem, _ = build_internal_problem(grid, rng.uniform(0.2, 3.0, n))
     op = assemble_internal_operator(problem)
-    dense = AffineOperator(op.matrix, op.domain_shapes)
+    dense = DenseOperator(op.matrix, op.domain_shapes)
     assert dense.matrix.shape == (2 * n, n * n)
 
     # the arithmetic is reordered, so agreement is to round-off of the norms

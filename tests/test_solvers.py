@@ -4,9 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftrec import solvers
+from liftrec.calderon import CalderonOperator
 from liftrec.errors import NumericFailure
 from liftrec.hilbert import build_grid_1d
-from liftrec.internal import assemble_internal_operator, build_internal_problem
+from liftrec.internal import (
+    InternalOperator,
+    assemble_internal_operator,
+    build_internal_problem,
+)
 from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check, svt_prox
 from liftrec.pde1d import step_potential
 from liftrec.quadratic import make_phase_retrieval
@@ -16,7 +21,7 @@ from liftrec.solvers import (
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
     AffineOperator,
-    _AffineProjector,
+    DenseOperator,
     SolverOptions,
     duality_gap,
     pack_blocks,
@@ -34,18 +39,18 @@ TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
 
 def _identity_op(n=2):
-    return AffineOperator(np.eye(n * n), [(n, n)])
+    return DenseOperator(np.eye(n * n), [(n, n)])
 
 
 def _random_op(rng, m, shapes):
     total = sum(r * c for r, c in shapes)
-    return AffineOperator(rng.standard_normal((m, total)), shapes)
+    return DenseOperator(rng.standard_normal((m, total)), shapes)
 
 
 def _psd_op(vs):
     """The operator ``X -> (<V_k, X>)_k`` of square symmetric matrices."""
     n = vs[0].shape[0]
-    return AffineOperator(np.stack(vs).reshape(len(vs), n * n), [(n, n)])
+    return DenseOperator(np.stack(vs).reshape(len(vs), n * n), [(n, n)])
 
 
 def test_pack_unpack_round_trip():
@@ -60,7 +65,7 @@ def test_pack_unpack_round_trip():
 def test_operator_validates_shapes_and_adjoint():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        AffineOperator(np.zeros((3, 5)), [(2, 2)])
+        DenseOperator(np.zeros((3, 5)), [(2, 2)])
     op = _random_op(rng, 7, [(3, 3), (2, 2)])
     assert op.check_adjoint() < 1e-10
     svals = np.linalg.svd(op.matrix, compute_uv=False)
@@ -77,7 +82,16 @@ def test_opnorm_is_the_largest_singular_value():
         assert abs(op.opnorm_estimate - sigma) <= 1e-12 * sigma
 
 
-class _CountingOperator(AffineOperator):
+def test_structured_maps_define_every_hook():
+    # the interface has no dense body for a structured map to fall back to
+    hooks = ("_matvec", "_rmatvec", "apply_block", "gram", "max_abs_entry")
+    assert not set(hooks) & set(vars(AffineOperator))
+    for cls in (DenseOperator, InternalOperator, CalderonOperator):
+        assert issubclass(cls, AffineOperator)
+        assert set(hooks) <= set(vars(cls)), cls.__name__
+
+
+class _CountingOperator(DenseOperator):
     grams = 0
 
     def gram(self):
@@ -106,7 +120,7 @@ def test_degenerate_operator_raises_numeric_failure(broken, lam):
         matrix[1, 2] = np.nan
     else:
         matrix[:] = 0.0
-    op = AffineOperator(matrix, [(3, 3)])
+    op = DenseOperator(matrix, [(3, 3)])
     z = np.array([1.0, 0.5, -0.2, 0.3])
     with pytest.raises(NumericFailure):
         if lam == 0:
@@ -124,16 +138,15 @@ def test_affine_projector_feasible_idempotent_and_null(m, dim, rank, seed):
     rng = np.random.default_rng(seed)
     left, _ = np.linalg.qr(rng.standard_normal((m, rank)))
     right, _ = np.linalg.qr(rng.standard_normal((dim, rank)))
-    op = AffineOperator((left * rng.uniform(0.5, 2.0, rank)) @ right.T, [(1, dim)])
+    op = DenseOperator((left * rng.uniform(0.5, 2.0, rank)) @ right.T, [(1, dim)])
     z = op.apply_vec(rng.standard_normal(dim))
-    projector = _AffineProjector(op, z)
     x = 3.0 * rng.standard_normal(dim)
 
-    px, _ = projector.project(x)
+    px, _ = op.project(x, z)
     assert np.linalg.norm(op.apply_vec(px) - z) <= 1e-10 * (1 + np.linalg.norm(z))
-    ppx, _ = projector.project(px)
+    ppx, _ = op.project(px, z)
     assert np.linalg.norm(ppx - px) <= 1e-10 * (1 + np.linalg.norm(px))
-    null = projector.project_null(x)
+    null, _ = op.project(x, 0.0)
     assert np.linalg.norm(op.apply_vec(null)) <= 1e-10 * (1 + np.linalg.norm(x))
 
 
@@ -152,7 +165,7 @@ def test_equality_detects_infeasible_data():
     matrix = np.zeros((2, 4))
     matrix[0, 0] = 1.0
     matrix[1, 0] = 1.0
-    op = AffineOperator(matrix, [(2, 2)])
+    op = DenseOperator(matrix, [(2, 2)])
     z = np.array([1.0, 2.0])
     _, report = solve_equality_nnm(op, z, opts=SolverOptions(max_iter=200))
     assert report.status == STATUS_INFEASIBLE
@@ -195,7 +208,7 @@ def test_equality_invariant_under_domain_rotation():
     ql, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     qr_, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     rot = np.kron(ql, qr_)              # row-major vec(QL Y QR^T) = kron(QL, QR) vec(Y)
-    op_rot = AffineOperator(op.matrix @ rot, [(4, 4)])
+    op_rot = DenseOperator(op.matrix @ rot, [(4, 4)])
     blocks_rot, _ = solve_equality_nnm(op_rot, z, opts=TIGHT)
     back = ql @ blocks_rot[0] @ qr_.T
     assert np.linalg.norm(back - blocks[0]) <= 2e-6 * (1 + np.linalg.norm(blocks[0]))
@@ -310,9 +323,9 @@ def test_psd_trace_validates_input():
     with pytest.raises(ValueError, match="least-norm point"):
         solve_psd_trace_min(op, np.array([1.0]), x0=np.eye(2))
     with pytest.raises(ValueError, match="one square block"):
-        solve_psd_trace_min(AffineOperator(np.ones((1, 6)), [(2, 3)]), np.array([1.0]))
+        solve_psd_trace_min(DenseOperator(np.ones((1, 6)), [(2, 3)]), np.array([1.0]))
     with pytest.raises(ValueError, match="one square block"):
-        solve_psd_trace_min(AffineOperator(np.ones((1, 2)), [(1, 1), (1, 1)]),
+        solve_psd_trace_min(DenseOperator(np.ones((1, 2)), [(1, 1), (1, 1)]),
                             np.array([1.0]))
 
 
