@@ -371,11 +371,21 @@ class CalderonOperator(AffineOperator):
             out.append((start, (scale * ec).reshape(-1, cols.shape[1])))
         return out
 
-    def apply_block(self, i, cols):
-        out = np.zeros((self.codomain_dim, cols.shape[1]))
-        for start, rows in self._block_rows(i, cols):
-            out[start:start + rows.shape[0]] = rows
-        return out
+    def rank_one_maps(self, i, u, v):
+        """``p1``/``p2`` as ``(rows, n, m)`` stacks contracted with ``u`` or
+        ``v``; on ``e`` runs, ``X_i = u b^T`` gives ``scale * (e @ u) b^T``
+        and ``X_i = a v^T`` gives ``scale * (e @ a) v^T``."""
+        left = np.zeros((self.codomain_dim, self.m))
+        right = np.zeros((self.codomain_dim, self.n))
+        for start, count, factor, scale in self._runs(i):
+            rows = slice(start, start + count)
+            if scale is None:
+                stack = factor.reshape(count, self.n, self.m)
+                left[rows], right[rows] = u @ stack, stack @ v
+            else:
+                left[rows] = np.kron(scale * (factor @ u)[:, None], np.eye(self.m))
+                right[rows] = np.kron(scale * factor, v[:, None])
+        return left, right
 
     def gram(self):
         """``sum_i S_i S_i^T`` scattered, ``S_i`` the rows block ``i``
@@ -400,8 +410,13 @@ class CalderonOperator(AffineOperator):
     @property
     def matrix(self):
         """Dense ``codomain x domain`` form, built on each access."""
-        eye = np.eye(self.n * self.m)
-        return np.hstack([self.apply_block(i, eye) for i in range(self.n_blocks)])
+        d = self.n * self.m
+        eye = np.eye(d)
+        out = np.zeros((self.codomain_dim, self.domain_dim))
+        for i in range(self.n_blocks):
+            for start, rows in self._block_rows(i, eye):
+                out[start:start + rows.shape[0], i * d:(i + 1) * d] = rows
+        return out
 
 
 @dataclass

@@ -63,51 +63,38 @@ def complement_basis(u):
     return q[:, 1:]
 
 
-def tangent_basis(model, symmetric=False):
-    """Orthonormal basis of the tangent space at a rank-one model.
-
-    The shared direction ``u v^T`` is counted once, so the dimension is
-    ``rows + cols - 1``.  With ``symmetric`` (square models with ``u = v``,
-    as in quadratic lifts with symmetric measurements) the basis spans the
-    symmetric part of the tangent space only, dimension ``rows``.
-    """
-    u, v = model.u, model.v
-    if symmetric:
-        if u.size != v.size or np.linalg.norm(u - v) > 1e-10:
-            raise ValueError("symmetric tangent basis needs a model with u = v")
-        uperp = complement_basis(u)
-        basis = [np.outer(u, u)]
-        basis.extend(
-            (np.outer(u, uperp[:, k]) + np.outer(uperp[:, k], u)) / np.sqrt(2.0)
-            for k in range(uperp.shape[1])
-        )
-        return basis
-    uperp = complement_basis(u)
-    vperp = complement_basis(v)
-    basis = [np.outer(u, v)]
-    basis.extend(np.outer(u, vperp[:, k]) for k in range(vperp.shape[1]))
-    basis.extend(np.outer(uperp[:, j], v) for j in range(uperp.shape[1]))
-    return basis
-
-
 def _tangent_map(op, models, symmetric=False):
     """Matrix of Phi restricted to the tangent product space.
 
-    Columns are the measurements of the orthonormal tangent basis elements,
-    block by block, written into one preallocated array; also returns the
-    right-hand side selecting the rank-one direction of each block.
+    The orthonormal tangent basis of a block is ``u v^T``, ``u Vperp_k^T``
+    and ``Uperp_j v^T`` (``Uperp``, ``Vperp`` from :func:`complement_basis`);
+    the shared direction ``u v^T`` is counted once, so a block has
+    ``rows + cols - 1`` columns.  With ``symmetric`` (square models with
+    ``u = v``, as in quadratic lifts with symmetric measurements) the basis
+    is ``u u^T`` and ``(u Uperp_k^T + Uperp_k u^T) / sqrt(2)``, ``rows``
+    columns.  Each column is read off the block's rank-one maps, so no basis
+    element is formed.  Also returns the right-hand side selecting the
+    rank-one direction of each block.
     """
     if len(models) != op.n_blocks:
         raise ValueError(f"{len(models)} models for {op.n_blocks} blocks")
-    # tangent dimensions, as counted by tangent_basis
     ends = np.cumsum([model.u.size + (0 if symmetric else model.v.size - 1)
                       for model in models])
     m_t = np.empty((op.codomain_dim, int(ends[-1])))
     rhs = np.zeros(m_t.shape[1])
     for i, (model, end) in enumerate(zip(models, ends)):
-        basis = tangent_basis(model, symmetric=symmetric)
-        start = end - len(basis)
-        m_t[:, start:end] = op.apply_block(i, np.stack([b.ravel() for b in basis], axis=1))
+        u, v = model.u, model.v
+        uperp = complement_basis(u)
+        if symmetric:
+            if u.size != v.size or np.linalg.norm(u - v) > 1e-10:
+                raise ValueError("symmetric tangent map needs a model with u = v")
+            left, right = op.rank_one_maps(i, u, u)
+            cols = [(left @ u)[:, None], (left + right) @ uperp / np.sqrt(2.0)]
+        else:
+            left, right = op.rank_one_maps(i, u, v)
+            cols = [(left @ v)[:, None], left @ complement_basis(v), right @ uperp]
+        start = end - sum(c.shape[1] for c in cols)
+        m_t[:, start:end] = np.hstack(cols)
         rhs[start] = 1.0
     return m_t, rhs
 

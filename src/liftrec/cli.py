@@ -496,7 +496,9 @@ def run_certify(config, out_dir, seed):
     code = run_internal(config, out_dir, seed, 1, "certify")
     t0 = time.time()
     lower, upper = find_condition_interval(
-        n=config.get("grid", "n", 401, int), **_step_shape(config)
+        n=config.get("grid", "n", 401, int), **_step_shape(config),
+        f_a=config.get("boundary", "f_a", 1.0, float),
+        f_b=config.get("boundary", "f_b", 1.0, float),
     )
     with open(os.path.join(out_dir, "interval.json"), "w", encoding="utf-8") as fh:
         json.dump({"q0_lower": lower, "q0_upper": upper,

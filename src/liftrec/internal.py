@@ -175,10 +175,12 @@ class InternalOperator(AffineOperator):
         p1, p2 = p[:self.n], p[self.n:]
         return (self.uinv.T * p1 + np.outer(p2, self.sqrtw)).ravel()
 
-    def apply_block(self, i, cols):
-        fw = cols.reshape(self.n, self.n, -1)
-        return np.concatenate([np.einsum("ki,ikc->kc", self.uinv, fw),
-                               np.einsum("ijc,j->ic", fw, self.sqrtw)])
+    def rank_one_maps(self, i, u, v):
+        # Fw = u b^T: block 1 is (Uinv @ u) * b, block 2 is u (b . sqrt(w));
+        # Fw = a v^T: block 1 is v * (Uinv @ a), block 2 is a (v . sqrt(w))
+        left = np.vstack([np.diag(self.uinv @ u), np.outer(u, self.sqrtw)])
+        right = np.vstack([v[:, None] * self.uinv, (v @ self.sqrtw) * np.eye(self.n)])
+        return left, right
 
     def gram(self):
         g12 = self.uinv * self.sqrtw[:, None]
@@ -426,20 +428,22 @@ def apriori_constant(problem):
 # parameter studies
 
 
-def condition_lhs_for_q0(q0, grid, base=1.0, lo=0.4, hi=0.6, f=1.0):
-    """Sufficient-condition value for the step family at a given jump size.
+def condition_lhs_for_q0(q0, grid, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0):
+    """Sufficient-condition value for the step family at a given jump size,
+    with boundary data ``f_a``, ``f_b``.
 
     Uses the summed-seminorm state norm of :func:`sufficient_condition`.
     """
     q = step_potential(grid, base=base, q0=q0, lo=lo, hi=hi)
     if q.inf <= 0:
         return np.inf
-    u = solve_schrodinger_1d(grid, q, f, f)
+    u = solve_schrodinger_1d(grid, q, f_a, f_b)
     q_l2 = float(np.sqrt(grid.quad_weights @ q.values ** 2))
     return _condition_lhs(grid, u.values, q.values, summed_h2_norm(grid, u.values), q_l2)
 
 
-def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f=1.0, tol=1e-3):
+def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0,
+                            tol=1e-3):
     """Bisection for the jump-size interval on which the condition holds.
 
     Locates the crossings of the condition value through 1 on both sides of
@@ -448,7 +452,7 @@ def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f=1.0, tol=1e-3):
     grid = build_grid_1d(n, 0.0, 1.0)
 
     def lhs(q0):
-        return condition_lhs_for_q0(q0, grid, base=base, lo=lo, hi=hi, f=f)
+        return condition_lhs_for_q0(q0, grid, base=base, lo=lo, hi=hi, f_a=f_a, f_b=f_b)
 
     def crossing(a, b):
         # condition holds at a, fails at b

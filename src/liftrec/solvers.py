@@ -94,10 +94,17 @@ class AffineOperator:
 
     The interface every measurement map implements: a subclass supplies the
     private hooks ``_matvec``/``_rmatvec`` on the concatenation of the
-    row-major raveled blocks and the public hooks ``apply_block``, ``gram``
-    and ``max_abs_entry``.  The public applies, the spectral data (one
-    cached eigendecomposition of ``gram()``) and the exact projection onto
-    ``{x : Phi x = z}`` live here and delegate to them.
+    row-major raveled blocks and the public hooks
+
+    * ``rank_one_maps(i, u, v) -> (left, right)``: the maps of block ``i``
+      on rank-one elements, ``left @ b == Phi_i(u b^T)`` (``codomain x
+      cols``) and ``right @ a == Phi_i(a v^T)`` (``codomain x rows``);
+    * ``gram()``: the codomain Gram ``Phi Phi^*``;
+    * ``max_abs_entry()``: the largest absolute entry of the matrix form.
+
+    The public applies, the spectral data (one cached eigendecomposition of
+    ``gram()``) and the exact projection onto ``{x : Phi x = z}`` live here
+    and delegate to them.
 
     Parameters
     ----------
@@ -211,13 +218,12 @@ class DenseOperator(AffineOperator):
     def _rmatvec(self, p):
         return self.matrix.T @ p
 
-    def apply_block(self, i, cols):
-        """Measurements of a batch of elements of block ``i``.
-
-        ``cols`` has one raveled block element per column; the result has one
-        measurement vector per column.
-        """
-        return self.matrix[:, self._offsets[i]:self._offsets[i + 1]] @ cols
+    def rank_one_maps(self, i, u, v):
+        """Block ``i``'s columns as a ``(rows, r, c)`` stack, contracted with
+        ``u`` on the row axis and with ``v`` on the column axis."""
+        a = self.matrix[:, self._offsets[i]:self._offsets[i + 1]].reshape(
+            -1, *self.domain_shapes[i])
+        return u @ a, a @ v
 
     def gram(self):
         """The codomain Gram matrix ``Phi Phi^*``."""

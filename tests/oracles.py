@@ -4,6 +4,7 @@ import numpy as np
 import scipy.sparse
 
 from liftrec.calderon import _corner_mask, dtn_map, frechet_derivative
+from liftrec.certify import complement_basis
 from liftrec.errors import DegenerateInput, EigenvalueHit
 from liftrec.hilbert import BivariateField
 from liftrec.lowrank import RankOneModel
@@ -53,6 +54,32 @@ def leading_rank_one(m):
     uvec = uvec / np.linalg.norm(uvec)
     vvec = vvec / np.linalg.norm(vvec)
     return RankOneModel(sigma=sigma, u=uvec, v=vvec)
+
+
+def tangent_basis(model, symmetric=False):
+    """Orthonormal basis of the tangent space at a rank-one model, as dense
+    matrices.
+
+    The shared direction ``u v^T`` is counted once, so the dimension is
+    ``rows + cols - 1``.  With ``symmetric`` (square models with ``u = v``)
+    the basis spans the symmetric part of the tangent space only, dimension
+    ``rows``.  Its measurements through the dense operator matrix are the
+    reference for the tangent map that ``certify`` builds from rank-one maps.
+    """
+    u, v = model.u, model.v
+    uperp = complement_basis(u)
+    if symmetric:
+        basis = [np.outer(u, u)]
+        basis.extend(
+            (np.outer(u, uperp[:, k]) + np.outer(uperp[:, k], u)) / np.sqrt(2.0)
+            for k in range(uperp.shape[1])
+        )
+        return basis
+    vperp = complement_basis(v)
+    basis = [np.outer(u, v)]
+    basis.extend(np.outer(u, vperp[:, k]) for k in range(vperp.shape[1]))
+    basis.extend(np.outer(uperp[:, j], v) for j in range(uperp.shape[1]))
+    return basis
 
 
 def svd_least_norm(m_t, rhs):

@@ -307,8 +307,12 @@ def test_structured_operator_matches_the_dense_assembly(nd, m):
         _assert_close(op.apply_vec(x), a @ x)
         _assert_close(op.adjoint_vec(p), a.T @ p)
         for i in range(nd):
-            cols = rng.standard_normal((d, 3))
-            _assert_close(op.apply_block(i, cols), a[:, i * d:(i + 1) * d] @ cols)
+            # the rank-one maps are the dense block contracted on one axis
+            stack = a[:, i * d:(i + 1) * d].reshape(-1, d // m, m)
+            u, v = rng.standard_normal(d // m), rng.standard_normal(m)
+            left, right = op.rank_one_maps(i, u, v)
+            _assert_close(left, np.einsum("kab,a->kb", stack, u))
+            _assert_close(right, np.einsum("kab,b->ka", stack, v))
         _assert_close(op.gram(), a @ a.T)
         assert op.max_abs_entry() == np.abs(op.matrix).max()
         assert abs(op.max_abs_entry() - np.abs(a).max()) <= 1e-12 * np.abs(a).max()

@@ -1,24 +1,31 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftrec.calderon import assemble_calderon_system, build_calderon_problem
 from liftrec.certify import (
     RANK_RTOL,
     CertificateReport,
     _tangent_least_norm,
+    _tangent_map,
     complement_basis,
     ndsc_verify,
     precertificate,
     robustness_bounds,
-    tangent_basis,
     tangent_injectivity,
 )
 from liftrec.errors import DegenerateCertificate
+from liftrec.hilbert import build_grid_1d, build_grid_2d
+from liftrec.internal import assemble_internal_operator, build_internal_problem
 from liftrec.lowrank import RankOneModel, operator_norm, project_tangent_complement
+from liftrec.pde1d import step_potential
 from liftrec.solvers import DenseOperator
 
-from oracles import svd_least_norm
+from oracles import svd_least_norm, tangent_basis
 
 
 def _model(rng, n1=4, n2=3):
@@ -49,6 +56,85 @@ def test_tangent_basis_orthonormal_and_spans_tangent():
     assert np.allclose(flat @ flat.T, np.eye(len(basis)), atol=1e-12)
     for b in basis:
         assert np.abs(project_tangent_complement(b, model)).max() < 1e-12
+
+
+def _assert_tangent_map_matches_oracle(op, models, symmetric=False):
+    # oracle: every dense basis element measured through the dense matrix
+    matrix = op.matrix
+    offsets = np.cumsum([0, *(r * c for r, c in op.domain_shapes)])
+    want = np.hstack([
+        matrix[:, lo:hi] @ np.stack([b.ravel() for b in tangent_basis(model, symmetric)],
+                                    axis=1)
+        for model, lo, hi in zip(models, offsets, offsets[1:])
+    ])
+    m_t, rhs = _tangent_map(op, models, symmetric=symmetric)
+    assert m_t.shape == want.shape
+    assert np.abs(m_t - want).max() <= 1e-12 * np.abs(want).max()
+    dims = [model.u.size + (0 if symmetric else model.v.size - 1) for model in models]
+    assert np.array_equal(np.flatnonzero(rhs), np.cumsum([0, *dims[:-1]]))
+    assert np.all(rhs[rhs != 0] == 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)),
+                       min_size=1, max_size=3),
+       extra_rows=st.integers(-10, 10), symmetric=st.booleans(),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_tangent_map_matches_dense_basis_oracle(shapes, extra_rows, symmetric, seed):
+    rng = np.random.default_rng(seed)
+    if symmetric:
+        shapes = [(r, r) for r, _ in shapes]
+    models = [_model(rng, r, c) for r, c in shapes]
+    if symmetric:
+        models = [RankOneModel(sigma=m.sigma, u=m.u, v=m.u.copy()) for m in models]
+    dim = sum(r * c for r, c in shapes)
+    op = DenseOperator(rng.standard_normal((max(1, dim + extra_rows), dim)), shapes)
+    _assert_tangent_map_matches_oracle(op, models, symmetric=symmetric)
+
+
+@functools.lru_cache(maxsize=None)
+def _internal_case(n):
+    grid = build_grid_1d(n, 0.0, 1.0)
+    problem, _ = build_internal_problem(grid, step_potential(grid, q0=0.5))
+    return problem, assemble_internal_operator(problem)
+
+
+@functools.lru_cache(maxsize=None)
+def _calderon_system(nd, m):
+    return assemble_calderon_system(
+        build_calderon_problem(build_grid_2d(9, 9), m=m, n_modes=nd))
+
+
+@pytest.mark.parametrize("n", [9, 25])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_internal_tangent_map_matches_dense_basis_oracle(n, seed):
+    _, op = _internal_case(n)
+    _assert_tangent_map_matches_oracle(op, [_model(np.random.default_rng(seed), n, n)])
+
+
+@pytest.mark.parametrize("nd", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("selection", ["op_full", "op_data", "op_hard"])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_calderon_tangent_map_matches_dense_basis_oracle(nd, m, selection, seed):
+    op = getattr(_calderon_system(nd, m), selection)
+    rng = np.random.default_rng(seed)
+    models = [_model(rng, r, c) for r, c in op.domain_shapes]
+    _assert_tangent_map_matches_oracle(op, models)
+
+
+def test_internal_precertificate_builds_no_dense_tangent_basis():
+    # at n = 121 the dense tangent basis alone would take 28 MB
+    problem, op = _internal_case(121)
+    tracemalloc.start()
+    try:
+        precertificate(op, [problem.model])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_identity_operator_certificate_is_the_model():

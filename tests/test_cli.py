@@ -187,6 +187,21 @@ def test_cli_certify_interval_follows_the_configured_step(tmp_path):
     assert expected != find_condition_interval(n=101)
 
 
+def test_cli_certify_interval_follows_the_configured_boundary_data(tmp_path):
+    # at n = 101, q0 = 0.5 meets the condition for f_a = f_b = 1 (lhs 0.592)
+    # and fails it for f_a = 1, f_b = 3 (lhs 1.415)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[grid]\nn = 101\n[boundary]\nf_a = 1\nf_b = 3\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "certify"]) == 0
+    interval = json.loads((out / "interval.json").read_text())
+    assert (interval["q0_lower"], interval["q0_upper"]) \
+        == find_condition_interval(n=101, f_a=1.0, f_b=3.0)
+    assert not interval["q0_lower"] < 0.5 < interval["q0_upper"]
+    lower, upper = find_condition_interval(n=101)
+    assert lower < 0.5 < upper
+
+
 def test_cli_internal_sweep_parallel_deterministic(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(

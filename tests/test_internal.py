@@ -94,11 +94,14 @@ def test_structured_operator_matches_its_dense_form(n, seed):
     tol = 1e-13 * np.abs(dense.matrix).sum()
     x = rng.standard_normal(op.domain_dim)
     p = rng.standard_normal(op.codomain_dim)
-    cols = rng.standard_normal((op.domain_dim, 4))
+    u, v = rng.standard_normal((2, n))
     assert np.abs(op.apply_vec(x) - dense.apply_vec(x)).max() <= tol * np.abs(x).max()
     assert np.abs(op.adjoint_vec(p) - dense.adjoint_vec(p)).max() <= tol * np.abs(p).max()
-    assert np.abs(op.apply_block(0, cols) - dense.apply_block(0, cols)).max() \
-        <= tol * np.abs(cols).max()
+    # the rank-one maps are the dense block contracted on one axis
+    stack = dense.matrix.reshape(2 * n, n, n)
+    left, right = op.rank_one_maps(0, u, v)
+    assert np.abs(left - np.einsum("kab,a->kb", stack, u)).max() <= tol * np.abs(u).max()
+    assert np.abs(right - np.einsum("kab,b->ka", stack, v)).max() <= tol * np.abs(v).max()
     assert np.abs(op.gram() - dense.gram()).max() <= tol * np.abs(dense.gram()).max()
     assert op.max_abs_entry() == dense.max_abs_entry()
     assert abs(op.opnorm_estimate - dense.opnorm_estimate) <= 1e-10 * dense.opnorm_estimate

@@ -84,7 +84,7 @@ def test_opnorm_is_the_largest_singular_value():
 
 def test_structured_maps_define_every_hook():
     # the interface has no dense body for a structured map to fall back to
-    hooks = ("_matvec", "_rmatvec", "apply_block", "gram", "max_abs_entry")
+    hooks = ("_matvec", "_rmatvec", "rank_one_maps", "gram", "max_abs_entry")
     assert not set(hooks) & set(vars(AffineOperator))
     for cls in (DenseOperator, InternalOperator, CalderonOperator):
         assert issubclass(cls, AffineOperator)
