@@ -15,6 +15,7 @@ import numpy as np
 
 from . import calderon as cal
 from . import certify, lowrank, quadratic, solvers
+from ._blas import map_rows
 from .hilbert import build_grid_1d, build_grid_2d, whiten
 from .internal import (
     apriori_constant,
@@ -24,8 +25,8 @@ from .internal import (
     find_condition_interval,
     loglog_slope,
     measurement_vector,
-    recover_internal,
-    run_delta_sweep,
+    noisy_row,
+    prepare_rows,
     sufficient_condition,
 )
 from .pde1d import direct_division_oracle, step_potential
@@ -56,6 +57,10 @@ def _timed(fn):
 _TIGHT = solvers.SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
 
+def _all_converged(reports):
+    return all(r.status == solvers.STATUS_CONVERGED for r in reports)
+
+
 @_timed
 def criterion_1():
     """Jump-size interval of the sufficient condition at n = 401."""
@@ -77,25 +82,26 @@ def criterion_2():
     ok = True
     for q0 in (-0.3, 0.3, 0.5):
         t0 = time.time()
-        problem, meas = build_internal_problem(grid, step_potential(grid, q0=q0))
-        op = assemble_internal_operator(problem)
-        cert = certify.precertificate(op, [problem.model])
-        q_hat, f_white, report = recover_internal(problem, meas, opts=_TIGHT, op=op)
+        state = prepare_rows(*build_internal_problem(grid, step_potential(grid, q0=q0)),
+                             opts=_TIGHT)
+        problem, cert, report = state.problem, state.cert, state.report
         oracle = direct_division_oracle(problem.u_true)
-        rel_err = problem.l2.norm(q_hat.values - oracle.values) \
+        rel_err = problem.l2.norm(state.q_hat.values - oracle.values) \
             / problem.l2.norm(oracle.values)
         f_true = whiten(problem.field_true)
-        f_rel = float(np.linalg.norm(f_white - f_true) / np.linalg.norm(f_true))
+        f_rel = float(np.linalg.norm(state.lift - f_true) / np.linalg.norm(f_true))
         elapsed = time.time() - t0
+        ndsc_pass = cert is not None and cert.ndsc_pass
         row_ok = (
-            cert.ndsc_pass and rel_err <= 1e-3
+            ndsc_pass and rel_err <= 1e-3
             and report.extras["rank_ratio"] <= 1e-4
             and f_rel <= 1e-4 and elapsed <= 120.0
             and report.status == solvers.STATUS_CONVERGED
         )
         ok = ok and row_ok
         rows.append({
-            "q0": q0, "ndsc_pass": cert.ndsc_pass, "w_norm": cert.max_w_norm,
+            "q0": q0, "ndsc_pass": ndsc_pass,
+            "w_norm": np.nan if cert is None else cert.max_w_norm,
             "rel_err_vs_oracle": rel_err, "rank_ratio": report.extras["rank_ratio"],
             "f_rel_err": f_rel, "time": elapsed, "ok": row_ok,
         })
@@ -105,20 +111,31 @@ def criterion_2():
 
 @_timed
 def criterion_3(context):
-    """Linear robustness rate over the noise sweep, five seeds each."""
+    """Linear robustness rate over ``internal sweep``'s rows, five seeds each."""
     deltas = (1e-2, 3e-3, 1e-3, 3e-4)
-    rows = run_delta_sweep(
-        n=41, q0=0.5, deltas=deltas, c=1.0, seeds=range(5), with_bounds=True,
-    )
-    by_delta = {}
-    for r in rows:
-        by_delta.setdefault(r["delta"], []).append(r["err_L2"])
-    medians = [float(np.median(by_delta[d])) for d in deltas]
+    grid = build_grid_1d(41, 0.0, 1.0)
+    state = prepare_rows(*build_internal_problem(grid, step_potential(grid, q0=0.5)))
+    problem = state.problem
+    f_ref = [whiten(problem.field_true)]
+
+    def one(task):
+        delta, seed = task
+        meas, q_hat, f_white, report = noisy_row(state, delta, seed)
+        bounds = certify.robustness_bounds(
+            state.op, [f_white], f_ref, [problem.model], state.cert.h_blocks,
+            state.cert.p, delta / meas.delta_meas, meas.delta_meas,
+        )
+        return problem.l2.norm(q_hat.values - problem.q_true.values), report, bounds
+
+    tasks = [(d, s) for d in deltas for s in range(5)]
+    errs, reports, bounds = zip(*map_rows(one, tasks, 1))
+    medians = [float(m) for m in np.median(np.reshape(errs, (len(deltas), 5)), axis=1)]
     slope = loglog_slope(deltas, medians)
-    ok = 0.8 <= slope <= 1.2
-    context["bound_reports"].extend(r["bounds"] for r in rows)
+    ok = 0.8 <= slope <= 1.2 and _all_converged(reports)
+    context["bound_reports"].extend(bounds)
     return CriterionResult(3, "linear robustness rate (internal)", ok, 0.0,
-                           {"slope": slope, "medians": dict(zip(deltas, medians))})
+                           {"slope": slope, "medians": dict(zip(deltas, medians)),
+                            "noisy_iters": sum(r.iterations for r in reports)})
 
 
 @_timed
@@ -353,6 +370,7 @@ def criterion_10():
             inst_v = probe
             break
     slope = None
+    noisy = []
     if ndsc_seed is not None:
         deltas = (1e-1, 1e-2, 1e-3, 1e-4)
         medians = []
@@ -360,17 +378,19 @@ def criterion_10():
             errs = []
             for s in range(3):
                 z_noisy = quadratic.add_noise(inst_v, d, 100 + s)
-                xh, _, _ = quadratic.recover_phaselift(
+                xh, _, rep = quadratic.recover_phaselift(
                     inst_v, lam=d, z=z_noisy
                 )
                 errs.append(quadratic.sign_aligned_error(xh, inst_v.x_true))
+                noisy.append(rep)
             medians.append(float(np.median(errs)))
         slope = loglog_slope(deltas, medians)
-        ok = ok and 0.8 <= slope <= 1.2
+        ok = ok and 0.8 <= slope <= 1.2 and _all_converged(noisy)
     ok = ok and (time.time() - t0) <= 60.0
     return CriterionResult(10, "PhaseLift recovery and robustness", ok, 0.0,
                            {"noiseless_err": base_err, "ndsc_seed": ndsc_seed,
-                            "ndsc_w_norm": cert_w, "slope": slope})
+                            "ndsc_w_norm": cert_w, "slope": slope,
+                            "noisy_iters": sum(r.iterations for r in noisy)})
 
 
 @_timed
@@ -394,6 +414,7 @@ def criterion_11(context):
     final = cert[-1]
     q_err = None
     slope = None
+    noisy = []
     if final["max_w_norm"] < 1.0:
         meas = cal.make_calderon_measurements(problem, system)
         opts = solvers.SolverOptions(tol_gap=1e-8, tol_feas=1e-9)
@@ -408,19 +429,21 @@ def criterion_11(context):
         errs = []
         for d in deltas:
             meas_d = cal.make_calderon_measurements(problem, system, delta=d, seed=11)
-            q_d, blocks_d, _ = cal.recover_calderon(problem, system, meas_d, c=1.0)
+            q_d, blocks_d, rep_d = cal.recover_calderon(problem, system, meas_d, c=1.0)
             errs.append(float(np.linalg.norm(q_d - problem.q_coeffs)))
+            noisy.append(rep_d)
             context["bound_reports"].append(certify.robustness_bounds(
                 system.op_full, blocks_d, f_true, problem.models,
                 full_cert.h_blocks, full_cert.p, 1.0, d,
             ))
         slope = loglog_slope(deltas, errs)
-        ok = ok and 0.7 <= slope <= 1.3
+        ok = ok and 0.7 <= slope <= 1.3 and _all_converged(noisy)
     elapsed = time.time() - t0
     ok = ok and elapsed <= 600.0
     return CriterionResult(11, "boundary-measurement pipeline", ok, 0.0,
                            {"truth_residual": resid, "w_norm_table": cert,
                             "q_rel_err": q_err, "noisy_slope": slope,
+                            "noisy_iters": sum(r.iterations for r in noisy),
                             "time": elapsed})
 
 

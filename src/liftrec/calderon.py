@@ -114,7 +114,6 @@ class BasisW:
 
     m: int
     matrix: np.ndarray        # n_nodes x m, columns orthonormal
-    integrals: np.ndarray     # integral of each basis function
 
     def values(self, coeffs):
         return self.matrix @ np.asarray(coeffs, float)
@@ -147,7 +146,7 @@ def make_basis_w(grid, m):
             if nrm < 1e-12:
                 raise ValueError("bump basis is numerically dependent on this grid")
             mat[:, j] /= nrm
-    return BasisW(m=m, matrix=mat, integrals=mat.T @ w)
+    return BasisW(m=m, matrix=mat)
 
 
 def coeffs_from_function(basis, grid, fn_vals):
@@ -200,8 +199,8 @@ class CalderonProblem:
     flux_f_tilde: np.ndarray
     h1: object
     models: list
-    g_weights: np.ndarray = None     # nodal weights of the scale functional
-    g_omega: np.ndarray = None       # scale functional applied to the basis
+    g_weights: np.ndarray     # nodal weights of the scale functional
+    g_omega: np.ndarray       # scale functional applied to the basis
 
     @property
     def n_data(self):
@@ -463,8 +462,7 @@ def assemble_calderon_system(problem):
     # the one-sided corner stencil reads only boundary nodes: zero flux rows
     flux = ~_corner_mask(grid)
     p1 = (sqrt_wb[flux, None] * grid.normal_derivative[flux]) @ lifted
-    g_omega = problem.basis_w.integrals if problem.g_omega is None else problem.g_omega
-    ig = np.einsum("xi,k->xik", uinv, g_omega).reshape(n, n * m)
+    ig = np.einsum("xi,k->xik", uinv, problem.g_omega).reshape(n, n * m)
     p2 = uw @ (ig - problem.int_q * lifted)
     # datum 0 is the constant 1, so the pairs (0, j) span every pair (i, j):
     # row (i, j) = f_i * row(0, j) - f_j * row(0, i), node by node

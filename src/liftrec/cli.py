@@ -37,8 +37,8 @@ from .internal import (
     assemble_internal_operator,
     build_internal_problem,
     find_condition_interval,
-    make_measurements,
-    recover_internal,
+    noisy_row,
+    prepare_rows,
     sufficient_condition,
 )
 from .pde1d import constant_potential, step_potential
@@ -246,57 +246,49 @@ INTERNAL_SCHEMA = [
 ]
 
 
-def _internal_state(config, q0, opts):
-    """Everything an internal row needs that depends on the jump size alone.
-
-    That includes the exact (delta = 0) lift: a noiseless row reports its
-    solve, and every noisy row starts from it, since the noisy lift lies
-    within O(delta) of it.
-    """
+def _internal_problem(config, q0=None):
+    """The configured internal instance and its noiseless measurements."""
     grid = build_grid_1d(config.get("grid", "n", 41, int), 0.0, 1.0)
-    problem, exact_meas = build_internal_problem(
+    return build_internal_problem(
         grid, _potential_for(config, grid, q0),
         f_a=config.get("boundary", "f_a", 1.0, float),
         f_b=config.get("boundary", "f_b", 1.0, float),
     )
-    lhs, _, passed = sufficient_condition(problem)
-    op = assemble_internal_operator(problem)
-    try:
-        cert = certify.precertificate(op, [problem.model])
-        w_norm = cert.max_w_norm
-    except certify.DegenerateCertificate:
-        w_norm = float("nan")
-    q_hat, f_exact, report = recover_internal(problem, exact_meas, opts=opts, op=op)
-    exact = {"err_L2": problem.l2.norm(q_hat.values - problem.q_true.values),
-             "iters": report.iterations, "status": report.status}
-    return problem, op, f_exact, exact, {"q0": q0, "lhs": lhs, "pass": passed,
-                                         "w_norm": w_norm}
+
+
+def _noise_levels(config):
+    """``[noise] deltas``, or else the single ``[noise] delta``."""
+    return config.get_list("noise", "deltas") or [config.get("noise", "delta", 0.0, float)]
 
 
 def _internal_row(states, q0, delta, seed, c, opts):
-    problem, op, f_exact, exact, columns = states[q0]
+    state = states[q0]
     if delta == 0:
-        return {**columns, **exact, "delta": delta, "lambda": 0.0}
-    meas = make_measurements(problem, delta=delta, seed=seed)
-    q_hat, _, report = recover_internal(problem, meas, c=c, opts=opts, op=op,
-                                        x0=f_exact)
-    err = problem.l2.norm(q_hat.values - problem.q_true.values)
+        q_hat, report, lam = state.q_hat, state.report, 0.0
+    else:
+        _, q_hat, _, report = noisy_row(state, delta, seed, c, opts)
+        lam = c * delta
+    problem = state.problem
     return {
-        **columns, "err_L2": err, "delta": delta, "lambda": c * delta,
-        "iters": report.iterations, "status": report.status,
+        "q0": q0, "lhs": state.lhs, "pass": state.passed,
+        "w_norm": float("nan") if state.cert is None else state.cert.max_w_norm,
+        "err_L2": problem.l2.norm(q_hat.values - problem.q_true.values),
+        "delta": delta, "lambda": lam, "iters": report.iterations,
+        "status": report.status,
     }
 
 
 def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
     """One row per (q0, delta), seeded ``seed + k`` in that order.
 
-    The per-q0 state, exact lift included, is built once per distinct q0;
-    both stages run through :func:`map_rows`, so every ``jobs`` gives the
-    same bytes.  Each row stays its own task, which keeps the pool balanced.
+    The :class:`~liftrec.internal.RowState`, exact lift included, is built
+    once per distinct q0; both stages run through :func:`map_rows`, so every
+    ``jobs`` gives the same bytes.  Each row stays its own task, which keeps
+    the pool balanced.
     """
     distinct = list(dict.fromkeys(q0_values))
     states = dict(zip(distinct, map_rows(
-        lambda q0: _internal_state(config, q0, opts), distinct, jobs)))
+        lambda q0: prepare_rows(*_internal_problem(config, q0), opts), distinct, jobs)))
     tasks = [(q0, delta, seed + k) for k, (q0, delta) in enumerate(
         (a, b) for a in q0_values for b in deltas
     )]
@@ -307,12 +299,7 @@ def run_internal(config, out_dir, seed, jobs, task):
     opts = _solver_options(config)
     c = config.get("noise", "c", 1.0, float)
     if task == "certify":
-        grid = build_grid_1d(config.get("grid", "n", 41, int), 0.0, 1.0)
-        problem, _ = build_internal_problem(
-            grid, _potential_for(config, grid),
-            f_a=config.get("boundary", "f_a", 1.0, float),
-            f_b=config.get("boundary", "f_b", 1.0, float),
-        )
+        problem, _ = _internal_problem(config)
         op = assemble_internal_operator(problem)
         cert = certify.precertificate(op, [problem.model])
         lhs_n, lhs_u, cond_pass = sufficient_condition(problem)
@@ -343,25 +330,18 @@ def run_internal(config, out_dir, seed, jobs, task):
         return 0
 
     if task == "recover":
-        deltas = config.get_list("noise", "deltas", default=())
-        if not deltas:
-            deltas = [config.get("noise", "delta", 0.0, float)]
-        q0 = config.get("potential", "q0", 0.5, float)
-        rows = _internal_rows(config, [q0], deltas, seed, c, opts, jobs)
-        emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, "recover.csv"))
-        _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
-                                 "rows": len(rows)})
-        return _exit_code(rows, "recover.csv")
-
-    if task == "sweep":
+        q0_values = [config.get("potential", "q0", 0.5, float)]
+        deltas = _noise_levels(config)
+    elif task == "sweep":
         q0_values = config.get_list("sweep", "q0_values", default=(-0.3, 0.3, 0.5))
         deltas = config.get_list("noise", "deltas", default=(0.0,))
-        rows = _internal_rows(config, q0_values, deltas, seed, c, opts, jobs)
-        emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, "sweep.csv"))
-        _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
-                                 "rows": len(rows)})
-        return _exit_code(rows, "sweep.csv")
-    raise ConfigError(f"unknown internal task {task!r}")
+    else:
+        raise ConfigError(f"unknown internal task {task!r}")
+    rows = _internal_rows(config, q0_values, deltas, seed, c, opts, jobs)
+    emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, f"{task}.csv"))
+    _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
+                             "rows": len(rows)})
+    return _exit_code(rows, f"{task}.csv")
 
 
 def run_calderon(config, out_dir, seed, task):
@@ -455,15 +435,10 @@ def run_calderon(config, out_dir, seed, task):
     raise ConfigError(f"unknown calderon task {task!r}")
 
 
-def run_phaselift(config, out_dir, seed, n=None, m=None, noise=None):
-    n = n if n is not None else config.get("phaselift", "n", 5, int)
-    m = m if m is not None else config.get("phaselift", "m", 20, int)
-    if noise is not None:
-        deltas = [noise]
-    else:
-        deltas = config.get_list("noise", "deltas", default=())
-        if not deltas:
-            deltas = [config.get("noise", "delta", 0.0, float)]
+def run_phaselift(config, out_dir, seed):
+    n = config.get("phaselift", "n", 5, int)
+    m = config.get("phaselift", "m", 20, int)
+    deltas = _noise_levels(config)
     opts = _solver_options(config)
     inst = quadratic.make_phase_retrieval(n, m, seed)
     rows = []
@@ -546,10 +521,7 @@ def build_parser():
     p_int.add_argument("task", choices=["certify", "recover", "sweep"])
     p_cal = sub.add_parser("calderon", help="boundary-measurement experiments")
     p_cal.add_argument("task", choices=["forward", "recover", "certify", "baseline"])
-    p_pl = sub.add_parser("phaselift", help="quadratic/phase-retrieval baseline")
-    p_pl.add_argument("--n", type=int, default=None, help="ambient dimension")
-    p_pl.add_argument("--m", type=int, default=None, help="measurement count")
-    p_pl.add_argument("--noise", type=float, default=None, help="noise level")
+    sub.add_parser("phaselift", help="quadratic/phase-retrieval baseline")
     sub.add_parser("certify", help="certificate report for the internal geometry")
     sub.add_parser("selftest", help="run the acceptance suite")
     return parser
@@ -576,8 +548,7 @@ def main(argv=None):
         if args.command == "calderon":
             return run_calderon(config, out_dir, args.seed, args.task)
         if args.command == "phaselift":
-            return run_phaselift(config, out_dir, args.seed,
-                                 n=args.n, m=args.m, noise=args.noise)
+            return run_phaselift(config, out_dir, args.seed)
         if args.command == "certify":
             return run_certify(config, out_dir, args.seed)
         if args.command == "selftest":

@@ -25,7 +25,6 @@ import numpy as np
 import scipy.linalg
 
 from . import certify
-from ._blas import map_rows
 from .errors import DegenerateInput
 from .hilbert import (
     BivariateField,
@@ -35,7 +34,6 @@ from .hilbert import (
     first_difference_1d,
     second_difference_1d,
     unwhiten,
-    whiten,
 )
 from .lowrank import RankOneModel, operator_norm, project_tangent_complement
 from .pde1d import (
@@ -47,6 +45,7 @@ from .pde1d import (
 )
 from .solvers import (
     AffineOperator,
+    SolveReport,
     solve_equality_nnm,
     solve_regularized_nnm,
 )
@@ -64,10 +63,10 @@ class InternalProblem:
     h2: object
     l2: object
     int_q: float
-    sigma: float = 0.0
-    u_normalized: np.ndarray = field(default=None, repr=False)
-    q_normalized: np.ndarray = field(default=None, repr=False)
-    model: RankOneModel = field(default=None, repr=False)
+    sigma: float
+    u_normalized: np.ndarray = field(repr=False)
+    q_normalized: np.ndarray = field(repr=False)
+    model: RankOneModel = field(repr=False)
 
     @property
     def field_true(self):
@@ -272,6 +271,49 @@ def recover_internal(problem, measurements, c=1.0, opts=None, op=None, x0=None):
     f_field = unwhiten(f_white, problem.h2, problem.l2)
     q_hat = extract_q_from_trace(f_field.values, problem)
     return q_hat, f_white, report
+
+
+@dataclass
+class RowState:
+    """What every internal row of one jump size shares.
+
+    The problem, its operator, the scalar condition (``lhs``, ``passed``),
+    the least-norm pre-certificate (``None`` when degenerate) and the exact
+    (delta = 0) solve: its potential ``q_hat``, whitened ``lift`` and
+    ``report``.  Every noisy row starts from ``lift``, since the noisy lift
+    lies within O(delta) of it.
+    """
+
+    problem: InternalProblem
+    op: InternalOperator
+    lhs: float
+    passed: bool
+    cert: certify.CertificateReport | None
+    q_hat: Potential1D
+    lift: np.ndarray
+    report: SolveReport
+
+
+def prepare_rows(problem, exact, opts=None):
+    """Condition, operator, pre-certificate and exact solve of ``problem``
+    from its noiseless measurements ``exact``, in that order."""
+    lhs, _, passed = sufficient_condition(problem)
+    op = assemble_internal_operator(problem)
+    try:
+        cert = certify.precertificate(op, [problem.model])
+    except certify.DegenerateCertificate:
+        cert = None
+    q_hat, lift, report = recover_internal(problem, exact, opts=opts, op=op)
+    return RowState(problem, op, lhs, passed, cert, q_hat, lift, report)
+
+
+def noisy_row(state, delta, seed, c=1.0, opts=None):
+    """Measurements at ``delta`` > 0 and ``seed``, and their solve from the
+    exact lift of ``state``: the measurements, then :func:`recover_internal`'s
+    potential, whitened field and report."""
+    meas = make_measurements(state.problem, delta=delta, seed=seed)
+    return (meas, *recover_internal(state.problem, meas, c=c, opts=opts,
+                                    op=state.op, x0=state.lift))
 
 
 # ---------------------------------------------------------------------------
@@ -485,44 +527,6 @@ def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0,
     lower = crossing(lo_bad + 0.05, lo_bad) if lo_bad is not None else -base
     upper = crossing(hi_bad - 0.05, hi_bad) if hi_bad is not None else np.inf
     return lower, upper
-
-
-def run_delta_sweep(n=41, q0=0.5, deltas=(1e-2, 3e-3, 1e-3, 3e-4), c=1.0,
-                    seeds=range(5), with_bounds=False):
-    """Noisy recovery sweep over noise levels and seeds.
-
-    Returns one row per (delta, seed) with the relative and absolute
-    recovery errors; with ``with_bounds`` each row also carries the
-    robustness-bound report built on the least-norm pre-certificate.
-    """
-    grid = build_grid_1d(n, 0.0, 1.0)
-    q = step_potential(grid, q0=q0)
-    problem, _ = build_internal_problem(grid, q)
-    op = assemble_internal_operator(problem)
-    cert = certify.precertificate(op, [problem.model]) if with_bounds else None
-    f_ref = [whiten(problem.field_true)]
-
-    def one(task):
-        delta, seed = task
-        meas = make_measurements(problem, delta=delta, seed=seed)
-        q_hat, f_white, report = recover_internal(problem, meas, c=c, op=op)
-        err = problem.l2.norm(q_hat.values - problem.q_true.values)
-        rel = err / problem.l2.norm(problem.q_true.values)
-        row = {
-            "q0": q0, "delta": delta, "seed": seed, "lambda": c * delta,
-            "err_L2": err, "rel_err_L2": rel, "iters": report.iterations,
-            "status": report.status,
-        }
-        if with_bounds:
-            c_eff = (c * delta) / meas.delta_meas
-            row["bounds"] = certify.robustness_bounds(
-                op, [f_white], f_ref, [problem.model], cert.h_blocks,
-                cert.p, c_eff, meas.delta_meas,
-            )
-        return row
-
-    tasks = [(float(d), int(s)) for d in deltas for s in seeds]
-    return map_rows(one, tasks, 1)
 
 
 def loglog_slope(deltas, errors):

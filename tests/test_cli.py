@@ -237,6 +237,16 @@ def test_cli_phaselift_smoke(tmp_path):
     assert rows[0]["status"] == "converged"
 
 
+@pytest.mark.parametrize("flag", ["--n", "--m", "--noise"])
+def test_cli_phaselift_takes_its_sizes_from_the_config(tmp_path, capsys, flag):
+    # [phaselift] n, m and [noise] delta are the only way to set them
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "phaselift", flag, "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "phaselift.csv").exists()
+
+
 def test_cli_calderon_certify_smoke(tmp_path):
     cfg = tmp_path / "cal.cfg"
     cfg.write_text("[grid]\nnx = 9\nny = 9\n[sweep]\nn_list = 1,2\n")

@@ -17,9 +17,10 @@ from liftrec.internal import (
     loglog_slope,
     make_measurements,
     measurement_vector,
+    noisy_row,
     optimal_alpha,
+    prepare_rows,
     recover_internal,
-    run_delta_sweep,
     sufficient_condition,
 )
 from liftrec.pde1d import constant_potential, direct_division_oracle, step_potential
@@ -323,15 +324,36 @@ def test_noise_bound_on_measurements(step_instance):
     assert np.linalg.norm(z - z0) <= bound * (1.0 + 1e-9)
 
 
-def test_noisy_recovery_rate_two_seeds():
+def test_noisy_recovery_rate_two_seeds(step_instance):
+    _, problem, exact = step_instance
+    state = prepare_rows(problem, exact)
     deltas = (1e-2, 1e-3)
-    rows = run_delta_sweep(n=41, q0=0.5, deltas=deltas, seeds=range(2))
-    by = {}
-    for r in rows:
-        by.setdefault(r["delta"], []).append(r["err_L2"])
-    med = [float(np.median(by[d])) for d in deltas]
+    med = []
+    for delta in deltas:
+        errs = []
+        for seed in range(2):
+            _, q_hat, _, _ = noisy_row(state, delta, seed)
+            errs.append(problem.l2.norm(q_hat.values - problem.q_true.values))
+        med.append(float(np.median(errs)))
     slope = loglog_slope(deltas, med)
     assert 0.7 <= slope <= 1.3
+
+
+def test_noisy_row_is_the_internal_sweep_row(tmp_path, step_instance):
+    # criterion 3 and `internal sweep` solve one row the same way, to the digit
+    _, problem, exact = step_instance
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[grid]\nn = 41\n[sweep]\nq0_values = 0.5\n"
+                   "[noise]\ndeltas = 1e-2,1e-3\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "--seed", "3",
+                     "internal", "sweep"]) == 0
+    rows = cli.read_table(tmp_path / "sweep.csv", cli.INTERNAL_SCHEMA)
+    assert [r["delta"] for r in rows] == [1e-2, 1e-3]
+    state = prepare_rows(problem, exact)
+    for k, row in enumerate(rows):
+        _, q_hat, _, _ = noisy_row(state, row["delta"], 3 + k)
+        err = problem.l2.norm(q_hat.values - problem.q_true.values)
+        assert f"{err:.17g}" == f"{row['err_L2']:.17g}"
 
 
 def test_noisy_solve_started_from_the_exact_lift(step_instance):
