@@ -670,21 +670,29 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8, damping=1e-8):
 def precertificate_study(base, n_list):
     """Least-norm certificate diagnostics across data-family sizes.
 
-    Each N rebuilds ``base`` (a :class:`CalderonProblem`) with N boundary
-    data, keeping its grid, basis, potential and scale functional; the N of
-    ``base`` itself reuses it.  One row per N: the smallest tangent singular
-    value, the worst tangent residual and off-tangent norm.  No pass
-    threshold is asserted; the table is the deliverable.
+    One problem with ``max(n_list)`` boundary data serves every N: ``base``
+    (a :class:`CalderonProblem`) when it has that many, else a rebuild that
+    keeps its grid, basis, potential and scale functional.  The boundary
+    basis is prefix-nested and each datum is solved on its own, so the
+    first N data and models are those of an N-datum build; the factors
+    ``p1``, ``p2`` and ``e`` never read the data and are assembled once.
+    One row per N: the smallest tangent singular value, the worst tangent
+    residual and off-tangent norm.  No pass threshold is asserted; the
+    table is the deliverable.
     """
+    if min(n_list) < 1:
+        raise ValueError("need at least one boundary mode")
+    n_max = max(n_list)
+    problem = base if n_max <= base.n_data else build_calderon_problem(
+        base.grid, m=base.basis_w.m, n_modes=n_max, q_coeffs=base.q_coeffs,
+        g_weights=base.g_weights,
+    )
+    op = assemble_calderon_system(problem).op_full
     rows = []
     for n_modes in n_list:
-        problem = base if n_modes == base.n_data else build_calderon_problem(
-            base.grid, m=base.basis_w.m, n_modes=n_modes, q_coeffs=base.q_coeffs,
-            g_weights=base.g_weights,
-        )
-        system = assemble_calderon_system(problem)
+        op_n = CalderonOperator(op.p1, op.p2, op.e, op.f[:, :n_modes], op.m)
         try:
-            report = certify.precertificate(system.op_full, problem.models)
+            report = certify.precertificate(op_n, problem.models[:n_modes])
             rows.append({
                 "N": n_modes,
                 "sigma_min": report.sigma_min,

@@ -33,6 +33,10 @@ DEFAULT_MARGIN = 1e-3
 # share of tau^2: from sigma_max / tau of about 6e5 at n = 121
 _SVT_GRAM_RTOL = 1e-2
 
+# power steps of the rank-one attempt; at sigma_2 / sigma_1 = 0.1 each step
+# cuts the residual a hundredfold, so a certifiable input needs about eight
+_SVT_POWER_STEPS = 16
+
 
 @dataclass
 class RankOneModel:
@@ -89,8 +93,14 @@ def svt_prox(m, tau):
 
     With ``a`` the tall orientation of ``m`` and ``a^T a = V diag(lam) V^T``,
     the output is ``a V_k diag(1 - tau / sqrt(lam_k)) V_k^T`` over the pairs
-    with ``lam_k > tau^2``: the exact identity, from one small symmetric
-    eigendecomposition in place of a thin SVD.  The eigenvalues carry an
+    with ``lam_k > tau^2``: the exact identity, from the small-side Gram in
+    place of a thin SVD.
+
+    Only the singular values above ``tau`` matter, and near a solution of
+    a rank-one lift at most one of them is.  :func:`_rank_one_svt` first
+    tries to certify that from the Gram's trace and a few power steps, and
+    then returns that pair shrunk, or zero.  Any other input takes one
+    symmetric eigendecomposition of the Gram.  The eigenvalues carry an
     absolute error of about ``n eps lam_max``; once that reaches a share
     ``_SVT_GRAM_RTOL`` of ``tau^2`` the Gram cannot place the threshold and
     the thin SVD runs instead, as it does when entries beyond about 1e154
@@ -105,6 +115,9 @@ def svt_prox(m, tau):
         raise NumericFailure("non-finite entry in the SVT input")
     wide = m.shape[0] < m.shape[1]
     a = m.T if wide else m
+    x = _rank_one_svt(a, tau, max(m.shape))
+    if x is not None:
+        return x.T if wide else x
     try:
         evals, evecs = np.linalg.eigh(a.T @ a)
     except np.linalg.LinAlgError:
@@ -122,6 +135,65 @@ def svt_prox(m, tau):
     v = evecs[:, keep]
     x = ((a @ v) * (1.0 - tau / np.sqrt(evals[keep]))) @ v.T
     return x.T if wide else x
+
+
+def _rank_one_svt(a, tau, n):
+    """SVT of the tall ``a`` when its Gram certifies at most one singular
+    value above ``tau``; None otherwise.
+
+    The eigenvalues of the Gram ``C = a^T a`` are nonnegative and sum to
+    its trace, the squared column norms of ``a``, so ``trace <= tau^2``
+    makes the output zero.  Otherwise power steps ``v <- a^T (a v)`` from
+    the Gram column of the largest diagonal entry give Rayleigh quotients
+    ``lam = ||a v||^2`` that rise from that entry towards ``lam_1``.  Once
+    the eigen-residual ``r`` is at round-off, ``lam > tau^2`` and
+    ``trace - lam <= tau^2`` prove ``sigma_2 <= tau < sigma_1``, and the
+    output is the leading pair shrunk by ``tau``.  The Gram must resolve
+    ``tau`` as in :func:`svt_prox`: ``n eps lam < _SVT_GRAM_RTOL tau^2``.
+
+    A failed attempt stays cheap.  The largest diagonal entry already
+    fails the resolution test when every ``lam`` would.  With ``v`` at
+    angle ``theta`` from the leading eigenvector, ``lam_1 - lam <=
+    r / cos(theta)``, so a trace remainder above ``tau^2 + 2 r`` means the
+    certificate fails or the steps are still far off; either ends the
+    attempt, as do a residual that falls less than tenfold in a step and
+    the step cap.
+    """
+    diag = np.einsum("ij,ij->j", a, a)
+    trace = float(diag.sum())
+    if not math.isfinite(trace):
+        return None
+    tau2 = tau * tau
+    if trace <= tau2:
+        return np.zeros_like(a)
+    j = diag.argmax()
+    gram_err = n * np.finfo(float).eps
+    if not gram_err * diag[j] < _SVT_GRAM_RTOL * tau2:
+        return None
+    # the residual floor is about 2.5 eps lam at every size from 2 to 289
+    tol = 4.0 * gram_err
+    v = a.T @ a[:, j]
+    v = v / math.sqrt(v @ v)
+    prev = np.inf
+    for _ in range(_SVT_POWER_STEPS):
+        y = a @ v
+        w = a.T @ y
+        lam = float(y @ y)
+        r = w - lam * v
+        resid = math.sqrt(r @ r)
+        if trace - lam - tau2 > 2.0 * resid:
+            return None
+        if resid <= tol * lam:
+            break
+        if resid > 0.1 * prev:
+            return None
+        prev = resid
+        v = w / math.sqrt(w @ w)
+    else:
+        return None
+    if not (tau2 < lam and trace - lam <= tau2 and gram_err * lam < _SVT_GRAM_RTOL * tau2):
+        return None
+    return (y * (1.0 - tau / math.sqrt(lam)))[:, None] * v
 
 
 def project_tangent(m, model):

@@ -452,7 +452,7 @@ def test_alternative_scale_functional_keeps_truth_feasible():
 
 
 def test_precertificate_study_keeps_the_scale_functional():
-    # the study rebuilds the problem for each N; it must keep the subdomain
+    # the study reads every N off one problem; it must keep the subdomain
     # functional the problem was built with, not fall back to the integral
     grid = build_grid_2d(9, 9)
     mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
@@ -491,7 +491,19 @@ def test_precertificate_study_reuses_its_base(small_problem, monkeypatch):
     assert row["max_w_norm"] == cert.max_w_norm
     assert row["sigma_min"] == cert.sigma_min
     precertificate_study(problem, [2, problem.n_data])
-    assert builds == [2]
+    assert builds == []
+    # an N beyond the base builds the largest problem once, and its first
+    # N data give the rows of an N-datum build
+    n_max = problem.n_data + 2
+    rows = precertificate_study(problem, [n_max, 2, problem.n_data + 1])
+    assert builds == [n_max]
+    with pytest.raises(ValueError):
+        precertificate_study(problem, [0, 2])
+    for row in rows:
+        direct = build_calderon_problem(grid, m=4, n_modes=row["N"])
+        cert = precertificate(assemble_calderon_system(direct).op_full, direct.models)
+        assert row["sigma_min"] == cert.sigma_min
+        assert row["max_w_norm"] == cert.max_w_norm
 
 
 def test_boundary_restriction_constant_reported(small_problem):

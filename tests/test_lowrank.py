@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftrec import lowrank
-from liftrec.errors import DegenerateInput
+from liftrec.errors import DegenerateInput, NumericFailure
 from liftrec.lowrank import (
     RankOneModel,
     bregman_divergence,
@@ -165,6 +165,68 @@ def test_svt_prox_decomposes_the_small_side_gram(monkeypatch):
     for shape in [(7, 3), (3, 7)]:
         svt_prox(rng.standard_normal(shape), 0.1)
     assert sizes == [(3, 3), (3, 3)]
+
+
+def _with_singular_values(rng, shape, sigma):
+    u = np.linalg.qr(rng.standard_normal((shape[0], len(sigma))))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], len(sigma))))[0]
+    return (u * np.asarray(sigma, float)) @ v.T
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count the eigh and svd calls svt_prox makes."""
+    calls = []
+    for name in ("eigh", "svd"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (30, 12), (12, 30), (289, 4)])
+def test_svt_prox_certified_rank_one_skips_the_decompositions(shape, decompositions):
+    # sigma_2 / sigma_1 = 1e-3 with a tail mass of 0.0202 tau^2: certified
+    rng = np.random.default_rng(21)
+    m = _with_singular_values(rng, shape, [100.0, 0.1, 0.1, 0.01])
+    want = svd_svt(m, 1.0)
+    decompositions.clear()
+    got = svt_prox(m, 1.0)
+    assert decompositions == []
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(m) * 100.0
+
+
+@pytest.mark.parametrize("sigma, tau", [
+    ([10.0, 0.9, 0.9], 1.0),              # sigma_2 < tau, tail mass 1.62 tau^2
+    ([2.0, 2.0 - 1e-9, 0.5], 1.0),        # sigma_1 ~ sigma_2 > tau
+    ([1.1, 0.95], 1.0),                   # certifiable, but the steps stall
+])
+def test_svt_prox_uncertified_inputs_take_the_gram(sigma, tau, decompositions):
+    m = _with_singular_values(np.random.default_rng(22), (9, 7), sigma)
+    want = svd_svt(m, tau)
+    decompositions.clear()
+    got = svt_prox(m, tau)
+    assert decompositions == ["eigh"]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(m) * max(sigma) / tau
+
+
+@pytest.mark.parametrize("sigma", [[0.9, 0.3], [0.9, 0.6, 0.5]])
+def test_svt_prox_below_the_threshold_is_zero(sigma, decompositions):
+    # trace <= tau^2 gives zero at once; sigma_1 <= tau with a larger trace
+    # takes the Gram, whose output is zero too
+    m = _with_singular_values(np.random.default_rng(23), (8, 5), sigma)
+    assert np.array_equal(svd_svt(m, 1.0), np.zeros((8, 5)))
+    decompositions.clear()
+    assert np.array_equal(svt_prox(m, 1.0), np.zeros((8, 5)))
+    assert decompositions == ([] if sum(s * s for s in sigma) <= 1.0 else ["eigh"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svt_prox_rejects_non_finite_input(bad):
+    m = _with_singular_values(np.random.default_rng(24), (6, 6), [5.0, 1e-3])
+    m[2, 3] = bad
+    with pytest.raises(NumericFailure):
+        svt_prox(m, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
