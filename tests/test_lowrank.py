@@ -186,7 +186,7 @@ def decompositions(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(40, 40), (30, 12), (12, 30), (289, 4)])
 def test_svt_prox_certified_rank_one_skips_the_decompositions(shape, decompositions):
-    # sigma_2 / sigma_1 = 1e-3 with a tail mass of 0.0202 tau^2: certified
+    # sigma_2 / sigma_1 = 1e-3 with a tail mass of 0.0201 tau^2: certified
     rng = np.random.default_rng(21)
     m = _with_singular_values(rng, shape, [100.0, 0.1, 0.1, 0.01])
     want = svd_svt(m, 1.0)
