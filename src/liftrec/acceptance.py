@@ -344,7 +344,8 @@ def criterion_9():
             x = x - (2.0 / (k + 2.0)) * sub
         return best
 
-    ms = np.stack([np.random.default_rng(seed).standard_normal((3, 3)) for seed in (1, 2)])
+    ms = np.stack([np.random.default_rng(seed).standard_normal((3, 3))
+                   for seed in (1, 2, 5)])
     refs = subgradient_oracle(ms, 0.7)
     oracle_gap = max(float(np.linalg.norm(ref - lowrank.svt_prox(m, 0.7)))
                      for m, ref in zip(ms, refs))

@@ -29,8 +29,9 @@ from .errors import NumericFailure
 DEFAULT_TOL = 1e-8
 DEFAULT_MARGIN = 1e-3
 
-# svt_prox takes the thin SVD once the Gram eigenvalue error reaches this
-# share of tau^2: from sigma_max / tau of about 6e5 at n = 121
+# the rank-one SVT step leaves an input to the thin SVD once its Gram
+# eigenvalue error reaches this share of tau^2: from sigma_max / tau of
+# about 6e5 at n = 121
 _SVT_GRAM_RTOL = 1e-2
 
 # power steps of the rank-one attempt; at sigma_2 / sigma_1 = 0.1 each step
@@ -91,20 +92,11 @@ def svt_prox(m, tau):
     satisfies the prox optimality condition ``(m - X) / tau`` in the
     subdifferential of the nuclear norm at X.
 
-    With ``a`` the tall orientation of ``m`` and ``a^T a = V diag(lam) V^T``,
-    the output is ``a V_k diag(1 - tau / sqrt(lam_k)) V_k^T`` over the pairs
-    with ``lam_k > tau^2``: the exact identity, from the small-side Gram in
-    place of a thin SVD.
-
     Only the singular values above ``tau`` matter, and near a solution of
-    a rank-one lift at most one of them is.  :func:`_rank_one_svt` first
-    tries to certify that from the Gram's trace and a few power steps, and
-    then returns that pair shrunk, or zero.  Any other input takes one
-    symmetric eigendecomposition of the Gram.  The eigenvalues carry an
-    absolute error of about ``n eps lam_max``; once that reaches a share
-    ``_SVT_GRAM_RTOL`` of ``tau^2`` the Gram cannot place the threshold and
-    the thin SVD runs instead, as it does when entries beyond about 1e154
-    overflow the Gram.
+    a rank-one lift at most one of them is.  :func:`_rank_one_svt` tries
+    to certify that from the small-side Gram's trace and a few power
+    steps, and then returns that pair shrunk, or zero.  Every input it
+    does not certify takes the thin SVD, ``(u * max(s - tau, 0)) @ vt``.
     """
     if not math.isfinite(tau):
         raise NumericFailure(f"non-finite SVT threshold {tau}")
@@ -114,27 +106,14 @@ def svt_prox(m, tau):
     if not np.isfinite(m).all():
         raise NumericFailure("non-finite entry in the SVT input")
     wide = m.shape[0] < m.shape[1]
-    a = m.T if wide else m
-    x = _rank_one_svt(a, tau, max(m.shape))
+    x = _rank_one_svt(m.T if wide else m, tau, max(m.shape))
     if x is not None:
         return x.T if wide else x
     try:
-        evals, evecs = np.linalg.eigh(a.T @ a)
-    except np.linalg.LinAlgError:
-        evals = None
-    # negated: a Gram that overflowed (inf or NaN eigenvalues) takes the SVD
-    if evals is None or not (
-        max(m.shape) * np.finfo(float).eps * evals[-1] < _SVT_GRAM_RTOL * tau * tau
-    ):
-        try:
-            u, s, vt = np.linalg.svd(m, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure("SVD did not converge") from exc
-        return (u * np.maximum(s - tau, 0.0)) @ vt
-    keep = evals > tau * tau
-    v = evecs[:, keep]
-    x = ((a @ v) * (1.0 - tau / np.sqrt(evals[keep]))) @ v.T
-    return x.T if wide else x
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure("SVD did not converge") from exc
+    return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
 def _rank_one_svt(a, tau, n):
@@ -148,8 +127,11 @@ def _rank_one_svt(a, tau, n):
     ``lam = ||a v||^2`` that rise from that entry towards ``lam_1``.  Once
     the eigen-residual ``r`` is at round-off, ``lam > tau^2`` and
     ``trace - lam <= tau^2`` prove ``sigma_2 <= tau < sigma_1``, and the
-    output is the leading pair shrunk by ``tau``.  The Gram must resolve
-    ``tau`` as in :func:`svt_prox`: ``n eps lam < _SVT_GRAM_RTOL tau^2``.
+    output is the leading pair shrunk by ``tau``.  The eigenvalues of ``C``
+    carry an absolute error of about ``n eps lam``, so the step also needs
+    ``n eps lam < _SVT_GRAM_RTOL tau^2`` to place the threshold.  An input
+    that fails it, or whose Gram overflows (entries beyond about 1e154),
+    is left to the thin SVD.
 
     A failed attempt stays cheap.  The largest diagonal entry already
     fails the resolution test when every ``lam`` would.  With ``v`` at

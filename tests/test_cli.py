@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from liftrec import lowrank
 from liftrec.cli import (
     EXIT_MAX_ITER,
     INTERNAL_SCHEMA,
@@ -226,6 +227,30 @@ def test_cli_internal_recover_matches_one_q0_sweep(tmp_path):
                      str(tmp_path / name), "--seed", "4", "internal", task]) == 0
     assert (tmp_path / "r" / "recover.csv").read_bytes() \
         == (tmp_path / "s" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config, task", [
+    ("[grid]\nn = 41\n[sweep]\nq0_values = -0.3,0.3,0.5\n"
+     "[noise]\ndeltas = 0,1e-2,1e-3\n", ("internal", "sweep")),
+    ("[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 4\nm_basis = 4\n"
+     "[noise]\ndelta = 1e-3\nc = 1\n", ("calderon", "recover")),
+], ids=["internal-sweep", "calderon-recover"])
+def test_cli_solver_proxes_take_the_rank_one_step(tmp_path, monkeypatch, config, task):
+    # svt_prox keeps only the thin SVD besides the certified rank-one step,
+    # because the lifted iterates of these pipelines are certified rank one
+    certified = []
+    rank_one_svt = lowrank._rank_one_svt
+
+    def spy(a, tau, n):
+        x = rank_one_svt(a, tau, n)
+        certified.append(x is not None)
+        return x
+
+    monkeypatch.setattr(lowrank, "_rank_one_svt", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *task]) == 0
+    assert certified and all(certified)
 
 
 def test_cli_phaselift_smoke(tmp_path):

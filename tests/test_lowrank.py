@@ -95,23 +95,6 @@ def test_svt_prox_nonexpansive():
         assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
-def test_svt_prox_matches_subgradient_descent_oracle():
-    # independent oracle: projected subgradient descent on the prox objective
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((3, 3))
-    tau = 0.7
-    x = m.copy()
-    best, best_val = x.copy(), np.inf
-    for k in range(1, 100_001):
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-        val = 0.5 * np.linalg.norm(x - m) ** 2 + tau * s.sum()
-        if val < best_val:
-            best_val, best = val, x.copy()
-        sub = (x - m) + tau * (u * (s > 1e-12)) @ vt
-        x = x - (2.0 / (k + 2.0)) * sub          # strongly convex schedule
-    assert np.linalg.norm(best - svt_prox(m, tau)) <= 1e-6
-
-
 @st.composite
 def _svt_cases(draw):
     """A matrix of chosen shape, rank and singular values, and a threshold
@@ -141,30 +124,17 @@ def _svt_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_svt_cases())
 def test_svt_prox_matches_svd_oracle(case):
-    # Gram branch within round-off of the thin-SVD SVT; the SVD fallback,
-    # taken when tau is too small for the Gram to resolve, bit-identical.
-    # Near the switch either branch may run, so only the tolerance applies.
+    # the certified rank-one step within round-off of the thin-SVD SVT;
+    # every input it does not certify takes that SVD, bit-identical
     m, tau = case
     got, want = svt_prox(m, tau), svd_svt(m, tau)
     assert got.shape == want.shape
-    sigma_max = np.linalg.norm(m, 2)
-    gram_error = max(m.shape) * np.finfo(float).eps * sigma_max**2
-    if gram_error >= 2 * lowrank._SVT_GRAM_RTOL * tau**2:
+    tall = m.T if m.shape[0] < m.shape[1] else m
+    if lowrank._rank_one_svt(tall, tau, max(m.shape)) is None:
         assert np.array_equal(got, want)
     else:
-        bound = 1e-12 * np.linalg.norm(m) * max(1.0, sigma_max / tau)
+        bound = 1e-12 * np.linalg.norm(m) * max(1.0, np.linalg.norm(m, 2) / tau)
         assert np.linalg.norm(got - want) <= bound
-
-
-def test_svt_prox_decomposes_the_small_side_gram(monkeypatch):
-    # the saving over the thin SVD rests on a min(rows, cols)-sized Gram
-    sizes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda g: sizes.append(g.shape) or eigh(g))
-    rng = np.random.default_rng(17)
-    for shape in [(7, 3), (3, 7)]:
-        svt_prox(rng.standard_normal(shape), 0.1)
-    assert sizes == [(3, 3), (3, 3)]
 
 
 def _with_singular_values(rng, shape, sigma):
@@ -201,24 +171,24 @@ def test_svt_prox_certified_rank_one_skips_the_decompositions(shape, decompositi
     ([2.0, 2.0 - 1e-9, 0.5], 1.0),        # sigma_1 ~ sigma_2 > tau
     ([1.1, 0.95], 1.0),                   # certifiable, but the steps stall
 ])
-def test_svt_prox_uncertified_inputs_take_the_gram(sigma, tau, decompositions):
+def test_svt_prox_uncertified_inputs_take_the_svd(sigma, tau, decompositions):
     m = _with_singular_values(np.random.default_rng(22), (9, 7), sigma)
     want = svd_svt(m, tau)
     decompositions.clear()
     got = svt_prox(m, tau)
-    assert decompositions == ["eigh"]
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(m) * max(sigma) / tau
+    assert decompositions == ["svd"]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("sigma", [[0.9, 0.3], [0.9, 0.6, 0.5]])
 def test_svt_prox_below_the_threshold_is_zero(sigma, decompositions):
     # trace <= tau^2 gives zero at once; sigma_1 <= tau with a larger trace
-    # takes the Gram, whose output is zero too
+    # takes the thin SVD, whose output is zero too
     m = _with_singular_values(np.random.default_rng(23), (8, 5), sigma)
     assert np.array_equal(svd_svt(m, 1.0), np.zeros((8, 5)))
     decompositions.clear()
     assert np.array_equal(svt_prox(m, 1.0), np.zeros((8, 5)))
-    assert decompositions == ([] if sum(s * s for s in sigma) <= 1.0 else ["eigh"])
+    assert decompositions == ([] if sum(s * s for s in sigma) <= 1.0 else ["svd"])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

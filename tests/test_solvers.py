@@ -241,9 +241,16 @@ def test_regularized_approaches_equality_solution():
     truth = np.outer(rng.standard_normal(4), rng.standard_normal(3))
     z = op.apply([truth])
     eq_blocks, _ = solve_equality_nnm(op, z, opts=TIGHT)
-    lam = 1e-6 * np.linalg.norm(z)
-    reg_blocks, _ = solve_regularized_nnm(op, z, lam)
-    assert np.linalg.norm(reg_blocks[0] - eq_blocks[0]) <= 1e-3
+    # as lambda -> 0 the regularized solution tends to the equality one,
+    # here at distance about 2.4 lambda / ||z||: tenfold per decade
+    dists = []
+    for rel in (1e-2, 1e-3, 1e-4):
+        reg_blocks, report = solve_regularized_nnm(op, z, rel * np.linalg.norm(z))
+        assert report.status == STATUS_CONVERGED
+        dists.append(np.linalg.norm(reg_blocks[0] - eq_blocks[0]))
+    assert dists[-1] <= 1e-3
+    for far, near in zip(dists, dists[1:]):
+        assert far / near == pytest.approx(10.0, rel=0.05)
 
 
 def test_regularized_satisfies_kkt():
