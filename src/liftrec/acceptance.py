@@ -322,7 +322,7 @@ def criterion_9():
         worst_kkt = max(worst_kkt, defect)
         ok = ok and defect <= 1e-8
 
-    def subgradient_oracle(ms, tau, iters=100_000):
+    def subgradient_oracle(ms, tau):
         # strongly convex objective (modulus 1): classical 2 / (k + 2) steps,
         # for a stack of matrices in lockstep.  The stacked SVD and products
         # act matrix by matrix; each objective value is a scalar expression
@@ -332,7 +332,7 @@ def criterion_9():
         x = ms.copy()
         best = x.copy()
         best_val = np.full(len(ms), np.inf)
-        for k in range(1, iters + 1):
+        for k in range(1, 100_001):
             u_s, s, vt = np.linalg.svd(x, full_matrices=False)
             d = x - ms
             sub = d + tau * (u_s * (s > 1e-12)[:, None, :]) @ vt

@@ -270,90 +270,64 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
 # lifted measurement operator
 
 
-# row families of the lifted map, in the order the codomain stacks them
-FAMILIES = ("flux", "integral", "coupling")
-
-
 class CalderonOperator(AffineOperator):
-    """The lifted Calderon map, applied from its per-datum block and the
-    boundary coupling.
+    """The lifted Calderon map ``[I_N kron B; C]``, applied from its
+    per-datum row block and the boundary coupling.
 
-    Every datum ``i`` has an ``n x m`` whitened block ``X_i``.  On its raveled
-    ``x_i`` the flux rows are ``p1 @ x_i`` and the integral rows ``p2 @ x_i``,
-    the same matrices for every datum (``I_N`` kron ``B``).  The coupling
-    rows of the pair ``(0, j)`` are
+    Every datum ``i`` has an ``n x m`` whitened block ``X_i``.  Its own rows
+    are ``b @ x_i`` on the raveled ``x_i``, the same matrix for every datum,
+    stacked datum by datum.  With ``coupled`` the coupling rows follow; those
+    of the pair ``(0, j)`` are
 
         vec_r(f_j[:, None] * (e @ X_0) - e @ X_j),
 
     with ``e`` the boundary rows of the unwhitening scaled by the square
     root of the boundary weights and ``f_j`` datum ``j`` on the boundary.
-    ``families`` selects and orders the row families (a subsequence of
-    :data:`FAMILIES`); operators over different selections share the
-    arrays.  The dense form is built only on request, by :attr:`matrix`.
+    Operators over row views of one ``b`` share its memory.  The dense form
+    is built only on request, by :attr:`matrix`.
     """
 
-    def __init__(self, p1, p2, e, f, m, families=FAMILIES):
-        self.p1, self.p2, self.e, self.f, self.m = p1, p2, e, f, m
+    def __init__(self, b, e, f, m, coupled=True):
+        self.b, self.e, self.f, self.m, self.coupled = b, e, f, m, coupled
         self.n = e.shape[1]
         n_data = f.shape[1]
-        sizes = {"flux": n_data * p1.shape[0], "integral": n_data * p2.shape[0],
-                 "coupling": (n_data - 1) * e.shape[0] * m}
-        self._starts = {}
-        rows = 0
-        for name in families:
-            self._starts[name] = rows
-            rows += sizes[name]
-        super().__init__([(self.n, m)] * n_data, rows)
+        self._own_rows = n_data * b.shape[0]
+        coupling = (n_data - 1) * e.shape[0] * m if coupled else 0
+        super().__init__([(self.n, m)] * n_data, self._own_rows + coupling)
 
     def _matvec(self, vec):
         x = vec.reshape(self.n_blocks, self.n * self.m)
-        out = []
-        for name in self._starts:
-            if name == "flux":
-                out.append(x @ self.p1.T)
-            elif name == "integral":
-                out.append(x @ self.p2.T)
-            else:
-                ex = self.e @ x.reshape(-1, self.n, self.m)
-                out.append(self.f[:, 1:].T[:, :, None] * ex[0] - ex[1:])
-        return np.concatenate([rows.ravel() for rows in out])
+        own = (x @ self.b.T).ravel()
+        if not self.coupled:
+            return own
+        ex = self.e @ x.reshape(-1, self.n, self.m)
+        return np.concatenate([own, (self.f[:, 1:].T[:, :, None] * ex[0] - ex[1:]).ravel()])
 
     def _rmatvec(self, p):
-        out = np.zeros((self.n_blocks, self.n * self.m))
-        nb = self.e.shape[0]
-        for name, start in self._starts.items():
-            if name == "flux":
-                stop = start + self.n_blocks * self.p1.shape[0]
-                out += p[start:stop].reshape(self.n_blocks, -1) @ self.p1
-            elif name == "integral":
-                stop = start + self.n_blocks * self.p2.shape[0]
-                out += p[start:stop].reshape(self.n_blocks, -1) @ self.p2
-            elif self.n_blocks > 1:
-                stop = start + (self.n_blocks - 1) * nb * self.m
-                pc = p[start:stop].reshape(-1, nb, self.m)
-                y = np.empty((self.n_blocks, nb, self.m))
-                y[0] = np.einsum("bj,jbk->bk", self.f[:, 1:], pc)
-                y[1:] = -pc
-                out += (self.e.T @ y).reshape(out.shape)
+        out = p[:self._own_rows].reshape(self.n_blocks, -1) @ self.b
+        if self.coupled and self.n_blocks > 1:
+            pc = p[self._own_rows:].reshape(-1, self.e.shape[0], self.m)
+            y = np.empty((self.n_blocks, self.e.shape[0], self.m))
+            y[0] = np.einsum("bj,jbk->bk", self.f[:, 1:], pc)
+            y[1:] = -pc
+            out += (self.e.T @ y).reshape(out.shape)
         return out.ravel()
 
     def _runs(self, i):
         """``(first row, row count, factor, scale)`` of each run of codomain
-        rows that block ``i`` reaches.  The run is ``factor @ x_i`` for
-        ``p1`` and ``p2`` (``scale`` None), and ``vec_r(scale * (e @ X_i))``
-        for ``e``."""
-        nb = self.e.shape[0]
-        for name, start in self._starts.items():
-            if name == "flux":
-                yield start + i * self.p1.shape[0], self.p1.shape[0], self.p1, None
-            elif name == "integral":
-                yield start + i * self.p2.shape[0], self.p2.shape[0], self.p2, None
-            elif i == 0:
-                for j in range(1, self.n_blocks):
-                    yield (start + (j - 1) * nb * self.m, nb * self.m, self.e,
-                           self.f[:, j:j + 1])
-            else:
-                yield start + (i - 1) * nb * self.m, nb * self.m, self.e, -1.0
+        rows that block ``i`` reaches.  The run is ``b @ x_i`` for the
+        block's own rows (``scale`` None), and ``vec_r(scale * (e @ X_i))``
+        for the coupling rows."""
+        r = self.b.shape[0]
+        yield i * r, r, self.b, None
+        if not self.coupled:
+            return
+        nbm = self.e.shape[0] * self.m
+        if i == 0:
+            for j in range(1, self.n_blocks):
+                yield self._own_rows + (j - 1) * nbm, nbm, self.e, self.f[:, j:j + 1]
+        else:
+            yield self._own_rows + (i - 1) * nbm, nbm, self.e, -1.0
 
     def _block_rows(self, i, cols):
         """``(first row, rows)`` of each run of block ``i``'s measurements of
@@ -371,9 +345,9 @@ class CalderonOperator(AffineOperator):
         return out
 
     def rank_one_maps(self, i, u, v):
-        """``p1``/``p2`` as ``(rows, n, m)`` stacks contracted with ``u`` or
-        ``v``; on ``e`` runs, ``X_i = u b^T`` gives ``scale * (e @ u) b^T``
-        and ``X_i = a v^T`` gives ``scale * (e @ a) v^T``."""
+        """``b`` as an ``(rows, n, m)`` stack contracted with ``u`` or ``v``;
+        on ``e`` runs, ``X_i = u c^T`` gives ``scale * (e @ u) c^T`` and
+        ``X_i = a v^T`` gives ``scale * (e @ a) v^T``."""
         left = np.zeros((self.codomain_dim, self.m))
         right = np.zeros((self.codomain_dim, self.n))
         for start, count, factor, scale in self._runs(i):
@@ -420,7 +394,8 @@ class CalderonOperator(AffineOperator):
 
 @dataclass
 class CalderonSystem:
-    """Assembled operators and clean measurement vectors."""
+    """Assembled operators and clean measurement vectors; ``z_data`` and
+    ``z_hard`` lie in the codomains of ``op_data`` and ``op_hard``."""
 
     op_full: CalderonOperator
     op_data: CalderonOperator
@@ -430,7 +405,15 @@ class CalderonSystem:
 
     @property
     def z_full(self):
-        return np.concatenate([self.z_data, self.z_hard])
+        return self.full_data(self.z_data)
+
+    def full_data(self, z_data):
+        """Right-hand side of ``op_full`` for the flux data ``z_data``: each
+        datum's flux and integral rows, then the coupling rows."""
+        nd = self.op_full.n_blocks
+        own = nd * self.op_hard.b.shape[0]
+        rows = np.hstack([np.reshape(z_data, (nd, -1)), self.z_hard[:own].reshape(nd, -1)])
+        return np.concatenate([rows.ravel(), self.z_hard[own:]])
 
 
 def assemble_calderon_system(problem):
@@ -440,7 +423,9 @@ def assemble_calderon_system(problem):
     corners, the integrated stack against the known potential integral, and
     the boundary equality rows of each block against datum 0.  Row scalings
     realize the codomain norms (boundary-weighted l2, the first-order Sobolev
-    structure, and the boundary-weighted stack norm).
+    structure, and the boundary-weighted stack norm).  The flux rows and
+    then the integral rows of one block form ``b``; the three operators
+    read row views of it.
     """
     grid = problem.grid
     n = grid.n_nodes
@@ -461,23 +446,26 @@ def assemble_calderon_system(problem):
 
     # the one-sided corner stencil reads only boundary nodes: zero flux rows
     flux = ~_corner_mask(grid)
-    p1 = (sqrt_wb[flux, None] * grid.normal_derivative[flux]) @ lifted
+    nf = int(flux.sum())
+    # b is written in place: stacking separate flux and integral arrays copies
+    b = np.empty((nf + n, n * m))
+    np.matmul(sqrt_wb[flux, None] * grid.normal_derivative[flux], lifted, out=b[:nf])
     ig = np.einsum("xi,k->xik", uinv, problem.g_omega).reshape(n, n * m)
-    p2 = uw @ (ig - problem.int_q * lifted)
+    np.matmul(uw, ig - problem.int_q * lifted, out=b[nf:])
     # datum 0 is the constant 1, so the pairs (0, j) span every pair (i, j):
     # row (i, j) = f_i * row(0, j) - f_j * row(0, i), node by node
     e = sqrt_wb[:, None] * uinv[grid.boundary_index, :]
 
-    factors = (p1, p2, e, problem.bdry.matrix, m)
+    f = problem.bdry.matrix
     z_data = (sqrt_wb * (problem.flux_u - problem.flux_f_tilde))[:, flux].ravel()
     z_hard = np.concatenate(
         [uw @ (problem.int_q * problem.f_tilde_stack[i]) for i in range(nd)]
         + [np.zeros((nd - 1) * grid.boundary_index.size * m)]
     )
     return CalderonSystem(
-        op_full=CalderonOperator(*factors),
-        op_data=CalderonOperator(*factors, families=FAMILIES[:1]),
-        op_hard=CalderonOperator(*factors, families=FAMILIES[1:]),
+        op_full=CalderonOperator(b, e, f, m),
+        op_data=CalderonOperator(b[:nf], e, f, m, coupled=False),
+        op_hard=CalderonOperator(b[nf:], e, f, m),
         z_data=z_data, z_hard=z_hard,
     )
 
@@ -520,8 +508,8 @@ def recover_calderon(problem, system, measurements, c=1.0, opts=None):
     the per-block boundary extractions.
     """
     if measurements.delta == 0:
-        z_full = np.concatenate([measurements.z_data, system.z_hard])
-        blocks, report = solve_equality_nnm(system.op_full, z_full, opts=opts)
+        blocks, report = solve_equality_nnm(
+            system.op_full, system.full_data(measurements.z_data), opts=opts)
     else:
         blocks, report = solve_regularized_constrained(
             system.op_data, measurements.z_data, system.op_hard, system.z_hard,
@@ -620,13 +608,14 @@ def compactness_diagnostic(problem, q_vals, h_vals, mode_counts=(4, 8, 12)):
     return out
 
 
-def gauss_newton_baseline(problem, q_init_coeffs, iters=8, damping=1e-8):
+def gauss_newton_baseline(problem, q_init_coeffs, iters=8):
     """Regularized Gauss-Newton on the potential coordinates.
 
     Locally convergent iterative reconstruction from the flux data; records
     the per-iteration misfit so initialization sensitivity can be compared
-    against the convex pipeline.  Divergence is reported in the history,
-    not raised.
+    against the convex pipeline.  The Levenberg damping is ``1e-8`` times
+    the mean diagonal of the Gauss-Newton matrix.  Divergence is reported
+    in the history, not raised.
     """
     grid, bdry, basis = problem.grid, problem.bdry, problem.basis_w
     sqrt_wb = np.sqrt(grid.boundary_weights)
@@ -654,7 +643,7 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8, damping=1e-8):
             for k in range(basis.m)
         ], axis=1)
         gram = jac.T @ jac
-        mu = damping * max(np.trace(gram) / basis.m, 1e-30)
+        mu = 1e-8 * max(np.trace(gram) / basis.m, 1e-30)
         try:
             step = np.linalg.solve(gram + mu * np.eye(basis.m), -jac.T @ resid)
         except np.linalg.LinAlgError:
@@ -675,7 +664,7 @@ def precertificate_study(base, n_list):
     keeps its grid, basis, potential and scale functional.  The boundary
     basis is prefix-nested and each datum is solved on its own, so the
     first N data and models are those of an N-datum build; the factors
-    ``p1``, ``p2`` and ``e`` never read the data and are assembled once.
+    ``b`` and ``e`` never read the data and are assembled once.
     One row per N: the smallest tangent singular value, the worst tangent
     residual and off-tangent norm.  No pass threshold is asserted; the
     table is the deliverable.
@@ -690,7 +679,7 @@ def precertificate_study(base, n_list):
     op = assemble_calderon_system(problem).op_full
     rows = []
     for n_modes in n_list:
-        op_n = CalderonOperator(op.p1, op.p2, op.e, op.f[:, :n_modes], op.m)
+        op_n = CalderonOperator(op.b, op.e, op.f[:, :n_modes], op.m)
         try:
             report = certify.precertificate(op_n, problem.models[:n_modes])
             rows.append({

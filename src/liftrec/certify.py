@@ -127,20 +127,20 @@ def _tangent_least_norm(m_t, rhs):
     return sigma_min, (float(svals[0]) if svals.size else 0.0), p
 
 
-def tangent_injectivity(op, models, symmetric=False):
+def tangent_injectivity(op, models):
     """Smallest singular value of Phi restricted to the tangent space.
 
     A positive value certifies discrete injectivity; its reciprocal is the
     empirical stability constant.
     """
-    m_t, rhs = _tangent_map(op, models, symmetric=symmetric)
+    m_t, rhs = _tangent_map(op, models)
     return _tangent_least_norm(m_t, rhs)[0]
 
 
-def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN, tol=DEFAULT_TOL):
+def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN):
     """Evaluate tangent residual and off-tangent norm for each block.
 
-    Passing requires every tangent residual below ``tol`` and every
+    Passing requires every tangent residual below ``DEFAULT_TOL`` and every
     off-tangent operator norm at most ``1 - margin``.
     """
     resid = []
@@ -151,14 +151,13 @@ def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN, tol=DEFAULT_TOL):
         wn.append(operator_norm(project_tangent_complement(h, model)))
     resid = np.asarray(resid)
     wn = np.asarray(wn)
-    passed = bool(np.all(resid <= tol) and np.all(wn <= 1.0 - margin))
+    passed = bool(np.all(resid <= DEFAULT_TOL) and np.all(wn <= 1.0 - margin))
     return CertificateReport(
         h_blocks=list(h_blocks), tangent_residuals=resid, w_norms=wn, ndsc_pass=passed,
     )
 
 
-def precertificate(op, models, margin=DEFAULT_MARGIN, tol=DEFAULT_TOL,
-                   symmetric=False):
+def precertificate(op, models, symmetric=False):
     """Least-norm dual vector interpolating the tangent conditions.
 
     Assembles the measurement map restricted to the tangent space, solves
@@ -184,14 +183,14 @@ def precertificate(op, models, margin=DEFAULT_MARGIN, tol=DEFAULT_TOL,
             sigma_min=sigma_min,
         )
     h_blocks = op.adjoint_apply(p)
-    report = ndsc_verify(h_blocks, models, margin=margin, tol=tol)
+    report = ndsc_verify(h_blocks, models)
     report.p = p
     report.sigma_min = sigma_min
     report.extras["system_residual"] = float(np.linalg.norm(m_t.T @ p - rhs))
     return report
 
 
-def robustness_bounds(op, f_delta, f_ref, models, h_blocks, p, c, delta, slack=1e-9):
+def robustness_bounds(op, f_delta, f_ref, models, h_blocks, p, c, delta):
     """Measured-versus-theoretical robustness quantities for a noisy solve.
 
     Evaluates the Bregman divergence between the noisy solution and the
@@ -203,8 +202,10 @@ def robustness_bounds(op, f_delta, f_ref, models, h_blocks, p, c, delta, slack=1
     * ``sum_i ||P_perp(F_delta - F_ref)_i||_F <= D_H / (1 - max_i ||W_i||)``
 
     The bounds require H to be a valid subgradient at the reference and the
-    regularization weight to equal ``c * delta``.
+    regularization weight to equal ``c * delta``.  Each comparison allows
+    ``1e-9`` of absolute round-off.
     """
+    slack = 1e-9
     p_norm = float(np.linalg.norm(p))
     d_h = 0.0
     tperp_sum = 0.0

@@ -138,22 +138,20 @@ class Grid2D:
         return (normals[:, :1] * ex + normals[:, 1:] * ey) / self.h
 
 
-def build_grid_2d(nx, ny, a=0.0, b=1.0):
-    """Build a uniform grid on the square [a, b]^2.
+def build_grid_2d(nx, ny):
+    """Build a uniform grid on the unit square [0, 1]^2.
 
     Requires matching spacing on both axes (square cells).
     """
     if nx < 3 or ny < 3:
         raise ValueError("need at least 3 nodes per axis")
-    if not b > a:
-        raise ValueError(f"need b > a, got a={a}, b={b}")
-    hx = (b - a) / (nx - 1)
-    hy = (b - a) / (ny - 1)
-    if abs(hx - hy) > 1e-14 * abs(b - a):
+    hx = 1.0 / (nx - 1)
+    hy = 1.0 / (ny - 1)
+    if abs(hx - hy) > 1e-14:
         raise ValueError("grid cells must be square")
     h = hx
-    x1 = np.linspace(a, b, nx)
-    y1 = np.linspace(a, b, ny)
+    x1 = np.linspace(0.0, 1.0, nx)
+    y1 = np.linspace(0.0, 1.0, ny)
     xs = np.repeat(x1, ny)
     ys = np.tile(y1, nx)
 
@@ -171,19 +169,19 @@ def build_grid_2d(nx, ny, a=0.0, b=1.0):
         dtype=int,
     )
 
-    # boundary loop, counterclockwise from (a, a)
+    # boundary loop, counterclockwise from (0, 0)
     loop = []
     normals = []
-    for ix in range(nx - 1):                      # bottom edge, y = a
+    for ix in range(nx - 1):                      # bottom edge, y = 0
         loop.append(flat(ix, 0))
         normals.append((0.0, -1.0))
-    for iy in range(ny - 1):                      # right edge, x = b
+    for iy in range(ny - 1):                      # right edge, x = 1
         loop.append(flat(nx - 1, iy))
         normals.append((1.0, 0.0))
-    for ix in range(nx - 1, 0, -1):               # top edge, y = b
+    for ix in range(nx - 1, 0, -1):               # top edge, y = 1
         loop.append(flat(ix, ny - 1))
         normals.append((0.0, 1.0))
-    for iy in range(ny - 1, 0, -1):               # left edge, x = a
+    for iy in range(ny - 1, 0, -1):               # left edge, x = 0
         loop.append(flat(0, iy))
         normals.append((-1.0, 0.0))
     boundary = np.array(loop, dtype=int)
@@ -205,7 +203,7 @@ def build_grid_2d(nx, ny, a=0.0, b=1.0):
     arclength = h * np.arange(n_bdry)
 
     return Grid2D(
-        nx=nx, ny=ny, a=float(a), b=float(b), h=h, xs=xs, ys=ys,
+        nx=nx, ny=ny, a=0.0, b=1.0, h=h, xs=xs, ys=ys,
         area_weights=area, interior_index=interior, boundary_index=boundary,
         boundary_normals=normals, boundary_weights=bweights,
         boundary_arclength=arclength,

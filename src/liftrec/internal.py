@@ -85,13 +85,12 @@ class InternalMeasurements:
     delta_meas: float              # induced bound on the measurement perturbation
 
 
-def build_internal_problem(grid, q, f_a=1.0, f_b=1.0, delta=0.0, seed=0):
-    """Forward-solve an instance and assemble its measurements.
+def build_internal_problem(grid, q, f_a=1.0, f_b=1.0):
+    """Forward-solve an instance and assemble its noiseless measurements.
 
     The potential and the boundary data must be positive, which keeps the
-    state positive on the closed interval.  With ``delta > 0`` the state is
-    polluted by seeded Gaussian noise of exact H2 norm ``delta`` and both
-    measurement components are rebuilt from the noisy state.
+    state positive on the closed interval.  Noisy measurements come from
+    :func:`make_measurements`.
     """
     if not isinstance(q, Potential1D):
         q = Potential1D(grid, np.asarray(q, float))
@@ -122,8 +121,7 @@ def build_internal_problem(grid, q, f_a=1.0, f_b=1.0, delta=0.0, seed=0):
         h2=h2, l2=l2, int_q=q.integral,
         sigma=sigma, u_normalized=u_n, q_normalized=q_n, model=model,
     )
-    measurements = make_measurements(problem, delta=delta, seed=seed)
-    return problem, measurements
+    return problem, make_measurements(problem)
 
 
 def make_measurements(problem, delta=0.0, seed=0):
@@ -379,10 +377,14 @@ def optimal_alpha(problem):
     return 0.5 * (float(q_n.min()) + float(q_n.max()))
 
 
-def alpha_study(problem, n_points=41, pad=0.5):
-    """Exact/bound table over an offset grid plus the midpoint optimum."""
+def alpha_study(problem, n_points=41):
+    """Exact/bound table over an offset grid plus the midpoint optimum.
+
+    The grid runs from ``0.5`` below the normalized potential's minimum to
+    ``0.5`` above its maximum.
+    """
     q_n = problem.q_normalized
-    alphas = np.linspace(q_n.min() - pad, q_n.max() + pad, n_points)
+    alphas = np.linspace(q_n.min() - 0.5, q_n.max() + 0.5, n_points)
     rows = []
     for alpha in alphas:
         exact, bound = certificate_norm(problem, float(alpha))
@@ -484,12 +486,12 @@ def condition_lhs_for_q0(q0, grid, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0):
     return _condition_lhs(grid, u.values, q.values, summed_h2_norm(grid, u.values), q_l2)
 
 
-def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0,
-                            tol=1e-3):
+def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0):
     """Bisection for the jump-size interval on which the condition holds.
 
     Locates the crossings of the condition value through 1 on both sides of
-    zero for the step family; returns ``(q0_lower, q0_upper)``.
+    zero for the step family, each to a bracket of ``1e-3``; returns
+    ``(q0_lower, q0_upper)``.
     """
     grid = build_grid_1d(n, 0.0, 1.0)
 
@@ -504,7 +506,7 @@ def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0,
                 a = mid
             else:
                 b = mid
-            if abs(b - a) < tol:
+            if abs(b - a) < 1e-3:
                 break
         return 0.5 * (a + b)
 

@@ -8,7 +8,7 @@ second-order one-sided stencils at the endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -23,9 +23,9 @@ class Potential1D:
 
     grid: Grid1D
     values: np.ndarray
-    inf: float = 0.0
-    sup: float = 0.0
-    integral: float = 0.0
+    inf: float = field(init=False)
+    sup: float = field(init=False)
+    integral: float = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)

@@ -185,9 +185,9 @@ class AffineOperator:
         mu = self.pinv_gram(self.apply_vec(x) - z)
         return x - self.adjoint_vec(mu), mu
 
-    def check_adjoint(self, rng=None, n_probes=10):
+    def check_adjoint(self, n_probes=10):
         """Max relative defect of the adjoint identity over random probes."""
-        rng = np.random.default_rng(0) if rng is None else rng
+        rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(n_probes):
             x = rng.standard_normal(self.domain_dim)
@@ -572,14 +572,15 @@ class GapReport:
     flagged: bool
 
 
-def duality_gap(blocks, p, op, z, tol=1e-6):
+def duality_gap(blocks, p, op, z):
     """Audit a primal/dual pair for the equality-constrained problem.
 
     Computes ``sum_i ||F_i||_* - <p, z>`` together with the per-block
     optimality defects ``<F_i, H_i> - ||F_i||_*`` for ``H = Phi^* p``.  The
     report is flagged when the dual vector violates ``max_i ||H_i|| <= 1`` or
-    the primal point is infeasible beyond tolerance.
+    the primal point is infeasible, each beyond a tolerance of ``1e-6``.
     """
+    tol = 1e-6
     z = np.asarray(z, float)
     p = np.asarray(p, float)
     h_blocks = op.adjoint_apply(p)

@@ -239,8 +239,7 @@ def calderon_matrix_dense(problem):
     flux = ~_corner_mask(grid)
     nf = int(flux.sum())
     phi1_block = (sqrt_wb[flux, None] * fl[flux]) @ (mv @ dg)
-    g_omega = problem.basis_w.integrals if problem.g_omega is None else problem.g_omega
-    ig = np.einsum("xi,k->xik", uinv, g_omega).reshape(n, n * m)
+    ig = np.einsum("xi,k->xik", uinv, problem.g_omega).reshape(n, n * m)
     phi2_block = uw @ (ig - problem.int_q * (mv @ dg))
 
     d = n * m

@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "liftrec"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "liftrec"
+# every directory whose code calls into the package
+CALLERS = ("src", "tests", "liftbench", "tools")
 
 # module-level definitions that no module in the package refers to, on purpose
 UNREFERENCED_OK = {
@@ -102,3 +105,52 @@ def test_imports_sit_at_module_level():
                 nested.extend(f"{module}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
                               if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not nested, f"imports inside functions: {nested}"
+
+
+def _defaulted_parameters():
+    """``(module, callee, parameter, position)`` of every parameter with a
+    default; ``position`` is its index among a call's positional arguments
+    (None for keyword-only ones), and ``__init__`` goes by its class's name."""
+    for module, tree in _modules().items():
+        owner = {id(fn): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            callee = owner[id(fn)] if fn.name == "__init__" else fn.name
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if id(fn) in owner else 0          # self
+            for k, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                    start=len(positional) - len(args.defaults)):
+                yield module, callee, arg.arg, k - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield module, callee, arg.arg, None
+
+
+def _passes(call, parameter, position):
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (position < len(call.args)
+            or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every parameter with a default is passed by some call in the
+    repository, by keyword, by position or through ``*``/``**``: a default
+    that no call overrides is a constant."""
+    calls = {}
+    for folder in CALLERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    never = [f"{module}.{callee}({parameter})"
+             for module, callee, parameter, position in _defaulted_parameters()
+             if not any(_passes(call, parameter, position)
+                        for call in calls.get(callee, ()))]
+    assert not never, f"defaulted parameters no call passes: {never}"

@@ -111,3 +111,12 @@ def test_potential_caches():
     assert q.integral == pytest.approx(4.0, rel=1e-12)   # int of 1+x over (0,2)
     with pytest.raises(ValueError):
         Potential1D(g, np.ones(5))
+
+
+def test_potential_caches_are_not_constructor_arguments():
+    # the caches are computed from the values; a passed value would be dropped
+    g = build_grid_1d(5, 0.0, 1.0)
+    with pytest.raises(TypeError):
+        Potential1D(g, np.ones(5), 7.0, -3.0, 99.0)
+    with pytest.raises(TypeError):
+        Potential1D(g, np.ones(5), integral=99.0)
