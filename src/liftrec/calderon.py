@@ -24,6 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import certify
+from ._blas import blas_threads
 from .errors import DegenerateCertificate, EigenvalueHit
 from .hilbert import Grid2D, assemble_inner_product
 from .lowrank import RankOneModel
@@ -345,20 +346,19 @@ class CalderonOperator(AffineOperator):
         return out
 
     def rank_one_maps(self, i, u, v):
-        """``b`` as an ``(rows, n, m)`` stack contracted with ``u`` or ``v``;
-        on ``e`` runs, ``X_i = u c^T`` gives ``scale * (e @ u) c^T`` and
-        ``X_i = a v^T`` gives ``scale * (e @ a) v^T``."""
-        left = np.zeros((self.codomain_dim, self.m))
-        right = np.zeros((self.codomain_dim, self.n))
+        """One ``(start, left, right)`` per run of :meth:`_runs`: ``b`` as an
+        ``(rows, n, m)`` stack contracted with ``u`` or ``v``; on ``e`` runs,
+        ``X_i = u c^T`` gives ``scale * (e @ u) c^T`` and ``X_i = a v^T``
+        gives ``scale * (e @ a) v^T``."""
+        out = []
         for start, count, factor, scale in self._runs(i):
-            rows = slice(start, start + count)
             if scale is None:
                 stack = factor.reshape(count, self.n, self.m)
-                left[rows], right[rows] = u @ stack, stack @ v
+                out.append((start, u @ stack, stack @ v))
             else:
-                left[rows] = np.kron(scale * (factor @ u)[:, None], np.eye(self.m))
-                right[rows] = np.kron(scale * factor, v[:, None])
-        return left, right
+                out.append((start, np.kron(scale * (factor @ u)[:, None], np.eye(self.m)),
+                            np.kron(scale * factor, v[:, None])))
+        return out
 
     def gram(self):
         """``sum_i S_i S_i^T`` scattered, ``S_i`` the rows block ``i``
@@ -667,7 +667,12 @@ def precertificate_study(base, n_list):
     ``b`` and ``e`` never read the data and are assembled once.
     One row per N: the smallest tangent singular value, the worst tangent
     residual and off-tangent norm.  No pass threshold is asserted; the
-    table is the deliverable.
+    table is the deliverable.  The pre-certificates run on one BLAS thread:
+    their factorizations are small, and on two threads they run slower.
+
+    Returns ``(rows, report)``: ``report`` is the
+    :class:`~liftrec.certify.CertificateReport` of the row ``N =
+    max(n_list)``, None when that system is degenerate.
     """
     if min(n_list) < 1:
         raise ValueError("need at least one boundary mode")
@@ -677,11 +682,19 @@ def precertificate_study(base, n_list):
         g_weights=base.g_weights,
     )
     op = assemble_calderon_system(problem).op_full
-    rows = []
-    for n_modes in n_list:
-        op_n = CalderonOperator(op.b, op.e, op.f[:, :n_modes], op.m)
-        try:
-            report = certify.precertificate(op_n, problem.models[:n_modes])
+    rows, last = [], None
+    with blas_threads(1):
+        for n_modes in n_list:
+            op_n = CalderonOperator(op.b, op.e, op.f[:, :n_modes], op.m)
+            try:
+                report = certify.precertificate(op_n, problem.models[:n_modes])
+            except DegenerateCertificate as exc:
+                rows.append({
+                    "N": n_modes, "sigma_min": exc.sigma_min, "max_w_norm": np.nan,
+                    "max_tangent_residual": np.nan, "ndsc_pass": False,
+                    "degenerate": True,
+                })
+                continue
             rows.append({
                 "N": n_modes,
                 "sigma_min": report.sigma_min,
@@ -689,10 +702,6 @@ def precertificate_study(base, n_list):
                 "max_tangent_residual": float(report.tangent_residuals.max()),
                 "ndsc_pass": report.ndsc_pass,
             })
-        except DegenerateCertificate as exc:
-            rows.append({
-                "N": n_modes, "sigma_min": exc.sigma_min, "max_w_norm": np.nan,
-                "max_tangent_residual": np.nan, "ndsc_pass": False,
-                "degenerate": True,
-            })
-    return rows
+            if n_modes == n_max:
+                last = report
+    return rows, last

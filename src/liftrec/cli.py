@@ -384,7 +384,7 @@ def run_calderon(config, out_dir, seed, task):
     if task == "certify":
         n_list = [int(v) for v in config.get_list("sweep", "n_list",
                                                   default=(2, 3, 4), cast=float)]
-        rows = cal.precertificate_study(problem, n_list)
+        rows, _ = cal.precertificate_study(problem, n_list)
         emit_table(
             [{k: row.get(k, float("nan")) for k in
               ("N", "sigma_min", "max_w_norm", "max_tangent_residual", "ndsc_pass")}

@@ -177,7 +177,7 @@ class InternalOperator(AffineOperator):
         # Fw = a v^T: block 1 is v * (Uinv @ a), block 2 is a (v . sqrt(w))
         left = np.vstack([np.diag(self.uinv @ u), np.outer(u, self.sqrtw)])
         right = np.vstack([v[:, None] * self.uinv, (v @ self.sqrtw) * np.eye(self.n)])
-        return left, right
+        return [(0, left, right)]
 
     def gram(self):
         g12 = self.uinv * self.sqrtw[:, None]

@@ -96,9 +96,12 @@ class AffineOperator:
     private hooks ``_matvec``/``_rmatvec`` on the concatenation of the
     row-major raveled blocks and the public hooks
 
-    * ``rank_one_maps(i, u, v) -> (left, right)``: the maps of block ``i``
-      on rank-one elements, ``left @ b == Phi_i(u b^T)`` (``codomain x
-      cols``) and ``right @ a == Phi_i(a v^T)`` (``codomain x rows``);
+    * ``rank_one_maps(i, u, v) -> [(start, left, right), ...]``: the maps
+      of block ``i`` on rank-one elements, one entry per run of codomain
+      rows the block reaches, the rows ``start`` to ``start + len(left)``:
+      there ``left @ b == Phi_i(u b^T)`` (``run x cols``) and
+      ``right @ a == Phi_i(a v^T)`` (``run x rows``), and both are zero on
+      every row outside the runs;
     * ``gram()``: the codomain Gram ``Phi Phi^*``;
     * ``max_abs_entry()``: the largest absolute entry of the matrix form.
 
@@ -219,11 +222,12 @@ class DenseOperator(AffineOperator):
         return self.matrix.T @ p
 
     def rank_one_maps(self, i, u, v):
-        """Block ``i``'s columns as a ``(rows, r, c)`` stack, contracted with
-        ``u`` on the row axis and with ``v`` on the column axis."""
+        """One run over every row: block ``i``'s columns as a ``(rows, r, c)``
+        stack, contracted with ``u`` on the row axis and with ``v`` on the
+        column axis."""
         a = self.matrix[:, self._offsets[i]:self._offsets[i + 1]].reshape(
             -1, *self.domain_shapes[i])
-        return u @ a, a @ v
+        return [(0, u @ a, a @ v)]
 
     def gram(self):
         """The codomain Gram matrix ``Phi Phi^*``."""

@@ -1,10 +1,11 @@
 """Independent reference computations that the tests check the pipelines against."""
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from liftrec.calderon import _corner_mask, dtn_map, frechet_derivative
-from liftrec.certify import complement_basis
+from liftrec.certify import _GRAM_RCOND
 from liftrec.errors import DegenerateInput, EigenvalueHit
 from liftrec.hilbert import BivariateField
 from liftrec.lowrank import RankOneModel
@@ -56,6 +57,17 @@ def leading_rank_one(m):
     return RankOneModel(sigma=sigma, u=uvec, v=vvec)
 
 
+def complement_basis(u):
+    """Deterministic orthonormal basis of the complement of a unit vector:
+    the columns of the Householder reflector mapping e_1 to (minus) ``u``,
+    past the first, as an explicit ``n x (n - 1)`` matrix."""
+    u = np.asarray(u, float)
+    v = u.copy()
+    v[0] += 1.0 if u[0] >= 0 else -1.0
+    q = np.eye(u.size) - (2.0 / (v @ v)) * np.outer(v, v)
+    return q[:, 1:]
+
+
 def tangent_basis(model, symmetric=False):
     """Orthonormal basis of the tangent space at a rank-one model, as dense
     matrices.
@@ -80,6 +92,50 @@ def tangent_basis(model, symmetric=False):
     basis.extend(np.outer(u, vperp[:, k]) for k in range(vperp.shape[1]))
     basis.extend(np.outer(uperp[:, j], v) for j in range(uperp.shape[1]))
     return basis
+
+
+def dense_rank_one_maps(op, i, u, v):
+    """Block ``i``'s rank-one maps scattered from their row runs onto the
+    whole codomain: ``(left, right)`` with ``left @ b == Phi_i(u b^T)`` and
+    ``right @ a == Phi_i(a v^T)``."""
+    left = np.zeros((op.codomain_dim, v.size))
+    right = np.zeros((op.codomain_dim, u.size))
+    for start, run_left, run_right in op.rank_one_maps(i, u, v):
+        left[start:start + len(run_left)] += run_left
+        right[start:start + len(run_right)] += run_right
+    return left, right
+
+
+def dense_tangent_map(op, models, symmetric=False):
+    """The codomain-wide tangent map ``M_T``: every dense basis element of
+    :func:`tangent_basis` measured through the dense operator matrix, block
+    by block, and the right-hand side selecting each block's rank-one
+    direction."""
+    matrix = op.matrix
+    offsets = np.cumsum([0, *(r * c for r, c in op.domain_shapes)])
+    cols = [matrix[:, lo:hi] @ np.stack([b.ravel() for b in tangent_basis(model, symmetric)],
+                                        axis=1)
+            for model, lo, hi in zip(models, offsets, offsets[1:])]
+    rhs = np.concatenate([np.eye(1, c.shape[1]).ravel() for c in cols])
+    return np.hstack(cols), rhs
+
+
+def gram_least_norm(m_t, rhs):
+    """Least-norm ``p`` of ``M_T^T p = rhs`` from the dense Gram.
+
+    ``sigma = sqrt(eigvalsh(M_T^T M_T))`` and ``p = M_T G^{-1} rhs`` by
+    Cholesky when the map is tall and ``lambda_min > _GRAM_RCOND *
+    lambda_max``; otherwise :func:`svd_least_norm`.  Returns
+    ``(sigma_min, sigma_max, p)``.
+    """
+    rows, k = m_t.shape
+    if rows >= k:
+        gram = m_t.T @ m_t
+        evals = np.linalg.eigvalsh(gram)
+        if evals[0] > _GRAM_RCOND * evals[-1]:
+            p = m_t @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
+            return float(np.sqrt(evals[0])), float(np.sqrt(evals[-1])), p
+    return svd_least_norm(m_t, rhs)
 
 
 def svd_least_norm(m_t, rhs):

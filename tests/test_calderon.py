@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from liftrec._blas import blas_threads
 from liftrec.calderon import (
     CalderonOperator,
     _corner_mask,
@@ -29,6 +30,7 @@ from liftrec.hilbert import build_grid_2d
 from liftrec.solvers import SolverOptions
 from oracles import (
     calderon_matrix_dense,
+    dense_rank_one_maps,
     gauss_newton_per_column,
     interior_operator_loops,
     onesided_flux_loops,
@@ -313,7 +315,7 @@ def test_structured_operator_matches_the_dense_assembly(nd, m):
             # the rank-one maps are the dense block contracted on one axis
             stack = a[:, i * d:(i + 1) * d].reshape(-1, d // m, m)
             u, v = rng.standard_normal(d // m), rng.standard_normal(m)
-            left, right = op.rank_one_maps(i, u, v)
+            left, right = dense_rank_one_maps(op, i, u, v)
             _assert_close(left, np.einsum("kab,a->kb", stack, u))
             _assert_close(right, np.einsum("kab,b->ka", stack, v))
         _assert_close(op.gram(), a @ a.T)
@@ -441,7 +443,7 @@ def test_precertificate_study_rows():
     profile = 1.0 + 0.3 * np.cos(np.pi * (grid.xs - 0.5)) * np.cos(np.pi * (grid.ys - 0.5))
     coeffs = coeffs_from_function(basis, grid, profile)
     problem = build_calderon_problem(grid, m=4, n_modes=1, q_coeffs=coeffs)
-    rows = precertificate_study(problem, [1, 2, 3])
+    rows, _ = precertificate_study(problem, [1, 2, 3])
     assert [r["N"] for r in rows] == [1, 2, 3]
     for row in rows:
         if not row.get("degenerate"):
@@ -467,18 +469,20 @@ def test_precertificate_study_keeps_the_scale_functional():
     mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
     g_weights = grid.area_weights * mask
     base = build_calderon_problem(grid, m=4, n_modes=3, g_weights=g_weights)
-    rows = precertificate_study(base, [2, 3])
+    rows, _ = precertificate_study(base, [2, 3])
     for row in rows:
         problem = build_calderon_problem(grid, m=4, n_modes=row["N"],
                                          g_weights=g_weights)
-        cert = precertificate(assemble_calderon_system(problem).op_full,
-                              problem.models)
+        op = assemble_calderon_system(problem).op_full
+        # the study's pre-certificates run on one BLAS thread; so does this one
+        with blas_threads(1):
+            cert = precertificate(op, problem.models)
         assert row["sigma_min"] == cert.sigma_min
         assert row["max_w_norm"] == cert.max_w_norm
         assert row["max_tangent_residual"] == float(cert.tangent_residuals.max())
         assert row["ndsc_pass"] == cert.ndsc_pass
-    integral = precertificate_study(build_calderon_problem(grid, m=4, n_modes=3),
-                                    [2, 3])
+    integral, _ = precertificate_study(build_calderon_problem(grid, m=4, n_modes=3),
+                                       [2, 3])
     assert all(abs(r["max_w_norm"] - s["max_w_norm"]) > 1e-3
                for r, s in zip(rows, integral))
 
@@ -494,9 +498,11 @@ def test_precertificate_study_reuses_its_base(small_problem, monkeypatch):
         return build_calderon_problem(*args, **kwargs)
 
     monkeypatch.setattr(cal, "build_calderon_problem", counting_build)
-    (row,) = precertificate_study(problem, [problem.n_data])
+    (row,), report = precertificate_study(problem, [problem.n_data])
     assert builds == []
-    cert = precertificate(system.op_full, problem.models)
+    with blas_threads(1):
+        cert = precertificate(system.op_full, problem.models)
+    assert np.array_equal(report.p, cert.p)
     assert row["max_w_norm"] == cert.max_w_norm
     assert row["sigma_min"] == cert.sigma_min
     precertificate_study(problem, [2, problem.n_data])
@@ -504,13 +510,15 @@ def test_precertificate_study_reuses_its_base(small_problem, monkeypatch):
     # an N beyond the base builds the largest problem once, and its first
     # N data give the rows of an N-datum build
     n_max = problem.n_data + 2
-    rows = precertificate_study(problem, [n_max, 2, problem.n_data + 1])
+    rows, _ = precertificate_study(problem, [n_max, 2, problem.n_data + 1])
     assert builds == [n_max]
     with pytest.raises(ValueError):
         precertificate_study(problem, [0, 2])
     for row in rows:
         direct = build_calderon_problem(grid, m=4, n_modes=row["N"])
-        cert = precertificate(assemble_calderon_system(direct).op_full, direct.models)
+        op = assemble_calderon_system(direct).op_full
+        with blas_threads(1):
+            cert = precertificate(op, direct.models)
         assert row["sigma_min"] == cert.sigma_min
         assert row["max_w_norm"] == cert.max_w_norm
 

@@ -7,25 +7,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftrec.calderon import assemble_calderon_system, build_calderon_problem
+from liftrec import certify
+from liftrec.calderon import CalderonOperator
 from liftrec.certify import (
     RANK_RTOL,
     CertificateReport,
+    _dense_tangent_map,
     _tangent_least_norm,
     _tangent_map,
-    complement_basis,
+    _times_complement,
     ndsc_verify,
     precertificate,
     robustness_bounds,
     tangent_injectivity,
 )
-from liftrec.errors import DegenerateCertificate
+from liftrec.errors import DegenerateCertificate, NumericFailure
 from liftrec.hilbert import build_grid_1d, build_grid_2d
 from liftrec.internal import assemble_internal_operator, build_internal_problem
 from liftrec.lowrank import RankOneModel, operator_norm, project_tangent_complement
 from liftrec.pde1d import step_potential
 from liftrec.solvers import DenseOperator
 
-from oracles import svd_least_norm, tangent_basis
+from oracles import (
+    complement_basis,
+    dense_tangent_map,
+    gram_least_norm,
+    svd_least_norm,
+    tangent_basis,
+)
 
 
 def _model(rng, n1=4, n2=3):
@@ -45,6 +54,8 @@ def test_complement_basis_orthonormal():
         assert c.shape == (6, 5)
         assert np.allclose(c.T @ c, np.eye(5), atol=1e-12)
         assert np.abs(c.T @ u).max() < 1e-12
+        a = rng.standard_normal((3, 6))
+        assert np.abs(_times_complement(a, u) - a @ c).max() < 1e-12
 
 
 def test_tangent_basis_orthonormal_and_spans_tangent():
@@ -60,14 +71,9 @@ def test_tangent_basis_orthonormal_and_spans_tangent():
 
 def _assert_tangent_map_matches_oracle(op, models, symmetric=False):
     # oracle: every dense basis element measured through the dense matrix
-    matrix = op.matrix
-    offsets = np.cumsum([0, *(r * c for r, c in op.domain_shapes)])
-    want = np.hstack([
-        matrix[:, lo:hi] @ np.stack([b.ravel() for b in tangent_basis(model, symmetric)],
-                                    axis=1)
-        for model, lo, hi in zip(models, offsets, offsets[1:])
-    ])
-    m_t, rhs = _tangent_map(op, models, symmetric=symmetric)
+    want, _ = dense_tangent_map(op, models, symmetric)
+    runs, rhs = _tangent_map(op, models, symmetric=symmetric)
+    m_t = _dense_tangent_map(runs, op.codomain_dim)
     assert m_t.shape == want.shape
     assert np.abs(m_t - want).max() <= 1e-12 * np.abs(want).max()
     dims = [model.u.size + (0 if symmetric else model.v.size - 1) for model in models]
@@ -100,9 +106,13 @@ def _internal_case(n):
 
 
 @functools.lru_cache(maxsize=None)
+def _calderon_problem(nd, m):
+    return build_calderon_problem(build_grid_2d(9, 9), m=m, n_modes=nd)
+
+
+@functools.lru_cache(maxsize=None)
 def _calderon_system(nd, m):
-    return assemble_calderon_system(
-        build_calderon_problem(build_grid_2d(9, 9), m=m, n_modes=nd))
+    return assemble_calderon_system(_calderon_problem(nd, m))
 
 
 @pytest.mark.parametrize("n", [9, 25])
@@ -135,6 +145,96 @@ def test_internal_precertificate_builds_no_dense_tangent_basis():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _assert_solve_matches_dense_oracle(op, models, symmetric=False):
+    """The run-based tangent solve against the codomain-wide ``M_T`` of the
+    dense basis, solved from its dense Gram."""
+    m_t, rhs = dense_tangent_map(op, models, symmetric)
+    want_min, want_max, want_p = gram_least_norm(m_t, rhs)
+    runs, got_rhs = _tangent_map(op, models, symmetric=symmetric)
+    assert np.array_equal(got_rhs, rhs)
+    sigma_min, sigma_max, p = _tangent_least_norm(runs, rhs, op.codomain_dim)
+    assert sigma_max == pytest.approx(want_max, rel=1e-9)
+    assert abs(sigma_min - want_min) <= 1e-9 * want_max
+    # p moves by about cond * eps: compare it where that is small
+    if want_min > 1e-3 * want_max:
+        assert np.linalg.norm(p - want_p) <= 1e-9 * np.linalg.norm(want_p)
+        report = precertificate(op, models, symmetric=symmetric)
+        oracle = ndsc_verify(op.adjoint_apply(want_p), models)
+        assert report.sigma_min == pytest.approx(want_min, rel=1e-9)
+        assert np.allclose(report.w_norms, oracle.w_norms, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("nd", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("selection", ["op_full", "op_data", "op_hard"])
+@pytest.mark.parametrize("coupled", [True, False])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), truth=st.booleans())
+def test_calderon_tangent_solve_matches_dense_oracle(nd, m, selection, coupled, seed,
+                                                     truth):
+    base = getattr(_calderon_system(nd, m), selection)
+    op = CalderonOperator(base.b, base.e, base.f, base.m, coupled=coupled)
+    rng = np.random.default_rng(seed)
+    models = (_calderon_problem(nd, m).models if truth
+              else [_model(rng, r, c) for r, c in op.domain_shapes])
+    _assert_solve_matches_dense_oracle(op, models)
+
+
+@pytest.mark.parametrize("n", [9, 25])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), truth=st.booleans())
+def test_internal_tangent_solve_matches_dense_oracle(n, seed, truth):
+    problem, op = _internal_case(n)
+    model = problem.model if truth else _model(np.random.default_rng(seed), n, n)
+    _assert_solve_matches_dense_oracle(op, [model])
+
+
+@settings(max_examples=20, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       extra_rows=st.integers(0, 20), seed=st.integers(0, 2 ** 31 - 1))
+def test_symmetric_dense_tangent_solve_matches_dense_oracle(sizes, extra_rows, seed):
+    # symmetric measurements: every block's slice of a row is a symmetric matrix
+    rng = np.random.default_rng(seed)
+    models = []
+    for r in sizes:
+        u = _model(rng, r, r).u
+        models.append(RankOneModel(sigma=1.0, u=u, v=u.copy()))
+    rows = sum(sizes) + extra_rows
+    cols = []
+    for r in sizes:
+        a = rng.standard_normal((rows, r, r))
+        cols.append((a + a.transpose(0, 2, 1)).reshape(rows, -1))
+    op = DenseOperator(np.hstack(cols), [(r, r) for r in sizes])
+    _assert_solve_matches_dense_oracle(op, models, symmetric=True)
+
+
+def test_coupled_calderon_tangent_gram_is_an_arrow():
+    # blocks past datum 0 share rows only with datum 0, or with no block
+    # when uncoupled: each is a leaf, and block 0 alone is the hub
+    system = _calderon_system(4, 4)
+    models = _calderon_problem(4, 4).models
+    full = system.op_full
+    for op in (full, CalderonOperator(full.b, full.e, full.f, full.m, coupled=False)):
+        gram = certify._TangentGram(_tangent_map(op, models)[0])
+        assert len(gram.leaves) == 3
+        assert gram.hub.size == sum(op.domain_shapes[0]) - 1
+    # one run over every row: blocks 1 to 3 all share it, so none is a leaf
+    dense = DenseOperator(system.op_full.matrix, system.op_full.domain_shapes)
+    assert certify._TangentGram(_tangent_map(dense, models)[0]).leaves == []
+
+
+def test_non_finite_tangent_system_raises():
+    rng = np.random.default_rng(11)
+    matrix = rng.standard_normal((30, 20))
+    matrix[7, 3] = np.nan
+    op = DenseOperator(matrix, [(4, 5)])
+    model = _model(rng, 4, 5)
+    with pytest.raises(NumericFailure):
+        precertificate(op, [model])
+    with pytest.raises(NumericFailure):
+        tangent_injectivity(op, [model])
 
 
 def test_identity_operator_certificate_is_the_model():
@@ -206,7 +306,7 @@ def test_tangent_solve_matches_svd_oracle(case, k, extra_rows, log_cond, log_sca
             precertificate(op, [model])
         assert tangent_injectivity(op, [model]) <= RANK_RTOL * svals[0]
         return
-    got = _tangent_least_norm(m_t, rhs)
+    got = _tangent_least_norm([[(0, m_t)]], rhs, m_t.shape[0])
     want = svd_least_norm(m_t, rhs)
     if case == "svd":
         assert got[:2] == want[:2]

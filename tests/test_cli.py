@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from liftrec import lowrank
+from liftrec import certify, lowrank
 from liftrec.cli import (
     EXIT_MAX_ITER,
     INTERNAL_SCHEMA,
@@ -280,6 +280,32 @@ def test_cli_calderon_certify_smoke(tmp_path):
     assert code == 0
     text = (out / "certify.csv").read_text()
     assert text.startswith("N,sigma_min,max_w_norm")
+
+
+@pytest.mark.parametrize("config, task", [
+    ("[grid]\nnx = 9\nny = 9\n[sweep]\nn_list = 2,3\n", ("calderon", "certify")),
+    ("[grid]\nn = 21\n[potential]\ntype = step\nq0 = 0.3\n", ("internal", "certify")),
+], ids=["calderon", "internal"])
+def test_cli_precertificates_build_no_dense_tangent_map(tmp_path, monkeypatch, config,
+                                                        task):
+    # the tangent system is solved from its row runs; only an ill-conditioned
+    # or failed Gram solve scatters the codomain-wide M_T for the thin SVD
+    def dense_tangent_map(runs, rows):
+        raise AssertionError("the dense tangent map was built")
+
+    solves = []
+    least_norm = certify._tangent_least_norm
+
+    def spy(runs, rhs, rows):
+        solves.append(rhs.size)
+        return least_norm(runs, rhs, rows)
+
+    monkeypatch.setattr(certify, "_dense_tangent_map", dense_tangent_map)
+    monkeypatch.setattr(certify, "_tangent_least_norm", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *task]) == 0
+    assert solves
 
 
 def test_cli_calderon_forward_smoke(tmp_path):

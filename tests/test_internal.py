@@ -26,7 +26,7 @@ from liftrec.internal import (
 from liftrec.pde1d import constant_potential, direct_division_oracle, step_potential
 from liftrec.solvers import DenseOperator, SolverOptions
 
-from oracles import linear_system_oracle
+from oracles import dense_rank_one_maps, linear_system_oracle
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
@@ -100,7 +100,7 @@ def test_structured_operator_matches_its_dense_form(n, seed):
     assert np.abs(op.adjoint_vec(p) - dense.adjoint_vec(p)).max() <= tol * np.abs(p).max()
     # the rank-one maps are the dense block contracted on one axis
     stack = dense.matrix.reshape(2 * n, n, n)
-    left, right = op.rank_one_maps(0, u, v)
+    left, right = dense_rank_one_maps(op, 0, u, v)
     assert np.abs(left - np.einsum("kab,a->kb", stack, u)).max() <= tol * np.abs(u).max()
     assert np.abs(right - np.einsum("kab,b->ka", stack, v)).max() <= tol * np.abs(v).max()
     assert np.abs(op.gram() - dense.gram()).max() <= tol * np.abs(dense.gram()).max()
