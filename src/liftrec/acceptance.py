@@ -15,7 +15,7 @@ import numpy as np
 
 from . import calderon as cal
 from . import certify, lowrank, quadratic, solvers
-from ._blas import map_rows
+from ._blas import blas_threads, map_rows
 from .hilbert import build_grid_1d, build_grid_2d, whiten
 from .internal import (
     apriori_constant,
@@ -82,8 +82,11 @@ def criterion_2():
     ok = True
     for q0 in (-0.3, 0.3, 0.5):
         t0 = time.time()
-        state = prepare_rows(*build_internal_problem(grid, step_potential(grid, q0=q0)),
-                             opts=_TIGHT)
+        # on one BLAS thread, as the CLI sweep's rows: the pre-certificate's
+        # small factorizations run slower on two
+        with blas_threads(1):
+            state = prepare_rows(
+                *build_internal_problem(grid, step_potential(grid, q0=q0)), opts=_TIGHT)
         problem, cert, report = state.problem, state.cert, state.report
         oracle = direct_division_oracle(problem.u_true)
         rel_err = problem.l2.norm(state.q_hat.values - oracle.values) \
@@ -114,7 +117,8 @@ def criterion_3(context):
     """Linear robustness rate over ``internal sweep``'s rows, five seeds each."""
     deltas = (1e-2, 3e-3, 1e-3, 3e-4)
     grid = build_grid_1d(41, 0.0, 1.0)
-    state = prepare_rows(*build_internal_problem(grid, step_potential(grid, q0=0.5)))
+    with blas_threads(1):
+        state = prepare_rows(*build_internal_problem(grid, step_potential(grid, q0=0.5)))
     problem = state.problem
     f_ref = [whiten(problem.field_true)]
 
@@ -186,7 +190,8 @@ def criterion_5():
         phi_norm = float(np.linalg.norm(op.apply([fw])))
         worst = max(worst, f_norm - c_phi * phi_norm)
         ok = ok and f_norm <= c_phi * phi_norm + 1e-9
-    sigma_min = certify.tangent_injectivity(op, [problem.model])
+    with blas_threads(1):
+        sigma_min = certify.tangent_injectivity(op, [problem.model])
     ok = ok and (1.0 / sigma_min) <= c_phi
     return CriterionResult(5, "a-priori estimate on the tangent space", ok, 0.0,
                            {"c_phi": c_phi, "inv_sigma_min": 1.0 / sigma_min,
@@ -410,7 +415,7 @@ def criterion_11(context):
     resid = float(np.linalg.norm(system.op_full.apply(f_true) - system.z_full))
     ok = resid <= 1e-9
 
-    cert, full_cert = cal.precertificate_study(problem, [2, 3, 4])
+    cert, full_cert = cal.precertificate_study(problem, system, [2, 3, 4])
     table_ok = all(
         (np.isnan(row["max_tangent_residual"])
          or row["max_tangent_residual"] <= 1e-8)

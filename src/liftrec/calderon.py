@@ -200,7 +200,6 @@ class CalderonProblem:
     flux_f_tilde: np.ndarray
     h1: object
     models: list
-    g_weights: np.ndarray     # nodal weights of the scale functional
     g_omega: np.ndarray       # scale functional applied to the basis
 
     @property
@@ -262,8 +261,7 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
         grid=grid, basis_w=basis_w, bdry=bdry, q_coeffs=q_coeffs,
         q_values=q_values, int_q=int_q, u_stack=u_stack,
         f_tilde_stack=f_tilde_stack, flux_u=flux_u, flux_f_tilde=flux_f_tilde,
-        h1=h1, models=models,
-        g_weights=g_weights, g_omega=basis_w.matrix.T @ g_weights,
+        h1=h1, models=models, g_omega=basis_w.matrix.T @ g_weights,
     )
 
 
@@ -656,15 +654,14 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8):
     return {"misfits": misfits, "trajectory": trajectory, "coeffs": coeffs}
 
 
-def precertificate_study(base, n_list):
+def precertificate_study(problem, system, n_list):
     """Least-norm certificate diagnostics across data-family sizes.
 
-    One problem with ``max(n_list)`` boundary data serves every N: ``base``
-    (a :class:`CalderonProblem`) when it has that many, else a rebuild that
-    keeps its grid, basis, potential and scale functional.  The boundary
-    basis is prefix-nested and each datum is solved on its own, so the
-    first N data and models are those of an N-datum build; the factors
-    ``b`` and ``e`` never read the data and are assembled once.
+    ``system``, the assembly of ``problem`` (a :class:`CalderonProblem`
+    with at least ``max(n_list)`` boundary data), serves every N: the
+    boundary basis is prefix-nested and each datum is solved on its own, so
+    the first N data and models are those of an N-datum build, and the
+    factors ``b`` and ``e`` never read the data.
     One row per N: the smallest tangent singular value, the worst tangent
     residual and off-tangent norm.  No pass threshold is asserted; the
     table is the deliverable.  The pre-certificates run on one BLAS thread:
@@ -677,11 +674,10 @@ def precertificate_study(base, n_list):
     if min(n_list) < 1:
         raise ValueError("need at least one boundary mode")
     n_max = max(n_list)
-    problem = base if n_max <= base.n_data else build_calderon_problem(
-        base.grid, m=base.basis_w.m, n_modes=n_max, q_coeffs=base.q_coeffs,
-        g_weights=base.g_weights,
-    )
-    op = assemble_calderon_system(problem).op_full
+    if n_max > problem.n_data:
+        raise ValueError(f"the study needs {n_max} boundary data, the problem has "
+                         f"{problem.n_data}")
+    op = system.op_full
     rows, last = [], None
     with blas_threads(1):
         for n_modes in n_list:

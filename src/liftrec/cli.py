@@ -29,7 +29,7 @@ import numpy as np
 from . import acceptance
 from . import calderon as cal
 from . import certify, quadratic, solvers
-from ._blas import map_rows
+from ._blas import blas_threads, map_rows
 from .errors import ConfigError
 from .hilbert import build_grid_1d, build_grid_2d
 from .internal import (
@@ -301,7 +301,9 @@ def run_internal(config, out_dir, seed, jobs, task):
     if task == "certify":
         problem, _ = _internal_problem(config)
         op = assemble_internal_operator(problem)
-        cert = certify.precertificate(op, [problem.model])
+        # its small factorizations run faster on one BLAS thread than on two
+        with blas_threads(1):
+            cert = certify.precertificate(op, [problem.model])
         lhs_n, lhs_u, cond_pass = sufficient_condition(problem)
         study = alpha_study(problem)
         emit_table(
@@ -350,6 +352,12 @@ def run_calderon(config, out_dir, seed, task):
     )
     m = config.get("boundary", "m_basis", 4, int)
     n_modes = config.get("boundary", "n_modes", 4, int)
+    if task == "certify":
+        n_list = [int(v) for v in config.get_list("sweep", "n_list",
+                                                  default=(2, 3, 4), cast=float)]
+        # the study reads every N off one problem, the first N data of
+        # which are those of an N-datum build
+        n_modes = max([n_modes, *n_list])
     coeffs = config.get_list("potential", "coeffs", default=())
     q_coeffs = np.asarray(coeffs) if coeffs else None
     g_kind = config.get("potential", "g_functional", "integral")
@@ -382,9 +390,8 @@ def run_calderon(config, out_dir, seed, task):
         return 0
 
     if task == "certify":
-        n_list = [int(v) for v in config.get_list("sweep", "n_list",
-                                                  default=(2, 3, 4), cast=float)]
-        rows, _ = cal.precertificate_study(problem, n_list)
+        system = cal.assemble_calderon_system(problem)
+        rows, _ = cal.precertificate_study(problem, system, n_list)
         emit_table(
             [{k: row.get(k, float("nan")) for k in
               ("N", "sigma_min", "max_w_norm", "max_tangent_residual", "ndsc_pass")}

@@ -315,3 +315,23 @@ def calderon_matrix_dense(problem):
         a_full[r0:r0 + nb * m, j * d:(j + 1) * d] = blk_j
         r0 += nb * m
     return a_full, counts
+
+
+def phase_retrieval_per_measurement(n, m, seed):
+    """Seeded Gaussian phase-retrieval draw, one sensing vector at a time.
+
+    Returns the ``(m, n, n)`` stack of outer products ``v_k v_k^T``, the data
+    ``(v_k . x)^2`` and the unit-norm ground truth ``x``.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    while np.linalg.norm(x) == 0:
+        x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    vs = []
+    z = np.empty(m)
+    for k in range(m):
+        v = rng.standard_normal(n)
+        vs.append(np.outer(v, v))
+        z[k] = (v @ x) ** 2
+    return np.asarray(vs), z, x

@@ -7,12 +7,25 @@ prints its pass/fail line.
 import pytest
 
 from liftrec import acceptance
+from liftrec import calderon as cal
 
 
 @pytest.fixture(scope="module")
-def suite():
-    results = acceptance.run_all(printer=None)
-    return {r.index: r for r in results}
+def run():
+    """The suite's results by index, and the data count of every Calderon
+    system it assembles."""
+    assemblies = []
+    assemble = cal.assemble_calderon_system
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cal, "assemble_calderon_system",
+                   lambda problem: assemblies.append(problem.n_data) or assemble(problem))
+        results = acceptance.run_all(printer=None)
+    return {r.index: r for r in results}, assemblies
+
+
+@pytest.fixture(scope="module")
+def suite(run):
+    return run[0]
 
 
 @pytest.mark.parametrize("index", sorted(acceptance.CRITERIA))
@@ -28,3 +41,8 @@ def test_bound_criterion_audits_every_noisy_solve(suite):
     # rows
     assert list(suite) == sorted(acceptance.CRITERIA)
     assert suite[8].details["n_reports"] == 23
+
+
+def test_boundary_criterion_assembles_its_system_once(run):
+    # criterion 11's certificate study reuses the N = 4 system it solves on
+    assert run[1] == [4]

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from liftrec import _blas, cli
+from liftrec import _blas, acceptance, certify, cli
 from liftrec.cli import INTERNAL_SCHEMA, main, read_table
 
 # 8 jump sizes x 3 noise levels: 24 rows, more than three workers can take at once
@@ -109,3 +109,34 @@ def test_cap_is_a_no_op_without_a_library(tmp_path, monkeypatch, two_blas_thread
     assert inside == [two_blas_threads] * 4
     assert [getter() for _, getter in controls] == two_blas_threads
 
+
+def _internal_certify(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[grid]\nn = 41\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "internal", "certify"]) == 0
+
+
+PRE_CERTIFICATE_CALLERS = {
+    "internal certify": _internal_certify,
+    "criterion 2": lambda _: acceptance.criterion_2(),
+    "criterion 3": lambda _: acceptance.criterion_3({"bound_reports": []}),
+    "criterion 5": lambda _: acceptance.criterion_5(),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(PRE_CERTIFICATE_CALLERS))
+def test_pre_certificates_run_on_one_blas_thread(tmp_path, monkeypatch, two_blas_threads,
+                                                 caller):
+    # their small factorizations run faster on one thread than on two
+    seen = []
+    solve = certify._tangent_least_norm
+
+    def recording(*args):
+        seen.append(tuple(_thread_counts()))
+        return solve(*args)
+
+    monkeypatch.setattr(certify, "_tangent_least_norm", recording)
+    PRE_CERTIFICATE_CALLERS[caller](tmp_path)
+    assert seen and set(seen) == {(1,) * len(two_blas_threads)}
+    assert _thread_counts() == two_blas_threads

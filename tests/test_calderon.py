@@ -346,7 +346,7 @@ def test_pipelines_never_build_the_dense_form(small_problem, monkeypatch):
 
     monkeypatch.setattr(CalderonOperator, "matrix", property(dense_form))
     fresh = assemble_calderon_system(problem)
-    precertificate_study(problem, [2, problem.n_data])
+    precertificate_study(problem, fresh, [2, problem.n_data])
     opts = SolverOptions(max_iter=50)
     recover_calderon(problem, fresh, make_calderon_measurements(problem, fresh), opts=opts)
     noisy = make_calderon_measurements(problem, fresh, delta=1e-3, seed=5)
@@ -442,8 +442,8 @@ def test_precertificate_study_rows():
     basis = make_basis_w(grid, 4)
     profile = 1.0 + 0.3 * np.cos(np.pi * (grid.xs - 0.5)) * np.cos(np.pi * (grid.ys - 0.5))
     coeffs = coeffs_from_function(basis, grid, profile)
-    problem = build_calderon_problem(grid, m=4, n_modes=1, q_coeffs=coeffs)
-    rows, _ = precertificate_study(problem, [1, 2, 3])
+    problem = build_calderon_problem(grid, m=4, n_modes=3, q_coeffs=coeffs)
+    rows, _ = precertificate_study(problem, assemble_calderon_system(problem), [1, 2, 3])
     assert [r["N"] for r in rows] == [1, 2, 3]
     for row in rows:
         if not row.get("degenerate"):
@@ -463,13 +463,13 @@ def test_alternative_scale_functional_keeps_truth_feasible():
 
 
 def test_precertificate_study_keeps_the_scale_functional():
-    # the study reads every N off one problem; it must keep the subdomain
-    # functional the problem was built with, not fall back to the integral
+    # the study reads every N off one problem: its rows are those of N-datum
+    # builds with the subdomain functional, not with the integral
     grid = build_grid_2d(9, 9)
     mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
     g_weights = grid.area_weights * mask
     base = build_calderon_problem(grid, m=4, n_modes=3, g_weights=g_weights)
-    rows, _ = precertificate_study(base, [2, 3])
+    rows, _ = precertificate_study(base, assemble_calderon_system(base), [2, 3])
     for row in rows:
         problem = build_calderon_problem(grid, m=4, n_modes=row["N"],
                                          g_weights=g_weights)
@@ -481,8 +481,9 @@ def test_precertificate_study_keeps_the_scale_functional():
         assert row["max_w_norm"] == cert.max_w_norm
         assert row["max_tangent_residual"] == float(cert.tangent_residuals.max())
         assert row["ndsc_pass"] == cert.ndsc_pass
-    integral, _ = precertificate_study(build_calderon_problem(grid, m=4, n_modes=3),
-                                       [2, 3])
+    integral_problem = build_calderon_problem(grid, m=4, n_modes=3)
+    integral, _ = precertificate_study(
+        integral_problem, assemble_calderon_system(integral_problem), [2, 3])
     assert all(abs(r["max_w_norm"] - s["max_w_norm"]) > 1e-3
                for r, s in zip(rows, integral))
 
@@ -491,29 +492,31 @@ def test_precertificate_study_reuses_its_base(small_problem, monkeypatch):
     import liftrec.calderon as cal
 
     grid, problem, system = small_problem
-    builds = []
+    builds, assemblies = [], []
 
     def counting_build(*args, **kwargs):
         builds.append(kwargs["n_modes"])
         return build_calderon_problem(*args, **kwargs)
 
+    def counting_assembly(built):
+        assemblies.append(built.n_data)
+        return assemble_calderon_system(built)
+
     monkeypatch.setattr(cal, "build_calderon_problem", counting_build)
-    (row,), report = precertificate_study(problem, [problem.n_data])
-    assert builds == []
+    monkeypatch.setattr(cal, "assemble_calderon_system", counting_assembly)
+    (row,), report = precertificate_study(problem, system, [problem.n_data])
     with blas_threads(1):
         cert = precertificate(system.op_full, problem.models)
     assert np.array_equal(report.p, cert.p)
     assert row["max_w_norm"] == cert.max_w_norm
     assert row["sigma_min"] == cert.sigma_min
-    precertificate_study(problem, [2, problem.n_data])
-    assert builds == []
-    # an N beyond the base builds the largest problem once, and its first
-    # N data give the rows of an N-datum build
-    n_max = problem.n_data + 2
-    rows, _ = precertificate_study(problem, [n_max, 2, problem.n_data + 1])
-    assert builds == [n_max]
+    # the first N data of the base give the rows of an N-datum build
+    rows, _ = precertificate_study(problem, system, [2, problem.n_data])
+    assert builds == assemblies == []
     with pytest.raises(ValueError):
-        precertificate_study(problem, [0, 2])
+        precertificate_study(problem, system, [0, 2])
+    with pytest.raises(ValueError, match="boundary data"):
+        precertificate_study(problem, system, [2, problem.n_data + 1])
     for row in rows:
         direct = build_calderon_problem(grid, m=4, n_modes=row["N"])
         op = assemble_calderon_system(direct).op_full

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from liftrec import calderon as cal
 from liftrec import certify, lowrank
 from liftrec.cli import (
     EXIT_MAX_ITER,
@@ -280,6 +281,28 @@ def test_cli_calderon_certify_smoke(tmp_path):
     assert code == 0
     text = (out / "certify.csv").read_text()
     assert text.startswith("N,sigma_min,max_w_norm")
+
+
+def test_cli_calderon_certify_builds_the_largest_n_once(tmp_path, monkeypatch):
+    # with fewer configured data than the largest N, the one problem built
+    # and assembled carries the study's data; its table is that of a run
+    # configured with them
+    builds, assemblies = [], []
+    build, assemble = cal.build_calderon_problem, cal.assemble_calderon_system
+    monkeypatch.setattr(cal, "build_calderon_problem",
+                        lambda *a, **k: builds.append(k["n_modes"]) or build(*a, **k))
+    monkeypatch.setattr(cal, "assemble_calderon_system",
+                        lambda p: assemblies.append(p.n_data) or assemble(p))
+    tables = []
+    for n_modes in (2, 4):
+        cfg = tmp_path / f"cal{n_modes}.cfg"
+        cfg.write_text(f"[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = {n_modes}\n"
+                       "[sweep]\nn_list = 2,3,4\n")
+        out = tmp_path / f"out{n_modes}"
+        assert main(["--config", str(cfg), "--out", str(out), "calderon", "certify"]) == 0
+        tables.append((out / "certify.csv").read_bytes())
+    assert builds == assemblies == [4, 4]
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("config, task", [

@@ -8,9 +8,12 @@ from liftrec.quadratic import (
     add_noise,
     make_phase_retrieval,
     recover_phaselift,
+    require_symmetric,
     sign_aligned_error,
 )
 from liftrec.solvers import SolverOptions
+
+from oracles import phase_retrieval_per_measurement
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
@@ -24,6 +27,72 @@ def test_instance_generation():
     assert np.array_equal(inst.x_true, again.x_true)
     with pytest.raises(ValueError):
         make_phase_retrieval(5, 0, 7)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 20), (20, 120), (7, 1)])
+@pytest.mark.parametrize("seed", [0, 3, 7, 31])
+def test_instance_matches_the_per_measurement_draw(n, m, seed):
+    stack, z, x = phase_retrieval_per_measurement(n, m, seed)
+    inst = make_phase_retrieval(n, m, seed)
+    assert inst.measurements.shape == (m, n, n)
+    assert np.array_equal(inst.measurements, stack)
+    assert np.array_equal(inst.z, z)
+    assert np.array_equal(inst.x_true, x)
+    assert np.array_equal(inst.op.matrix, stack.reshape(m, n * n))
+
+
+def _symmetric_stack():
+    a = np.random.default_rng(0).standard_normal((6, 4, 4))
+    return a + a.transpose(0, 2, 1)
+
+
+def test_require_symmetric_passes_an_exactly_symmetric_stack():
+    stack = _symmetric_stack()
+    out = require_symmetric(stack, 4)
+    assert out.shape == (6, 4, 4)
+    assert np.shares_memory(out, stack)
+
+
+def test_require_symmetric_passes_a_near_symmetric_stack(monkeypatch):
+    import liftrec.quadratic as quad
+
+    stack = _symmetric_stack()
+    stack[2, 0, 1] += 1e-13
+    assert not np.array_equal(stack, stack.transpose(0, 2, 1))
+    # the stack reaches the tolerance test: each of its slices runs isclose
+    calls = []
+    isclose = np.isclose
+    monkeypatch.setattr(quad.np, "isclose",
+                        lambda *a, **k: calls.append(1) or isclose(*a, **k))
+    assert np.array_equal(require_symmetric(stack, 4), stack)
+    assert calls
+
+
+@pytest.mark.parametrize("offset", [1e-6, np.nan])
+def test_require_symmetric_rejects_an_asymmetric_entry(offset):
+    # a zero pair: allclose's relative tolerance leaves only the absolute one
+    stack = _symmetric_stack()
+    stack[3, 1, 2] = stack[3, 2, 1] = 0.0
+    stack[3, 1, 2] += offset
+    with pytest.raises(ValueError, match="symmetric"):
+        require_symmetric(stack, 4)
+
+
+def test_list_and_array_measurements_give_the_same_stack():
+    stack = _symmetric_stack()
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    z = stack[:, 0, 0]
+    from_list = QuadraticInstance(n=4, measurements=list(stack), z=z, x_true=x)
+    from_array = QuadraticInstance(n=4, measurements=stack, z=z, x_true=x)
+    assert isinstance(from_list.measurements, np.ndarray)
+    assert np.array_equal(from_list.measurements, from_array.measurements)
+    assert np.array_equal(from_list.op.matrix, from_array.op.matrix)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,)])
+def test_instance_rejects_a_wrong_matrix_shape(shape):
+    with pytest.raises(ValueError, match="n x n"):
+        QuadraticInstance(n=2, measurements=[np.zeros(shape)], z=np.zeros(1))
 
 
 def test_instance_validates_consistency():
