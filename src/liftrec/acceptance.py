@@ -37,21 +37,12 @@ class CriterionResult:
     index: int
     name: str
     passed: bool
-    runtime: float
     details: dict = field(default_factory=dict)
+    runtime: float = 0.0          # set by run_all
 
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag} criterion {self.index}: {self.name} ({self.runtime:.1f}s)"
-
-
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.time()
-        result = fn(*args, **kwargs)
-        result.runtime = time.time() - t0
-        return result
-    return wrapper
 
 
 _TIGHT = solvers.SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
@@ -61,20 +52,16 @@ def _all_converged(reports):
     return all(r.status == solvers.STATUS_CONVERGED for r in reports)
 
 
-@_timed
 def criterion_1():
     """Jump-size interval of the sufficient condition at n = 401."""
     t0 = time.time()
     lower, upper = find_condition_interval(n=401)
     runtime = time.time() - t0
     ok = (-0.75 <= lower <= -0.65) and (0.75 <= upper <= 0.85) and runtime <= 10.0
-    return CriterionResult(
-        1, "sufficient-condition interval located by bisection", ok, 0.0,
-        {"lower": lower, "upper": upper, "solve_time": runtime},
-    )
+    return CriterionResult(1, "sufficient-condition interval located by bisection", ok,
+                           {"lower": lower, "upper": upper, "solve_time": runtime})
 
 
-@_timed
 def criterion_2():
     """Exact internal recovery for three jump sizes at n = 41."""
     grid = build_grid_1d(41, 0.0, 1.0)
@@ -108,12 +95,11 @@ def criterion_2():
             "rel_err_vs_oracle": rel_err, "rank_ratio": report.extras["rank_ratio"],
             "f_rel_err": f_rel, "time": elapsed, "ok": row_ok,
         })
-    return CriterionResult(2, "exact internal recovery with certificates", ok, 0.0,
+    return CriterionResult(2, "exact internal recovery with certificates", ok,
                            {"rows": rows})
 
 
-@_timed
-def criterion_3(context):
+def criterion_3(bound_reports):
     """Linear robustness rate over ``internal sweep``'s rows, five seeds each."""
     deltas = (1e-2, 3e-3, 1e-3, 3e-4)
     grid = build_grid_1d(41, 0.0, 1.0)
@@ -136,13 +122,12 @@ def criterion_3(context):
     medians = [float(m) for m in np.median(np.reshape(errs, (len(deltas), 5)), axis=1)]
     slope = loglog_slope(deltas, medians)
     ok = 0.8 <= slope <= 1.2 and _all_converged(reports)
-    context["bound_reports"].extend(bounds)
-    return CriterionResult(3, "linear robustness rate (internal)", ok, 0.0,
+    bound_reports.extend(bounds)
+    return CriterionResult(3, "linear robustness rate (internal)", ok,
                            {"slope": slope, "medians": dict(zip(deltas, medians)),
                             "noisy_iters": sum(r.iterations for r in reports)})
 
 
-@_timed
 def criterion_4():
     """Certificate dominance and equality of the condition forms."""
     grid = build_grid_1d(41, 0.0, 1.0)
@@ -165,12 +150,11 @@ def criterion_4():
         form_gap = abs(lhs_n - lhs_u) / max(1.0, abs(lhs_n))
         worst_form = max(worst_form, form_gap)
         ok = ok and form_gap <= 1e-10
-    return CriterionResult(4, "certificate norm dominated by analytic bound", ok, 0.0,
+    return CriterionResult(4, "certificate norm dominated by analytic bound", ok,
                            {"worst_exact_minus_bound": worst_gap,
                             "worst_form_gap": worst_form})
 
 
-@_timed
 def criterion_5():
     """A-priori tangent estimate and empirical constant domination."""
     grid = build_grid_1d(41, 0.0, 1.0)
@@ -193,12 +177,11 @@ def criterion_5():
     with blas_threads(1):
         sigma_min = certify.tangent_injectivity(op, [problem.model])
     ok = ok and (1.0 / sigma_min) <= c_phi
-    return CriterionResult(5, "a-priori estimate on the tangent space", ok, 0.0,
+    return CriterionResult(5, "a-priori estimate on the tangent space", ok,
                            {"c_phi": c_phi, "inv_sigma_min": 1.0 / sigma_min,
                             "worst_slack": worst})
 
 
-@_timed
 def criterion_6():
     """Subdifferential lemma suite and projector identities."""
     rng = np.random.default_rng(6)
@@ -249,12 +232,11 @@ def criterion_6():
             max(0.0, lowrank.operator_norm(ptp) - lowrank.operator_norm(m)),
         )
     ok = ok and proj_defect <= 1e-10
-    return CriterionResult(6, "subdifferential equivalences and projectors", ok, 0.0,
+    return CriterionResult(6, "subdifferential equivalences and projectors", ok,
                            {"disagreements": disagreements,
                             "projector_defect": proj_defect})
 
 
-@_timed
 def criterion_7():
     """Duality gap and per-block optimality link on converged solves."""
     checks = []
@@ -288,26 +270,23 @@ def criterion_7():
         ok = ok and row_ok
         results.append({"case": name, "gap": audit.gap, "link_defect": link,
                         "ok": row_ok})
-    return CriterionResult(7, "strong duality audit on equality solves", ok, 0.0,
+    return CriterionResult(7, "strong duality audit on equality solves", ok,
                            {"cases": results})
 
 
-@_timed
-def criterion_8(context):
+def criterion_8(reports):
     """Bregman and prediction bounds on every noisy solve of the suite."""
-    reports = context["bound_reports"]
     ok = len(reports) > 0 and all(r["all_ok"] for r in reports)
     worst_breg = max((r["bregman"] - r["bregman_bound"] for r in reports),
                      default=np.nan)
     worst_pred = max((r["prediction_error"] - r["prediction_bound"] for r in reports),
                      default=np.nan)
-    return CriterionResult(8, "robustness bounds on noisy solves", ok, 0.0,
+    return CriterionResult(8, "robustness bounds on noisy solves", ok,
                            {"n_reports": len(reports),
                             "worst_bregman_slack": worst_breg,
                             "worst_prediction_slack": worst_pred})
 
 
-@_timed
 def criterion_9():
     """Prox correctness: KKT membership and the descent oracle."""
     rng = np.random.default_rng(9)
@@ -355,11 +334,10 @@ def criterion_9():
     oracle_gap = max(float(np.linalg.norm(ref - lowrank.svt_prox(m, 0.7)))
                      for m, ref in zip(ms, refs))
     ok = ok and oracle_gap <= 1e-6
-    return CriterionResult(9, "SVT prox optimality", ok, 0.0,
+    return CriterionResult(9, "SVT prox optimality", ok,
                            {"worst_kkt_defect": worst_kkt, "oracle_gap": oracle_gap})
 
 
-@_timed
 def criterion_10():
     """PhaseLift recovery and its conditional robustness rate."""
     t0 = time.time()
@@ -398,14 +376,13 @@ def criterion_10():
         slope = loglog_slope(deltas, medians)
         ok = ok and 0.8 <= slope <= 1.2 and _all_converged(noisy)
     ok = ok and (time.time() - t0) <= 60.0
-    return CriterionResult(10, "PhaseLift recovery and robustness", ok, 0.0,
+    return CriterionResult(10, "PhaseLift recovery and robustness", ok,
                            {"noiseless_err": base_err, "ndsc_seed": ndsc_seed,
                             "ndsc_w_norm": cert_w, "slope": slope,
                             "noisy_iters": sum(r.iterations for r in noisy)})
 
 
-@_timed
-def criterion_11(context):
+def criterion_11(bound_reports):
     """Boundary-measurement pipeline at the configured desk scale."""
     t0 = time.time()
     grid = build_grid_2d(17, 17)
@@ -427,7 +404,7 @@ def criterion_11(context):
     slope = None
     noisy = []
     if final["max_w_norm"] < 1.0:
-        meas = cal.make_calderon_measurements(problem, system)
+        meas = cal.make_calderon_measurements(system)
         opts = solvers.SolverOptions(tol_gap=1e-8, tol_feas=1e-9)
         q_hat, _, report = cal.recover_calderon(problem, system, meas, opts=opts)
         q_err = float(np.linalg.norm(q_hat - problem.q_coeffs)
@@ -439,11 +416,11 @@ def criterion_11(context):
         deltas = (3e-3, 1e-3, 3e-4)
         errs = []
         for d in deltas:
-            meas_d = cal.make_calderon_measurements(problem, system, delta=d, seed=11)
+            meas_d = cal.make_calderon_measurements(system, delta=d, seed=11)
             q_d, blocks_d, rep_d = cal.recover_calderon(problem, system, meas_d, c=1.0)
             errs.append(float(np.linalg.norm(q_d - problem.q_coeffs)))
             noisy.append(rep_d)
-            context["bound_reports"].append(certify.robustness_bounds(
+            bound_reports.append(certify.robustness_bounds(
                 system.op_full, blocks_d, f_true, problem.models,
                 full_cert.h_blocks, full_cert.p, 1.0, d,
             ))
@@ -451,14 +428,13 @@ def criterion_11(context):
         ok = ok and 0.7 <= slope <= 1.3 and _all_converged(noisy)
     elapsed = time.time() - t0
     ok = ok and elapsed <= 600.0
-    return CriterionResult(11, "boundary-measurement pipeline", ok, 0.0,
+    return CriterionResult(11, "boundary-measurement pipeline", ok,
                            {"truth_residual": resid, "w_norm_table": cert,
                             "q_rel_err": q_err, "noisy_slope": slope,
                             "noisy_iters": sum(r.iterations for r in noisy),
                             "time": elapsed})
 
 
-@_timed
 def criterion_12():
     """Forward-map derivative: convergence, symmetry, spectrum."""
     grid = build_grid_2d(17, 17)
@@ -466,11 +442,11 @@ def criterion_12():
     q = problem.q_values
     h = 0.5 * np.cos(np.pi * grid.xs) * np.sin(np.pi * grid.ys) + 0.3
 
-    deriv = cal.frechet_derivative(problem, q, h, method="onesided")
-    lam_0 = cal.dtn_map(grid, q, problem.bdry, method="onesided")
+    deriv = cal.frechet_derivative(problem, q, h)
+    lam_0 = cal.dtn_map(grid, q, problem.bdry)
     errs = []
     for t in (1e-2, 1e-3, 1e-4):
-        lam_t = cal.dtn_map(grid, q + t * h, problem.bdry, method="onesided")
+        lam_t = cal.dtn_map(grid, q + t * h, problem.bdry)
         errs.append(float(np.linalg.norm((lam_t - lam_0) / t - deriv)))
     orders = [np.log10(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     ok = all(o >= 0.9 for o in orders)
@@ -482,7 +458,7 @@ def criterion_12():
     profile = cal.compactness_diagnostic(problem, q, h, mode_counts=(4, 8, 12))
     tails_ok = all(np.all(np.diff(sv) <= 1e-12) for sv in profile.values())
     ok = ok and tails_ok
-    return CriterionResult(12, "forward-map derivative checks", ok, 0.0,
+    return CriterionResult(12, "forward-map derivative checks", ok,
                            {"orders": orders, "symmetry_defect": sym_defect,
                             "profiles": {k: v.tolist() for k, v in profile.items()}})
 
@@ -502,26 +478,27 @@ CRITERIA = {
     12: criterion_12,
 }
 
-_NEEDS_CONTEXT = {3, 8, 11}
-# the bound criterion reads the reports every other context user leaves
-_RUNS_LAST = 8
-
 
 def run_all(printer=print):
-    """Run every acceptance criterion and print one line per result.
+    """Run every acceptance criterion, time it, and print one line per result.
 
-    The bound criterion (8) aggregates the noisy-solve audits that the
-    recovery criteria 3 and 11 leave in a shared context, so it runs after
-    all the others.  Results are returned, and their lines printed, in
-    index order: each line as soon as every lower index has one.
+    Criteria 3 and 11 append their noisy-solve audits to one list, which the
+    bound criterion (8) reads, so it runs after all the others.  Results are
+    returned, and their lines printed, in index order: each line as soon as
+    every lower index has one.
     """
-    context = {"bound_reports": []}
+    bound_reports = []
+    runs = {**CRITERIA, 3: lambda: criterion_3(bound_reports),
+            11: lambda: criterion_11(bound_reports)}
+    del runs[8]                 # re-entered, so that it runs last
+    runs[8] = lambda: criterion_8(bound_reports)
     indices = sorted(CRITERIA)
     done = {}
     printed = 0
-    for idx in sorted(indices, key=lambda i: (i == _RUNS_LAST, i)):
-        fn = CRITERIA[idx]
-        done[idx] = fn(context) if idx in _NEEDS_CONTEXT else fn()
+    for idx, fn in runs.items():
+        t0 = time.time()
+        done[idx] = fn()
+        done[idx].runtime = time.time() - t0
         while printed < len(indices) and indices[printed] in done:
             if printer is not None:
                 printer(done[indices[printed]].line())

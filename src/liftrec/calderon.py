@@ -328,20 +328,12 @@ class CalderonOperator(AffineOperator):
         else:
             yield self._own_rows + (i - 1) * nbm, nbm, self.e, -1.0
 
-    def _block_rows(self, i, cols):
-        """``(first row, rows)`` of each run of block ``i``'s measurements of
-        ``cols``."""
-        out = []
-        ec = None
-        for start, _, factor, scale in self._runs(i):
-            if scale is None:
-                out.append((start, factor @ cols))
-                continue
-            if ec is None:
-                # (nb, m * c): boundary node by row, (basis, column) by column
-                ec = self.e @ cols.reshape(self.n, -1)
-            out.append((start, (scale * ec).reshape(-1, cols.shape[1])))
-        return out
+    def _dense_runs(self, i):
+        """``(first row, rows)`` of each run of block ``i`` as a dense matrix:
+        ``b`` itself, or ``scale * e`` acting on every basis column alike."""
+        return [(start, factor if scale is None
+                 else np.kron(scale * factor, np.eye(self.m)))
+                for start, _, factor, scale in self._runs(i)]
 
     def rank_one_maps(self, i, u, v):
         """One ``(start, left, right)`` per run of :meth:`_runs`: ``b`` as an
@@ -361,10 +353,9 @@ class CalderonOperator(AffineOperator):
     def gram(self):
         """``sum_i S_i S_i^T`` scattered, ``S_i`` the rows block ``i``
         reaches; the blocks past datum 0 share one ``S_i``."""
-        eye = np.eye(self.n * self.m)
         out = np.zeros((self.codomain_dim, self.codomain_dim))
         for i in range(min(self.n_blocks, 2)):
-            s_i = np.vstack([rows for _, rows in self._block_rows(i, eye)])
+            s_i = np.vstack([rows for _, rows in self._dense_runs(i)])
             g_i = s_i @ s_i.T
             for k in (range(1, self.n_blocks) if i else (0,)):
                 idx = np.concatenate([np.arange(start, start + count)
@@ -382,10 +373,9 @@ class CalderonOperator(AffineOperator):
     def matrix(self):
         """Dense ``codomain x domain`` form, built on each access."""
         d = self.n * self.m
-        eye = np.eye(d)
         out = np.zeros((self.codomain_dim, self.domain_dim))
         for i in range(self.n_blocks):
-            for start, rows in self._block_rows(i, eye):
+            for start, rows in self._dense_runs(i):
                 out[start:start + rows.shape[0], i * d:(i + 1) * d] = rows
         return out
 
@@ -474,7 +464,7 @@ class CalderonMeasurements:
     delta: float
 
 
-def make_calderon_measurements(problem, system, delta=0.0, seed=0):
+def make_calderon_measurements(system, delta=0.0, seed=0):
     """Flux measurements, optionally polluted by noise of exact norm delta."""
     z = system.z_data.copy()
     if delta > 0:
@@ -544,20 +534,21 @@ def boundary_restriction_constant(problem):
     return float(svals[0])
 
 
-def dtn_map(grid, q_vals, bdry, method="onesided"):
-    """Flux matrix of the boundary-data-to-flux map, one row per datum."""
+def dtn_map(grid, q_vals, bdry):
+    """One-sided flux matrix of the boundary-data-to-flux map, one row per
+    datum."""
     _, states = _forward_states(grid, q_vals, bdry.matrix)
-    return np.stack([dtn_flux(grid, u, method) for u in states])
+    return np.stack([dtn_flux(grid, u) for u in states])
 
 
-def frechet_derivative(problem, q_vals, h_vals, method="onesided"):
+def frechet_derivative(problem, q_vals, h_vals):
     """Derivative of the data-to-flux map at ``q`` in direction ``h``.
 
     For each boundary datum: solve the state, re-solve with source
     ``-h * u`` and zero boundary values, take the flux.  Assembled as an
-    (N x boundary) matrix on the problem's boundary basis.
+    (N x boundary) matrix of one-sided fluxes on the problem's boundary basis.
     """
-    return _frechet_matrix(problem.grid, problem.bdry, q_vals, h_vals, method)
+    return _frechet_matrix(problem.grid, problem.bdry, q_vals, h_vals, "onesided")
 
 
 def _frechet_matrix(grid, bdry, q_vals, h_vals, method):

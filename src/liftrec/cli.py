@@ -75,12 +75,13 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"cannot parse {section}.{key} = {raw!r}") from exc
 
-    def get_list(self, section, key, default=(), cast=float):
+    def get_list(self, section, key, default=()):
+        """A comma-separated list of floats."""
         raw = self.sections.get(section, {}).get(key)
         if raw is None or raw.strip() == "":
             return list(default)
         try:
-            return [cast(tok.strip()) for tok in raw.split(",") if tok.strip()]
+            return [float(tok.strip()) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"cannot parse list {section}.{key} = {raw!r}") from exc
 
@@ -179,17 +180,30 @@ def _exit_code(rows, table):
     return EXIT_MAX_ITER
 
 
-def _write_summary(out_dir, payload):
-    payload = dict(payload)
-    payload["versions"] = {
-        "liftrec": __import__("liftrec").__version__,
-        "numpy": np.__version__,
-        "python": sys.version.split()[0],
-    }
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+def _write_json(out_dir, name, payload):
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, default=_json_default)
         fh.write("\n")
+
+
+def _write_summary(out_dir, payload):
+    _write_json(out_dir, "summary.json", {
+        **payload,
+        "versions": {
+            "liftrec": __import__("liftrec").__version__,
+            "numpy": np.__version__,
+            "python": sys.version.split()[0],
+        },
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    })
+
+
+def _finish(out_dir, name, rows, schema, summary):
+    """Write ``<name>.csv`` and ``summary.json``; the exit code comes from
+    the ``status`` column when the schema has one, and is 0 otherwise."""
+    emit_table(rows, schema, os.path.join(out_dir, f"{name}.csv"))
+    _write_summary(out_dir, summary)
+    return _exit_code(rows, f"{name}.csv") if ("status", str) in schema else 0
 
 
 def _json_default(obj):
@@ -244,6 +258,16 @@ INTERNAL_SCHEMA = [
     ("err_L2", float), ("delta", float), ("lambda", float), ("iters", int),
     ("status", str),
 ]
+ALPHA_SCHEMA = [("alpha", float), ("exact", float), ("bound", float)]
+FORWARD_SCHEMA = [("datum", int), ("flux_norm", float), ("state_min", float),
+                  ("state_max", float)]
+CALDERON_CERTIFY_SCHEMA = [("N", int), ("sigma_min", float), ("max_w_norm", float),
+                           ("max_tangent_residual", float), ("ndsc_pass", bool)]
+CALDERON_RECOVER_SCHEMA = [("delta", float), ("lambda", float), ("rel_err_W", float),
+                           ("iters", int), ("feas_residual", float), ("status", str)]
+BASELINE_SCHEMA = [("iteration", int), ("misfit", float)]
+PHASELIFT_SCHEMA = [("n", int), ("m", int), ("delta", float), ("err", float),
+                    ("rank_ratio", float), ("iters", int), ("status", str)]
 
 
 def _internal_problem(config, q0=None):
@@ -306,13 +330,7 @@ def run_internal(config, out_dir, seed, jobs, task):
             cert = certify.precertificate(op, [problem.model])
         lhs_n, lhs_u, cond_pass = sufficient_condition(problem)
         study = alpha_study(problem)
-        emit_table(
-            [{"alpha": r["alpha"], "exact": r["exact"], "bound": r["bound"]}
-             for r in study["rows"]],
-            [("alpha", float), ("exact", float), ("bound", float)],
-            os.path.join(out_dir, "alpha_study.csv"),
-        )
-        report = {
+        _write_json(out_dir, "certificate.json", {
             "w_norm": cert.w_norms.tolist(),
             "sigma_min": cert.sigma_min,
             "tangent_residuals": cert.tangent_residuals.tolist(),
@@ -322,14 +340,10 @@ def run_internal(config, out_dir, seed, jobs, task):
             "condition_pass": cond_pass,
             "alpha_star": study["alpha_star"],
             "exact_at_star": study["exact_at_star"],
-        }
-        with open(os.path.join(out_dir, "certificate.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, default=_json_default)
-            fh.write("\n")
-        _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
-                                 "assertions": {"ndsc_pass": cert.ndsc_pass}})
-        return 0
+        })
+        return _finish(out_dir, "alpha_study", study["rows"], ALPHA_SCHEMA,
+                       {"kind": "internal", "task": task, "seed": seed,
+                        "assertions": {"ndsc_pass": cert.ndsc_pass}})
 
     if task == "recover":
         q0_values = [config.get("potential", "q0", 0.5, float)]
@@ -340,10 +354,28 @@ def run_internal(config, out_dir, seed, jobs, task):
     else:
         raise ConfigError(f"unknown internal task {task!r}")
     rows = _internal_rows(config, q0_values, deltas, seed, c, opts, jobs)
-    emit_table(rows, INTERNAL_SCHEMA, os.path.join(out_dir, f"{task}.csv"))
-    _write_summary(out_dir, {"kind": "internal", "task": task, "seed": seed,
-                             "rows": len(rows)})
-    return _exit_code(rows, f"{task}.csv")
+    return _finish(out_dir, task, rows, INTERNAL_SCHEMA,
+                   {"kind": "internal", "task": task, "seed": seed, "rows": len(rows)})
+
+
+def _calderon_recover_rows(config, problem, seed):
+    """One row per noise level, all on one assembly; every level draws its
+    noise from ``seed``, so a row equals the single-level run's."""
+    system = cal.assemble_calderon_system(problem)
+    c = config.get("noise", "c", 1.0, float)
+    opts = _solver_options(config)
+    rows = []
+    for delta in _noise_levels(config):
+        meas = cal.make_calderon_measurements(system, delta=delta, seed=seed)
+        q_hat, _, report = cal.recover_calderon(problem, system, meas, c=c, opts=opts)
+        rows.append({
+            "delta": delta, "lambda": (0.0 if delta == 0 else c * delta),
+            "rel_err_W": float(np.linalg.norm(q_hat - problem.q_coeffs)
+                               / np.linalg.norm(problem.q_coeffs)),
+            "iters": report.iterations, "feas_residual": report.feas_residual,
+            "status": report.status,
+        })
+    return rows
 
 
 def run_calderon(config, out_dir, seed, task):
@@ -353,8 +385,7 @@ def run_calderon(config, out_dir, seed, task):
     m = config.get("boundary", "m_basis", 4, int)
     n_modes = config.get("boundary", "n_modes", 4, int)
     if task == "certify":
-        n_list = [int(v) for v in config.get_list("sweep", "n_list",
-                                                  default=(2, 3, 4), cast=float)]
+        n_list = [int(v) for v in config.get_list("sweep", "n_list", default=(2, 3, 4))]
         # the study reads every N off one problem, the first N data of
         # which are those of an N-datum build
         n_modes = max([n_modes, *n_list])
@@ -372,62 +403,32 @@ def run_calderon(config, out_dir, seed, task):
         raise ConfigError(f"unknown g_functional {g_kind!r}")
     problem = cal.build_calderon_problem(grid, m=m, n_modes=n_modes,
                                          q_coeffs=q_coeffs, g_weights=g_weights)
+    summary = {"kind": "calderon", "task": task, "seed": seed}
 
     if task == "forward":
-        rows = []
-        for i in range(problem.n_data):
-            rows.append({
-                "datum": i,
-                "flux_norm": float(np.linalg.norm(
-                    np.sqrt(grid.boundary_weights) * problem.flux_u[i])),
-                "state_min": float(problem.u_stack[i].min()),
-                "state_max": float(problem.u_stack[i].max()),
-            })
-        emit_table(rows, [("datum", int), ("flux_norm", float),
-                          ("state_min", float), ("state_max", float)],
-                   os.path.join(out_dir, "forward.csv"))
-        _write_summary(out_dir, {"kind": "calderon", "task": task, "seed": seed})
-        return 0
+        rows = [{
+            "datum": i,
+            "flux_norm": float(np.linalg.norm(
+                np.sqrt(grid.boundary_weights) * problem.flux_u[i])),
+            "state_min": float(problem.u_stack[i].min()),
+            "state_max": float(problem.u_stack[i].max()),
+        } for i in range(problem.n_data)]
+        return _finish(out_dir, task, rows, FORWARD_SCHEMA, summary)
 
     if task == "certify":
         system = cal.assemble_calderon_system(problem)
         rows, _ = cal.precertificate_study(problem, system, n_list)
-        emit_table(
-            [{k: row.get(k, float("nan")) for k in
-              ("N", "sigma_min", "max_w_norm", "max_tangent_residual", "ndsc_pass")}
-             for row in rows],
-            [("N", int), ("sigma_min", float), ("max_w_norm", float),
-             ("max_tangent_residual", float), ("ndsc_pass", bool)],
-            os.path.join(out_dir, "certify.csv"),
-        )
-        _write_summary(out_dir, {
-            "kind": "calderon", "task": task, "seed": seed,
-            "boundary_restriction_constant":
-                cal.boundary_restriction_constant(problem),
-        })
-        return 0
+        summary["boundary_restriction_constant"] = \
+            cal.boundary_restriction_constant(problem)
+        return _finish(out_dir, task, rows, CALDERON_CERTIFY_SCHEMA, summary)
 
     if task == "recover":
-        system = cal.assemble_calderon_system(problem)
-        delta = config.get("noise", "delta", 0.0, float)
-        c = config.get("noise", "c", 1.0, float)
-        meas = cal.make_calderon_measurements(problem, system, delta=delta, seed=seed)
-        q_hat, _, report = cal.recover_calderon(
-            problem, system, meas, c=c, opts=_solver_options(config)
-        )
-        err = float(np.linalg.norm(q_hat - problem.q_coeffs)
-                    / np.linalg.norm(problem.q_coeffs))
-        rows = [{
-            "delta": delta, "lambda": (0.0 if delta == 0 else c * delta),
-            "rel_err_W": err, "iters": report.iterations,
-            "feas_residual": report.feas_residual, "status": report.status,
-        }]
-        emit_table(rows, [("delta", float), ("lambda", float), ("rel_err_W", float),
-                          ("iters", int), ("feas_residual", float), ("status", str)],
-                   os.path.join(out_dir, "recover.csv"))
-        _write_summary(out_dir, {"kind": "calderon", "task": task, "seed": seed,
-                                 "assertions": {"converged": report.status}})
-        return _exit_code(rows, "recover.csv")
+        rows = _calderon_recover_rows(config, problem, seed)
+        # the first status short of convergence, if any row has one
+        summary["assertions"] = {"converged": next(
+            (r["status"] for r in rows if r["status"] != solvers.STATUS_CONVERGED),
+            solvers.STATUS_CONVERGED)}
+        return _finish(out_dir, task, rows, CALDERON_RECOVER_SCHEMA, summary)
 
     if task == "baseline":
         rng = np.random.default_rng(seed)
@@ -435,10 +436,7 @@ def run_calderon(config, out_dir, seed, task):
         history = cal.gauss_newton_baseline(problem, q_init)
         rows = [{"iteration": i, "misfit": mf}
                 for i, mf in enumerate(history["misfits"])]
-        emit_table(rows, [("iteration", int), ("misfit", float)],
-                   os.path.join(out_dir, "baseline.csv"))
-        _write_summary(out_dir, {"kind": "calderon", "task": task, "seed": seed})
-        return 0
+        return _finish(out_dir, task, rows, BASELINE_SCHEMA, summary)
     raise ConfigError(f"unknown calderon task {task!r}")
 
 
@@ -466,11 +464,8 @@ def run_phaselift(config, out_dir, seed):
             "rank_ratio": report.extras["rank_ratio"],
             "iters": report.iterations, "status": report.status,
         })
-    emit_table(rows, [("n", int), ("m", int), ("delta", float), ("err", float),
-                      ("rank_ratio", float), ("iters", int), ("status", str)],
-               os.path.join(out_dir, "phaselift.csv"))
-    _write_summary(out_dir, {"kind": "phaselift", "seed": seed, "rows": len(rows)})
-    return _exit_code(rows, "phaselift.csv")
+    return _finish(out_dir, "phaselift", rows, PHASELIFT_SCHEMA,
+                   {"kind": "phaselift", "seed": seed, "rows": len(rows)})
 
 
 def run_certify(config, out_dir, seed):
@@ -482,25 +477,19 @@ def run_certify(config, out_dir, seed):
         f_a=config.get("boundary", "f_a", 1.0, float),
         f_b=config.get("boundary", "f_b", 1.0, float),
     )
-    with open(os.path.join(out_dir, "interval.json"), "w", encoding="utf-8") as fh:
-        json.dump({"q0_lower": lower, "q0_upper": upper,
-                   "seconds": time.time() - t0}, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir, "interval.json", {"q0_lower": lower, "q0_upper": upper,
+                                           "seconds": time.time() - t0})
     return code
 
 
 def run_selftest(out_dir, seed):
     results = acceptance.run_all()
-    if out_dir is not None:
-        payload = {
-            "kind": "selftest", "seed": seed,
-            "assertions": {
-                f"criterion_{r.index}": ("pass" if r.passed else "fail")
-                for r in results
-            },
-            "details": {f"criterion_{r.index}": r.details for r in results},
-        }
-        _write_summary(out_dir, payload)
+    _write_summary(out_dir, {
+        "kind": "selftest", "seed": seed,
+        "assertions": {f"criterion_{r.index}": ("pass" if r.passed else "fail")
+                       for r in results},
+        "details": {f"criterion_{r.index}": r.details for r in results},
+    })
     failing = [r for r in results if not r.passed]
     if failing:
         print(f"FAILED: criterion {failing[0].index} ({failing[0].name})",
@@ -534,22 +523,18 @@ def build_parser():
     return parser
 
 
+# built once per process: in-process callers such as liftbench call main many times
+_PARSER = build_parser()
+
+
 def main(argv=None):
     level = os.environ.get("LIFTREC_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = _PARSER.parse_args(argv)
+    out_dir = args.out or "."
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-
-    try:
+        os.makedirs(out_dir, exist_ok=True)
         if args.command == "internal":
             return run_internal(config, out_dir, args.seed, args.jobs, args.task)
         if args.command == "calderon":
@@ -558,12 +543,10 @@ def main(argv=None):
             return run_phaselift(config, out_dir, args.seed)
         if args.command == "certify":
             return run_certify(config, out_dir, args.seed)
-        if args.command == "selftest":
-            return run_selftest(out_dir, args.seed)
+        return run_selftest(out_dir, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -247,7 +247,7 @@ def test_extraction_is_exact_on_rank_one(small_problem):
 
 def test_exact_recovery_small(small_problem):
     grid, problem, system = small_problem
-    meas = make_calderon_measurements(problem, system)
+    meas = make_calderon_measurements(system)
     q_hat, blocks, report = recover_calderon(problem, system, meas, opts=TIGHT)
     rel = np.linalg.norm(q_hat - problem.q_coeffs) / np.linalg.norm(problem.q_coeffs)
     assert rel <= 1e-6
@@ -260,7 +260,7 @@ def test_constant_potential_single_datum():
     coeffs = coeffs_from_function(basis, grid, np.full(grid.n_nodes, 0.8))
     problem = build_calderon_problem(grid, m=4, n_modes=1, q_coeffs=coeffs)
     system = assemble_calderon_system(problem)
-    meas = make_calderon_measurements(problem, system)
+    meas = make_calderon_measurements(system)
     q_hat, _, report = recover_calderon(problem, system, meas, opts=TIGHT)
     rel = np.linalg.norm(q_hat - problem.q_coeffs) / np.linalg.norm(problem.q_coeffs)
     assert rel <= 1e-5
@@ -268,7 +268,7 @@ def test_constant_potential_single_datum():
 
 def test_noisy_recovery_keeps_hard_constraints(small_problem):
     grid, problem, system = small_problem
-    meas = make_calderon_measurements(problem, system, delta=1e-3, seed=5)
+    meas = make_calderon_measurements(system, delta=1e-3, seed=5)
     q_hat, blocks, report = recover_calderon(problem, system, meas, c=1.0)
     assert report.extras["hard_residual"] <= 1e-8
     err = np.linalg.norm(q_hat - problem.q_coeffs)
@@ -277,7 +277,7 @@ def test_noisy_recovery_keeps_hard_constraints(small_problem):
 
 def test_recover_rejects_nonpositive_weight(small_problem):
     grid, problem, system = small_problem
-    noisy = make_calderon_measurements(problem, system, delta=1e-3, seed=1)
+    noisy = make_calderon_measurements(system, delta=1e-3, seed=1)
     for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="lambda must be positive"):
             recover_calderon(problem, system, noisy, c=c)
@@ -348,8 +348,8 @@ def test_pipelines_never_build_the_dense_form(small_problem, monkeypatch):
     fresh = assemble_calderon_system(problem)
     precertificate_study(problem, fresh, [2, problem.n_data])
     opts = SolverOptions(max_iter=50)
-    recover_calderon(problem, fresh, make_calderon_measurements(problem, fresh), opts=opts)
-    noisy = make_calderon_measurements(problem, fresh, delta=1e-3, seed=5)
+    recover_calderon(problem, fresh, make_calderon_measurements(fresh), opts=opts)
+    noisy = make_calderon_measurements(fresh, delta=1e-3, seed=5)
     recover_calderon(problem, fresh, noisy, opts=opts)
 
 
@@ -369,11 +369,11 @@ def test_frechet_forward_difference(small_problem):
     grid, problem, _ = small_problem
     q = problem.q_values
     h = 0.2 + 0.1 * grid.xs * grid.ys
-    deriv = frechet_derivative(problem, q, h, method="onesided")
-    lam0 = dtn_map(grid, q, problem.bdry, method="onesided")
+    deriv = frechet_derivative(problem, q, h)
+    lam0 = dtn_map(grid, q, problem.bdry)
     errs = []
     for t in (1e-2, 1e-3, 1e-4):
-        lam_t = dtn_map(grid, q + t * h, problem.bdry, method="onesided")
+        lam_t = dtn_map(grid, q + t * h, problem.bdry)
         errs.append(np.linalg.norm((lam_t - lam0) / t - deriv))
     orders = [np.log10(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 0.9

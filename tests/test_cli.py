@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from liftrec import calderon as cal
-from liftrec import certify, lowrank
+from liftrec import certify, cli, lowrank
 from liftrec.cli import (
     EXIT_MAX_ITER,
     INTERNAL_SCHEMA,
+    PHASELIFT_SCHEMA,
     emit_table,
     main,
     parse_config,
@@ -15,9 +16,6 @@ from liftrec.cli import (
 )
 from liftrec.errors import ConfigError
 from liftrec.internal import find_condition_interval
-
-PHASELIFT_SCHEMA = [("n", int), ("m", int), ("delta", float), ("err", float),
-                    ("rank_ratio", float), ("iters", int), ("status", str)]
 
 GOOD_CONFIG = """
 # internal recovery experiment
@@ -102,6 +100,18 @@ def test_cli_unknown_key_exits_2(tmp_path):
 def test_cli_missing_config_exits_2(tmp_path):
     code = main(["--config", str(tmp_path / "nope.cfg"), "internal", "recover"])
     assert code == 2
+
+
+def test_cli_main_reuses_its_parser(tmp_path, monkeypatch):
+    # the parser is built once per process, not once per call of main
+    def build_parser():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text("[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 2\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "calderon", "forward"]) == 0
 
 
 def test_cli_internal_recover_smoke(tmp_path):
@@ -329,6 +339,25 @@ def test_cli_precertificates_build_no_dense_tangent_map(tmp_path, monkeypatch, c
     cfg.write_text(config)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *task]) == 0
     assert solves
+
+
+def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
+    # every [noise] deltas level is a row, on one assembly and drawn from
+    # --seed, so each row is the table of a run configured with that delta
+    base = "[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 4\nm_basis = 4\n[noise]\nc = 1\n"
+    tables = {}
+    for name, noise in (("all", "deltas = 1e-3,3e-4"), ("a", "delta = 1e-3"),
+                        ("b", "delta = 3e-4")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(base + noise + "\n")
+        out = tmp_path / name
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "11",
+                     "calderon", "recover"]) == 0
+        tables[name] = (out / "recover.csv").read_text().splitlines()
+    header, *rows = tables["all"]
+    assert len(rows) == 2
+    assert tables["a"] == [header, rows[0]]
+    assert tables["b"] == [header, rows[1]]
 
 
 def test_cli_calderon_forward_smoke(tmp_path):

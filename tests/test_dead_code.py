@@ -108,9 +108,10 @@ def test_imports_sit_at_module_level():
 
 
 def _defaulted_parameters():
-    """``(module, callee, parameter, position)`` of every parameter with a
-    default; ``position`` is its index among a call's positional arguments
-    (None for keyword-only ones), and ``__init__`` goes by its class's name."""
+    """``(module, callee, parameter, position, default)`` of every parameter
+    with a default; ``position`` is its index among a call's positional
+    arguments (None for keyword-only ones), ``default`` the dumped default
+    expression, and ``__init__`` goes by its class's name."""
     for module, tree in _modules().items():
         owner = {id(fn): cls.name for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) for fn in cls.body}
@@ -121,27 +122,31 @@ def _defaulted_parameters():
             args = fn.args
             positional = args.posonlyargs + args.args
             skip = 1 if id(fn) in owner else 0          # self
-            for k, arg in enumerate(positional[len(positional) - len(args.defaults):],
-                                    start=len(positional) - len(args.defaults)):
-                yield module, callee, arg.arg, k - skip
+            first = len(positional) - len(args.defaults)
+            for k, (arg, default) in enumerate(zip(positional[first:], args.defaults),
+                                               start=first):
+                yield module, callee, arg.arg, k - skip, ast.dump(default)
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield module, callee, arg.arg, None
+                    yield module, callee, arg.arg, None, ast.dump(default)
 
 
-def _passes(call, parameter, position):
-    if any(kw.arg in (None, parameter) for kw in call.keywords):
+def _passes(call, parameter, position, default):
+    """Whether ``call`` may pass ``parameter`` something other than its
+    default expression."""
+    for kw in call.keywords:
+        if kw.arg is None or (kw.arg == parameter and ast.dump(kw.value) != default):
+            return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
         return True
-    if position is None:
-        return False
-    return (position < len(call.args)
-            or any(isinstance(arg, ast.Starred) for arg in call.args))
+    return (position is not None and position < len(call.args)
+            and ast.dump(call.args[position]) != default)
 
 
 def test_every_defaulted_parameter_is_passed():
-    """Every parameter with a default is passed by some call in the
-    repository, by keyword, by position or through ``*``/``**``: a default
-    that no call overrides is a constant."""
+    """Every parameter with a default is passed something other than that
+    default by some call in the repository, by keyword, by position or
+    through ``*``/``**``: a default that no call overrides is a constant."""
     calls = {}
     for folder in CALLERS:
         for path in sorted((ROOT / folder).rglob("*.py")):
@@ -150,7 +155,39 @@ def test_every_defaulted_parameter_is_passed():
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     calls.setdefault(name, []).append(node)
     never = [f"{module}.{callee}({parameter})"
-             for module, callee, parameter, position in _defaulted_parameters()
-             if not any(_passes(call, parameter, position)
+             for module, callee, parameter, position, default in _defaulted_parameters()
+             if not any(_passes(call, parameter, position, default)
                         for call in calls.get(callee, ()))]
     assert not never, f"defaulted parameters no call passes: {never}"
+
+
+def test_every_parameter_is_read():
+    """Every parameter of a function in ``src/`` is read by its body.  Hooks
+    are exempt: a method that another class in the package also defines
+    keeps the signature its callers use, read or not."""
+    modules = _modules()
+    methods = {}
+    for tree in modules.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        methods.setdefault(fn.name, []).append(fn)
+    hooks = {id(fn) for fns in methods.values() if len(fns) > 1 for fn in fns}
+    owned = {id(fn) for fns in methods.values() for fn in fns}
+    unread = []
+    for module, tree in modules.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or id(fn) in hooks:
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs \
+                + [a for a in (args.vararg, args.kwarg) if a is not None]
+            if id(fn) in owned:
+                params = params[1:]                     # self
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread.extend(f"{module}.{fn.name}({p.arg})" for p in params
+                          if p.arg not in read)
+    assert not unread, f"parameters their function never reads: {unread}"
