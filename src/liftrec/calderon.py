@@ -9,9 +9,10 @@ and equality of the potential component along the boundary, each datum
 against datum 0 (the constant datum).
 
 Flux conventions: measurements use second-order one-sided normal
-differences; the adjoint-consistent "variational" flux (exact discrete
-Green identity, first-order pointwise) backs the symmetry checks of the
-forward-map derivative.
+differences, ``grid.normal_derivative``; the adjoint-consistent
+"variational" flux of a state that vanishes on the boundary (exact
+discrete Green identity, first-order pointwise) backs the symmetry check
+of the forward-map derivative.
 """
 
 from __future__ import annotations
@@ -82,24 +83,6 @@ def _forward_states(grid, q_vals, f_bdry):
                              for f in f_bdry.T])
 
 
-def dtn_flux(grid, u_vals, method="onesided"):
-    """Normal derivative of a grid function along the boundary loop.
-
-    ``onesided`` differentiates pointwise at second order.  ``variational``
-    reads the flux off the discrete Green identity (exact adjoint symmetry,
-    first-order consistency; zero at corners, which carry no coupling).
-    """
-    u_vals = np.asarray(u_vals, float)
-    if method == "onesided":
-        return grid.normal_derivative @ u_vals
-    if method == "variational":
-        _, coupling = grid.laplacian_blocks
-        base = (grid.h ** 2) * (coupling.T @ u_vals[grid.interior_index])
-        base = base + np.where(_corner_mask(grid), 0.0, u_vals[grid.boundary_index])
-        return base / grid.boundary_weights
-    raise ValueError(f"unknown flux method {method!r}")
-
-
 def _corner_mask(grid):
     """Boundary positions whose outward normal has two nonzero components."""
     return np.all(grid.boundary_normals != 0.0, axis=1)
@@ -125,9 +108,8 @@ def make_basis_w(grid, m):
     k = math.isqrt(m)
     if k * k != m:
         raise ValueError(f"basis size must be a perfect square, got {m}")
-    span = grid.b - grid.a
-    centers = [grid.a + span * (i + 1.0) / (k + 1.0) for i in range(k)]
-    radius = span / (k + 1.0)
+    centers = [(i + 1.0) / (k + 1.0) for i in range(k)]
+    radius = 1.0 / (k + 1.0)
 
     def hat(t):
         return np.maximum(0.0, 1.0 - np.abs(t))
@@ -199,19 +181,12 @@ class CalderonProblem:
     flux_u: np.ndarray            # N x n_bdry one-sided fluxes of the states
     flux_f_tilde: np.ndarray
     h1: object
-    models: list
+    models: list                  # whitened lifts of u_i (x) q, one per datum
     g_omega: np.ndarray       # scale functional applied to the basis
 
     @property
     def n_data(self):
         return self.bdry.n
-
-    def true_stack(self):
-        """Unwhitened coefficient matrices of the true lifted stacks."""
-        return [np.outer(self.u_stack[i], self.q_coeffs) for i in range(self.n_data)]
-
-    def true_stack_whitened(self):
-        return [self.h1.whitener @ c for c in self.true_stack()]
 
 
 def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
@@ -516,6 +491,25 @@ def recover_calderon(problem, system, measurements, c=1.0, opts=None):
     return q_hat, blocks, report
 
 
+def recover_rows(problem, system, deltas, seed, c, opts):
+    """One ``(row, blocks)`` per noise level in ``deltas``, all on the one
+    assembly ``system``; every level draws its noise from ``seed``, so a row
+    equals the single-level run's.  ``row`` holds the columns of ``calderon
+    recover``'s table, ``blocks`` the whitened recovered stack."""
+    out = []
+    for delta in deltas:
+        meas = make_calderon_measurements(system, delta=delta, seed=seed)
+        q_hat, blocks, report = recover_calderon(problem, system, meas, c=c, opts=opts)
+        out.append(({
+            "delta": delta, "lambda": (0.0 if delta == 0 else c * delta),
+            "rel_err_W": float(np.linalg.norm(q_hat - problem.q_coeffs)
+                               / np.linalg.norm(problem.q_coeffs)),
+            "iters": report.iterations, "feas_residual": report.feas_residual,
+            "status": report.status,
+        }, blocks))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # forward-map derivative and baseline
 
@@ -534,11 +528,33 @@ def boundary_restriction_constant(problem):
     return float(svals[0])
 
 
+def _fluxes(grid, states):
+    """One-sided fluxes of the states, one row per state."""
+    return np.stack([grid.normal_derivative @ u for u in states])
+
+
 def dtn_map(grid, q_vals, bdry):
     """One-sided flux matrix of the boundary-data-to-flux map, one row per
     datum."""
     _, states = _forward_states(grid, q_vals, bdry.matrix)
-    return np.stack([dtn_flux(grid, u) for u in states])
+    return _fluxes(grid, states)
+
+
+def _linearized_states(grid, factor, states, h_vals):
+    """The linearized states ``(-Lap + q) v = -h u``, ``v = 0`` on the
+    boundary, one per state; ``factor`` is the ``splu`` at ``q``."""
+    h_vals = np.asarray(h_vals, float)
+    out = []
+    for u in states:
+        v = np.zeros(grid.n_nodes)
+        v[grid.interior_index] = factor.solve(-(h_vals * u)[grid.interior_index])
+        out.append(v)
+    return out
+
+
+def _derivative_fluxes(grid, factor, states, h_vals):
+    """One-sided fluxes of :func:`_linearized_states`, one row per state."""
+    return _fluxes(grid, _linearized_states(grid, factor, states, h_vals))
 
 
 def frechet_derivative(problem, q_vals, h_vals):
@@ -548,35 +564,25 @@ def frechet_derivative(problem, q_vals, h_vals):
     ``-h * u`` and zero boundary values, take the flux.  Assembled as an
     (N x boundary) matrix of one-sided fluxes on the problem's boundary basis.
     """
-    return _frechet_matrix(problem.grid, problem.bdry, q_vals, h_vals, "onesided")
-
-
-def _frechet_matrix(grid, bdry, q_vals, h_vals, method):
-    factor, states = _forward_states(grid, q_vals, bdry.matrix)
-    return _derivative_fluxes(grid, factor, states, h_vals, method)
-
-
-def _derivative_fluxes(grid, factor, states, h_vals, method="onesided"):
-    """Fluxes of the linearized states ``(-Lap + q) v = -h u``, ``v = 0`` on
-    the boundary, one row per state; ``factor`` is the ``splu`` at ``q``."""
-    h_vals = np.asarray(h_vals, float)
-    rows = []
-    for u in states:
-        v = np.zeros(grid.n_nodes)
-        v[grid.interior_index] = factor.solve(-(h_vals * u)[grid.interior_index])
-        rows.append(dtn_flux(grid, v, method))
-    return np.stack(rows)
+    grid = problem.grid
+    return _derivative_fluxes(grid, *_forward_states(grid, q_vals, problem.bdry.matrix),
+                              h_vals)
 
 
 def derivative_pairing(problem, q_vals, h_vals):
     """Boundary pairings of the derivative against the data family.
 
-    Uses the variational flux, for which the discrete Green identity makes
-    the pairing matrix exactly symmetric (two independent solve routes).
+    Uses the variational flux ``h^2 C^T v_int`` of the linearized states,
+    ``C`` the boundary coupling of the 5-point operator, for which the
+    discrete Green identity makes the pairing matrix exactly symmetric (two
+    independent solve routes).
     """
-    mat = _frechet_matrix(problem.grid, problem.bdry, q_vals, h_vals, "variational")
-    wb = problem.grid.boundary_weights
-    return (mat * wb) @ problem.bdry.matrix
+    grid = problem.grid
+    states = _linearized_states(
+        grid, *_forward_states(grid, q_vals, problem.bdry.matrix), h_vals)
+    _, coupling = grid.laplacian_blocks
+    flux = grid.h ** 2 * (coupling.T @ np.stack(states)[:, grid.interior_index].T)
+    return flux.T @ problem.bdry.matrix
 
 
 def compactness_diagnostic(problem, q_vals, h_vals, mode_counts=(4, 8, 12)):
@@ -589,7 +595,8 @@ def compactness_diagnostic(problem, q_vals, h_vals, mode_counts=(4, 8, 12)):
     out = {}
     for count in mode_counts:
         bdry = make_boundary_basis(problem.grid, count)
-        mat = _frechet_matrix(problem.grid, bdry, q_vals, h_vals, "onesided")
+        mat = _derivative_fluxes(problem.grid,
+                                 *_forward_states(problem.grid, q_vals, bdry.matrix), h_vals)
         wb = problem.grid.boundary_weights
         in_norms = np.sqrt(np.einsum("bk,b,bk->k", bdry.matrix, wb, bdry.matrix))
         weighted = (mat / in_norms[:, None]) * np.sqrt(wb)[None, :]
@@ -613,16 +620,16 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8):
     coeffs = np.asarray(q_init_coeffs, float).copy()
     misfits = []
     trajectory = [coeffs.copy()]
-    for _ in range(iters):
+    # iters steps, so iters + 1 misfits: the last one is of the final step
+    for k in range(iters + 1):
         try:
             factor, states = _forward_states(grid, basis.values(coeffs), bdry.matrix)
         except EigenvalueHit:
             misfits.append(np.inf)
             break
-        fluxes = np.stack([dtn_flux(grid, u) for u in states]) * sqrt_wb[None, :]
-        resid = (fluxes - observed).ravel()
+        resid = (_fluxes(grid, states) * sqrt_wb[None, :] - observed).ravel()
         misfits.append(float(np.linalg.norm(resid)))
-        if misfits[-1] < 1e-12:
+        if k == iters or misfits[-1] < 1e-12:
             break
         # one factor and N states per iteration serve the misfit and every
         # Jacobian column
@@ -639,9 +646,6 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8):
             break
         coeffs = coeffs + step
         trajectory.append(coeffs.copy())
-    else:
-        fluxes = dtn_map(grid, basis.values(coeffs), bdry) * sqrt_wb[None, :]
-        misfits.append(float(np.linalg.norm((fluxes - observed).ravel())))
     return {"misfits": misfits, "trajectory": trajectory, "coeffs": coeffs}
 
 

@@ -9,8 +9,9 @@ and seed produce identical CSV bytes; the timestamp lives only in the
 summary.
 
 Exit codes: 0 success, 1 assertion failure (the failing criterion is
-named), 2 configuration error, 3 a solve stopped at ``max_iter`` (the CSV
-is still written, and its ``status`` column names the rows).
+named), 2 configuration error, 3 a solve stopped short of convergence, at
+``max_iter`` or any other status (the CSV is still written, and its
+``status`` column names the rows).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -45,7 +47,7 @@ from .pde1d import constant_potential, step_potential
 
 log = logging.getLogger("liftrec")
 
-EXIT_MAX_ITER = 3
+EXIT_MAX_ITER = 3          # any row short of convergence, max_iter or not
 
 KNOWN_KEYS = {
     "experiment": {"kind", "task"},
@@ -172,12 +174,13 @@ def read_table(path, schema):
 
 
 def _exit_code(rows, table):
-    """0, or ``EXIT_MAX_ITER`` with a warning when a row stopped at max_iter."""
-    stalled = sum(row["status"] == solvers.STATUS_MAX_ITER for row in rows)
-    if not stalled:
-        return 0
-    log.warning("%s: %d of %d rows stopped at max_iter", table, stalled, len(rows))
-    return EXIT_MAX_ITER
+    """0, or ``EXIT_MAX_ITER`` with one warning per status short of
+    ``converged`` that some row stopped at."""
+    stopped = Counter(row["status"] for row in rows
+                      if row["status"] != solvers.STATUS_CONVERGED)
+    for status, count in stopped.items():
+        log.warning("%s: %d of %d rows stopped at %s", table, count, len(rows), status)
+    return EXIT_MAX_ITER if stopped else 0
 
 
 def _write_json(out_dir, name, payload):
@@ -347,41 +350,20 @@ def run_internal(config, out_dir, seed, jobs, task):
 
     if task == "recover":
         q0_values = [config.get("potential", "q0", 0.5, float)]
-        deltas = _noise_levels(config)
     elif task == "sweep":
         q0_values = config.get_list("sweep", "q0_values", default=(-0.3, 0.3, 0.5))
-        deltas = config.get_list("noise", "deltas", default=(0.0,))
     else:
         raise ConfigError(f"unknown internal task {task!r}")
-    rows = _internal_rows(config, q0_values, deltas, seed, c, opts, jobs)
+    rows = _internal_rows(config, q0_values, _noise_levels(config), seed, c, opts, jobs)
     return _finish(out_dir, task, rows, INTERNAL_SCHEMA,
                    {"kind": "internal", "task": task, "seed": seed, "rows": len(rows)})
 
 
-def _calderon_recover_rows(config, problem, seed):
-    """One row per noise level, all on one assembly; every level draws its
-    noise from ``seed``, so a row equals the single-level run's."""
-    system = cal.assemble_calderon_system(problem)
-    c = config.get("noise", "c", 1.0, float)
-    opts = _solver_options(config)
-    rows = []
-    for delta in _noise_levels(config):
-        meas = cal.make_calderon_measurements(system, delta=delta, seed=seed)
-        q_hat, _, report = cal.recover_calderon(problem, system, meas, c=c, opts=opts)
-        rows.append({
-            "delta": delta, "lambda": (0.0 if delta == 0 else c * delta),
-            "rel_err_W": float(np.linalg.norm(q_hat - problem.q_coeffs)
-                               / np.linalg.norm(problem.q_coeffs)),
-            "iters": report.iterations, "feas_residual": report.feas_residual,
-            "status": report.status,
-        })
-    return rows
-
-
 def run_calderon(config, out_dir, seed, task):
-    grid = build_grid_2d(
-        config.get("grid", "nx", 17, int), config.get("grid", "ny", 17, int)
-    )
+    nx, ny = (config.get("grid", key, 17, int) for key in ("nx", "ny"))
+    if nx != ny:
+        raise ConfigError(f"the grid is square: nx = {nx} and ny = {ny} differ")
+    grid = build_grid_2d(nx)
     m = config.get("boundary", "m_basis", 4, int)
     n_modes = config.get("boundary", "n_modes", 4, int)
     if task == "certify":
@@ -396,8 +378,7 @@ def run_calderon(config, out_dir, seed, task):
         g_weights = None
     elif g_kind == "subdomain":
         # integration restricted to the central quarter of the square
-        mask = (np.abs(grid.xs - 0.5 * (grid.a + grid.b)) <= 0.25 * (grid.b - grid.a)) \
-            & (np.abs(grid.ys - 0.5 * (grid.a + grid.b)) <= 0.25 * (grid.b - grid.a))
+        mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
         g_weights = grid.area_weights * mask
     else:
         raise ConfigError(f"unknown g_functional {g_kind!r}")
@@ -423,7 +404,9 @@ def run_calderon(config, out_dir, seed, task):
         return _finish(out_dir, task, rows, CALDERON_CERTIFY_SCHEMA, summary)
 
     if task == "recover":
-        rows = _calderon_recover_rows(config, problem, seed)
+        rows = [row for row, _ in cal.recover_rows(
+            problem, cal.assemble_calderon_system(problem), _noise_levels(config), seed,
+            config.get("noise", "c", 1.0, float), _solver_options(config))]
         # the first status short of convergence, if any row has one
         summary["assertions"] = {"converged": next(
             (r["status"] for r in rows if r["status"] != solvers.STATUS_CONVERGED),

@@ -1,17 +1,10 @@
-"""Discrete grids, their difference stencils, Hilbert structures and fields.
+"""Discrete grids, their difference stencils and Hilbert structures.
 
 A discrete Hilbert structure is an SPD Gram matrix ``G`` together with a
 whitening factor ``L`` satisfying ``L^T L = G``.  Whitening turns every
 weighted inner product into the Euclidean one, so all singular value
 computations downstream (nuclear norms, tangent projections, certificates)
 run on whitened matrices with plain Euclidean geometry.
-
-Conventions fixed here and relied on everywhere else:
-
-* a bivariate field stores values with rows indexed by the first (x)
-  variable and columns by the second (y) variable;
-* the associated operator maps the x-space into the y-space, so "apply the
-  field to a" reads ``values.T @ a`` in suitable coordinates.
 """
 
 from __future__ import annotations
@@ -75,18 +68,16 @@ def build_grid_1d(n, a=0.0, b=1.0):
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform tensor grid on a square with trapezoid area/arc-length weights.
+    """Uniform ``n x n`` grid on the unit square [0, 1]^2 with trapezoid
+    area/arc-length weights.
 
-    Nodes are flattened in row-major order, ``flat = ix * ny + iy``.  The
-    boundary index runs counterclockwise starting at the (a, a) corner, so
+    Nodes are flattened in row-major order, ``flat = ix * n + iy``.  The
+    boundary index runs counterclockwise starting at the (0, 0) corner, so
     that ``boundary_arclength`` parameterizes the boundary loop.  The
     difference stencils are built on first use and kept with the grid.
     """
 
-    nx: int
-    ny: int
-    a: float
-    b: float
+    n: int
     h: float
     xs: np.ndarray           # flattened x coordinate per node
     ys: np.ndarray           # flattened y coordinate per node
@@ -99,10 +90,10 @@ class Grid2D:
 
     @property
     def n_nodes(self):
-        return self.nx * self.ny
+        return self.n * self.n
 
     def flat(self, ix, iy):
-        return ix * self.ny + iy
+        return ix * self.n + iy
 
     @cached_property
     def laplacian_blocks(self):
@@ -114,13 +105,10 @@ class Grid2D:
         harmonic ``u``.
         """
         h2 = self.h ** 2
-
-        def t(n):
-            return scipy.sparse.diags([-1.0 / h2, 2.0 / h2, -1.0 / h2], [-1, 0, 1],
-                                      shape=(n, n))
-
-        lap = (scipy.sparse.kron(t(self.nx), scipy.sparse.identity(self.ny))
-               + scipy.sparse.kron(scipy.sparse.identity(self.nx), t(self.ny)))
+        t = scipy.sparse.diags([-1.0 / h2, 2.0 / h2, -1.0 / h2], [-1, 0, 1],
+                               shape=(self.n, self.n))
+        eye = scipy.sparse.identity(self.n)
+        lap = scipy.sparse.kron(t, eye) + scipy.sparse.kron(eye, t)
         rows = lap.tocsr()[self.interior_index]
         return (rows[:, self.interior_index].tocsc(),
                 rows[:, self.boundary_index].tocsc())
@@ -138,50 +126,40 @@ class Grid2D:
         return (normals[:, :1] * ex + normals[:, 1:] * ey) / self.h
 
 
-def build_grid_2d(nx, ny):
-    """Build a uniform grid on the unit square [0, 1]^2.
+def build_grid_2d(n):
+    """Build a uniform grid of ``n x n`` nodes on the unit square [0, 1]^2."""
+    if n < 3:
+        raise ValueError(f"need at least 3 nodes per axis, got n={n}")
+    h = 1.0 / (n - 1)
+    x1 = np.linspace(0.0, 1.0, n)
+    xs = np.repeat(x1, n)
+    ys = np.tile(x1, n)
 
-    Requires matching spacing on both axes (square cells).
-    """
-    if nx < 3 or ny < 3:
-        raise ValueError("need at least 3 nodes per axis")
-    hx = 1.0 / (nx - 1)
-    hy = 1.0 / (ny - 1)
-    if abs(hx - hy) > 1e-14:
-        raise ValueError("grid cells must be square")
-    h = hx
-    x1 = np.linspace(0.0, 1.0, nx)
-    y1 = np.linspace(0.0, 1.0, ny)
-    xs = np.repeat(x1, ny)
-    ys = np.tile(y1, nx)
-
-    w1x = np.full(nx, h)
-    w1x[0] = w1x[-1] = 0.5 * h
-    w1y = np.full(ny, h)
-    w1y[0] = w1y[-1] = 0.5 * h
-    area = np.kron(w1x, w1y)
+    w1 = np.full(n, h)
+    w1[0] = w1[-1] = 0.5 * h
+    area = np.kron(w1, w1)
 
     def flat(ix, iy):
-        return ix * ny + iy
+        return ix * n + iy
 
     interior = np.array(
-        [flat(ix, iy) for ix in range(1, nx - 1) for iy in range(1, ny - 1)],
+        [flat(ix, iy) for ix in range(1, n - 1) for iy in range(1, n - 1)],
         dtype=int,
     )
 
     # boundary loop, counterclockwise from (0, 0)
     loop = []
     normals = []
-    for ix in range(nx - 1):                      # bottom edge, y = 0
+    for ix in range(n - 1):                       # bottom edge, y = 0
         loop.append(flat(ix, 0))
         normals.append((0.0, -1.0))
-    for iy in range(ny - 1):                      # right edge, x = 1
-        loop.append(flat(nx - 1, iy))
+    for iy in range(n - 1):                       # right edge, x = 1
+        loop.append(flat(n - 1, iy))
         normals.append((1.0, 0.0))
-    for ix in range(nx - 1, 0, -1):               # top edge, y = 1
-        loop.append(flat(ix, ny - 1))
+    for ix in range(n - 1, 0, -1):                # top edge, y = 1
+        loop.append(flat(ix, n - 1))
         normals.append((0.0, 1.0))
-    for iy in range(ny - 1, 0, -1):               # left edge, x = 0
+    for iy in range(n - 1, 0, -1):                # left edge, x = 0
         loop.append(flat(0, iy))
         normals.append((-1.0, 0.0))
     boundary = np.array(loop, dtype=int)
@@ -189,9 +167,9 @@ def build_grid_2d(nx, ny):
     # corners get the diagonal outward direction
     corner_normals = {
         flat(0, 0): (-1.0, -1.0),
-        flat(nx - 1, 0): (1.0, -1.0),
-        flat(nx - 1, ny - 1): (1.0, 1.0),
-        flat(0, ny - 1): (-1.0, 1.0),
+        flat(n - 1, 0): (1.0, -1.0),
+        flat(n - 1, n - 1): (1.0, 1.0),
+        flat(0, n - 1): (-1.0, 1.0),
     }
     for k, node in enumerate(boundary):
         if node in corner_normals:
@@ -203,7 +181,7 @@ def build_grid_2d(nx, ny):
     arclength = h * np.arange(n_bdry)
 
     return Grid2D(
-        nx=nx, ny=ny, a=0.0, b=1.0, h=h, xs=xs, ys=ys,
+        n=n, h=h, xs=xs, ys=ys,
         area_weights=area, interior_index=interior, boundary_index=boundary,
         boundary_normals=normals, boundary_weights=bweights,
         boundary_arclength=arclength,
@@ -242,10 +220,10 @@ def second_difference_1d(grid):
 def _axis_differences_2d(grid):
     """Sparse (CSR) first-derivative matrices along x and y on the flattened
     2-D grid, at unit spacing: divide by ``grid.h`` for the derivatives."""
-    d1x = first_difference_1d(build_grid_1d(grid.nx, 0.0, grid.nx - 1.0))
-    d1y = first_difference_1d(build_grid_1d(grid.ny, 0.0, grid.ny - 1.0))
-    return (scipy.sparse.kron(d1x, scipy.sparse.identity(grid.ny), format="csr"),
-            scipy.sparse.kron(scipy.sparse.identity(grid.nx), d1y, format="csr"))
+    d1 = first_difference_1d(build_grid_1d(grid.n, 0.0, grid.n - 1.0))
+    eye = scipy.sparse.identity(grid.n)
+    return (scipy.sparse.kron(d1, eye, format="csr"),
+            scipy.sparse.kron(eye, d1, format="csr"))
 
 
 # ---------------------------------------------------------------------------
@@ -339,46 +317,3 @@ def assemble_inner_product(grid, kind):
         return InnerProduct(dim=grid.n_nodes, gram=gram, whitener=whitener)
 
     raise TypeError(f"unsupported grid type {type(grid)!r}")
-
-
-# ---------------------------------------------------------------------------
-# bivariate fields
-
-
-@dataclass
-class BivariateField:
-    """Value matrix F[j, k] ~ F(x_j, y_k) with Hilbert structures on each axis."""
-
-    x_space: InnerProduct
-    y_space: InnerProduct
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, float)
-        if self.values.shape != (self.x_space.dim, self.y_space.dim):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match spaces "
-                f"({self.x_space.dim}, {self.y_space.dim})"
-            )
-
-
-def whiten(fld):
-    """Whitened coordinates ``L_x @ values @ L_y.T`` of a field.
-
-    In these coordinates the Hilbert-Schmidt inner product is Frobenius and
-    every downstream SVD-based quantity is Euclidean.
-    """
-    return fld.x_space.whitener @ fld.values @ fld.y_space.whitener.T
-
-
-def unwhiten(matrix, x_space, y_space):
-    """Invert :func:`whiten`; round trip is the identity to round-off."""
-    matrix = np.asarray(matrix, float)
-    if matrix.shape != (x_space.dim, y_space.dim):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match spaces "
-            f"({x_space.dim}, {y_space.dim})"
-        )
-    tmp = scipy.linalg.solve_triangular(x_space.whitener, matrix, lower=False)
-    vals = scipy.linalg.solve_triangular(y_space.whitener, tmp.T, lower=False).T
-    return BivariateField(x_space, y_space, vals)

@@ -27,13 +27,11 @@ import scipy.linalg
 from . import certify
 from .errors import DegenerateInput
 from .hilbert import (
-    BivariateField,
     Grid1D,
     assemble_inner_product,
     build_grid_1d,
     first_difference_1d,
     second_difference_1d,
-    unwhiten,
 )
 from .lowrank import RankOneModel, operator_norm, project_tangent_complement
 from .pde1d import (
@@ -63,16 +61,9 @@ class InternalProblem:
     h2: object
     l2: object
     int_q: float
-    sigma: float
     u_normalized: np.ndarray = field(repr=False)
     q_normalized: np.ndarray = field(repr=False)
-    model: RankOneModel = field(repr=False)
-
-    @property
-    def field_true(self):
-        return BivariateField(
-            self.h2, self.l2, np.outer(self.u_true.values, self.q_true.values)
-        )
+    model: RankOneModel = field(repr=False)   # the whitened lift of u (x) q
 
 
 @dataclass
@@ -107,19 +98,18 @@ def build_internal_problem(grid, q, f_a=1.0, f_b=1.0):
 
     u_norm = h2.norm(u.values)
     q_norm = l2.norm(q.values)
-    sigma = u_norm * q_norm
     u_n = u.values / u_norm
     q_n = q.values / q_norm
     uw = h2.whiten_vec(u_n)
     vw = l2.whiten_vec(q_n)
     model = RankOneModel(
-        sigma=sigma, u=uw / np.linalg.norm(uw), v=vw / np.linalg.norm(vw)
+        sigma=u_norm * q_norm, u=uw / np.linalg.norm(uw), v=vw / np.linalg.norm(vw)
     )
 
     problem = InternalProblem(
         grid=grid, q_true=q, f_a=float(f_a), f_b=float(f_b), u_true=u,
         h2=h2, l2=l2, int_q=q.integral,
-        sigma=sigma, u_normalized=u_n, q_normalized=q_n, model=model,
+        u_normalized=u_n, q_normalized=q_n, model=model,
     )
     return problem, make_measurements(problem)
 
@@ -266,8 +256,10 @@ def recover_internal(problem, measurements, c=1.0, opts=None, op=None, x0=None):
     f_white = blocks[0]
     svals = np.linalg.svd(f_white, compute_uv=False)
     report.extras["rank_ratio"] = float(svals[1] / svals[0]) if svals[0] > 0 else 0.0
-    f_field = unwhiten(f_white, problem.h2, problem.l2)
-    q_hat = extract_q_from_trace(f_field.values, problem)
+    # unwhiten: F = L_x^{-1} Fw L_y^{-T}
+    tmp = scipy.linalg.solve_triangular(problem.h2.whitener, f_white, lower=False)
+    f_vals = scipy.linalg.solve_triangular(problem.l2.whitener, tmp.T, lower=False).T
+    q_hat = extract_q_from_trace(f_vals, problem)
     return q_hat, f_white, report
 
 

@@ -518,7 +518,6 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
                     + float(np.linalg.norm(shift)) / gamma
                 _require_finite(residual=kkt)
                 if kkt <= opts.tol_fp * lam * (1.0 + np.linalg.norm(x_g)):
-                    y = y + shift
                     status = STATUS_CONVERGED
                     break
             y = y + shift

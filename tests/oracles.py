@@ -7,7 +7,6 @@ import scipy.sparse
 from liftrec.calderon import _corner_mask, dtn_map, frechet_derivative
 from liftrec.certify import _GRAM_RCOND
 from liftrec.errors import DegenerateInput, EigenvalueHit
-from liftrec.hilbert import BivariateField
 from liftrec.lowrank import RankOneModel
 from liftrec.pde1d import Potential1D
 
@@ -19,7 +18,7 @@ def linear_system_oracle(problem, measurements):
     true field, so the potential follows by pointwise division by the
     (positive) state and the field is its rank-one completion.  Interior
     nodes coincide with the direct-division recovery built on the same
-    stencil.
+    stencil.  Returns the potential and the field's value matrix.
     """
     if measurements.delta != 0:
         raise ValueError("the linear-system oracle requires noiseless measurements")
@@ -28,8 +27,7 @@ def linear_system_oracle(problem, measurements):
         raise DegenerateInput("state too close to zero for pointwise division")
     q_vals = measurements.z1_values / u_vals
     q_hat = Potential1D(problem.grid, q_vals)
-    f_hat = BivariateField(problem.h2, problem.l2, np.outer(u_vals, q_vals))
-    return q_hat, f_hat
+    return q_hat, np.outer(u_vals, q_vals)
 
 
 def leading_rank_one(m):
@@ -179,10 +177,10 @@ def interior_operator_loops(grid, q_vals=None):
         rows.append(j)
         cols.append(j)
         vals.append(diag)
-        ix, iy = divmod(int(flat), grid.ny)
+        ix, iy = divmod(int(flat), grid.n)
         neighbors = [grid.flat(ix + dx, iy + dy)
                      for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1))
-                     if 0 <= ix + dx < grid.nx and 0 <= iy + dy < grid.ny]
+                     if 0 <= ix + dx < grid.n and 0 <= iy + dy < grid.n]
         for nb in neighbors:
             if pos_int[nb] >= 0:
                 rows.append(j)
@@ -220,12 +218,12 @@ def onesided_flux_loops(grid):
             row[base + off * step] += sign * coef / (2.0 * h)
 
     for k, flat in enumerate(grid.boundary_index):
-        ix, iy = divmod(int(flat), grid.ny)
+        ix, iy = divmod(int(flat), grid.n)
         nx_, ny_ = grid.boundary_normals[k]
         if nx_ != 0.0:
-            add_axis(fl[k], ix, grid.nx, grid.ny, int(flat), nx_)
+            add_axis(fl[k], ix, grid.n, grid.n, int(flat), nx_)
         if ny_ != 0.0:
-            add_axis(fl[k], iy, grid.ny, 1, int(flat), ny_)
+            add_axis(fl[k], iy, grid.n, 1, int(flat), ny_)
     return fl
 
 

@@ -12,15 +12,21 @@ from liftrec import calderon as cal
 
 @pytest.fixture(scope="module")
 def run():
-    """The suite's results by index, and the data count of every Calderon
-    system it assembles."""
-    assemblies = []
-    assemble = cal.assemble_calderon_system
+    """The suite's results by index, the data count of every Calderon system
+    it assembles, and the noise levels and seed of every Calderon row solve."""
+    assemblies, row_calls = [], []
+    assemble, recover_rows = cal.assemble_calderon_system, cal.recover_rows
+
+    def recording_rows(problem, system, deltas, seed, c, opts):
+        row_calls.append((tuple(deltas), seed))
+        return recover_rows(problem, system, deltas, seed, c, opts)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cal, "assemble_calderon_system",
                    lambda problem: assemblies.append(problem.n_data) or assemble(problem))
+        mp.setattr(cal, "recover_rows", recording_rows)
         results = acceptance.run_all(printer=None)
-    return {r.index: r for r in results}, assemblies
+    return {r.index: r for r in results}, assemblies, row_calls
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +52,8 @@ def test_bound_criterion_audits_every_noisy_solve(suite):
 def test_boundary_criterion_assembles_its_system_once(run):
     # criterion 11's certificate study reuses the N = 4 system it solves on
     assert run[1] == [4]
+
+
+def test_boundary_criterion_solves_the_rows_of_calderon_recover(run):
+    # criterion 11's exact and noisy solves are one `calderon recover` row loop
+    assert run[2] == [((0.0, 3e-3, 1e-3, 3e-4), 11)]

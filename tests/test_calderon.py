@@ -12,7 +12,6 @@ from liftrec.calderon import (
     coeffs_from_function,
     compactness_diagnostic,
     derivative_pairing,
-    dtn_flux,
     dtn_map,
     extract_q_calderon,
     frechet_derivative,
@@ -41,20 +40,20 @@ TIGHT = SolverOptions(tol_gap=1e-8, tol_feas=1e-9)
 
 @pytest.fixture(scope="module")
 def small_problem():
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     problem = build_calderon_problem(grid, m=4, n_modes=3)
     system = assemble_calderon_system(problem)
     return grid, problem, system
 
 
 def test_zero_potential_affine_state_and_flux():
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     trace = 1.0 + 2.0 * grid.xs[grid.boundary_index] \
         - 0.5 * grid.ys[grid.boundary_index]
     u = solve_schrodinger_2d(grid, None, trace)
     expected = 1.0 + 2.0 * grid.xs - 0.5 * grid.ys
     assert np.abs(u - expected).max() < 1e-10
-    flux = dtn_flux(grid, u)
+    flux = grid.normal_derivative @ u
     normals = grid.boundary_normals
     expected_flux = 2.0 * normals[:, 0] - 0.5 * normals[:, 1]
     assert np.abs(flux - expected_flux).max() < 1e-9
@@ -63,7 +62,7 @@ def test_zero_potential_affine_state_and_flux():
 def test_manufactured_solution_exact_on_quadratics():
     # the 5-point stencil differentiates quadratics exactly, so the
     # manufactured pair (1 + x^2 + y^2, q = 4 / u) is reproduced to round-off
-    grid = build_grid_2d(17, 17)
+    grid = build_grid_2d(17)
     u_exact = 1.0 + grid.xs ** 2 + grid.ys ** 2
     q = 4.0 / u_exact
     u = solve_schrodinger_2d(grid, q, u_exact[grid.boundary_index])
@@ -76,7 +75,7 @@ def test_manufactured_solution_convergence():
     errs = []
     hs = []
     for nn in (9, 17, 33):
-        grid = build_grid_2d(nn, nn)
+        grid = build_grid_2d(nn)
         s = np.sin(np.pi * grid.xs) * np.sin(np.pi * grid.ys)
         u_exact = 2.0 + s
         q = -2.0 * np.pi ** 2 * s / u_exact
@@ -88,12 +87,12 @@ def test_manufactured_solution_convergence():
 
 
 def test_manufactured_flux_accuracy():
-    grid = build_grid_2d(33, 33)
+    grid = build_grid_2d(33)
     s = np.sin(np.pi * grid.xs) * np.sin(np.pi * grid.ys)
     u_exact = 2.0 + s
     q = -2.0 * np.pi ** 2 * s / u_exact
     u = solve_schrodinger_2d(grid, q, u_exact[grid.boundary_index])
-    flux = dtn_flux(grid, u)
+    flux = grid.normal_derivative @ u
     normals = grid.boundary_normals
     bidx = grid.boundary_index
     cs = np.pi * np.cos(np.pi * grid.xs[bidx]) * np.sin(np.pi * grid.ys[bidx])
@@ -105,7 +104,7 @@ def test_manufactured_flux_accuracy():
 @pytest.mark.parametrize("nn", [9, 17, 33])
 @pytest.mark.parametrize("with_q", [False, True])
 def test_stencils_equal_the_loop_reference(nn, with_q):
-    grid = build_grid_2d(nn, nn)
+    grid = build_grid_2d(nn)
     q = (1.0 + grid.xs * np.sin(3.0 * grid.ys)) if with_q else None
     ref_a, ref_c = interior_operator_loops(grid, q)
     for got, ref in ((_interior_operator(grid, q), ref_a),
@@ -127,7 +126,7 @@ def test_stencils_equal_the_loop_reference(nn, with_q):
 
 
 def test_eigenvalue_hit_2d():
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     lam1 = 2 * (4.0 / grid.h ** 2) * np.sin(np.pi * grid.h / 2.0) ** 2
     with pytest.raises(EigenvalueHit):
         solve_schrodinger_2d(grid, np.full(grid.n_nodes, -lam1),
@@ -136,13 +135,13 @@ def test_eigenvalue_hit_2d():
 
 def test_harmonic_extension_2d():
     # the Laplace solve (no potential) extends constant data as a constant
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     ext = solve_schrodinger_2d(grid, None, np.ones(grid.boundary_index.size))
     assert np.abs(ext - 1.0).max() < 1e-12
 
 
 def test_basis_w_orthonormal_and_continuous():
-    grid = build_grid_2d(17, 17)
+    grid = build_grid_2d(17)
     basis = make_basis_w(grid, 4)
     gram = basis.matrix.T @ (grid.area_weights[:, None] * basis.matrix)
     assert np.abs(gram - np.eye(4)).max() <= 1e-10
@@ -154,7 +153,7 @@ def test_basis_w_orthonormal_and_continuous():
 
 
 def test_boundary_basis_floor_and_gram():
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     bdry = make_boundary_basis(grid, 4)
     assert np.abs(bdry.matrix[:, 0]).min() > 0
     gram = bdry.matrix.T @ (grid.boundary_weights[:, None] * bdry.matrix)
@@ -163,7 +162,7 @@ def test_boundary_basis_floor_and_gram():
 
 def test_truth_satisfies_all_constraints(small_problem):
     grid, problem, system = small_problem
-    f_true = problem.true_stack_whitened()
+    f_true = [m.matrix for m in problem.models]
     resid = np.linalg.norm(system.op_full.apply(f_true) - system.z_full)
     assert resid <= 1e-9
 
@@ -171,7 +170,7 @@ def test_truth_satisfies_all_constraints(small_problem):
 def test_phi3_vanishes_on_truth_and_antisymmetry(small_problem):
     grid, problem, system = small_problem
     nd, nb, n, m = problem.n_data, grid.boundary_index.size, grid.n_nodes, 4
-    out = system.op_full.apply(problem.true_stack_whitened())
+    out = system.op_full.apply([m.matrix for m in problem.models])
     z3 = out[nd * (nb - 4) + nd * n:]
     assert z3.size == (nd - 1) * nb * m
     assert np.abs(z3).max() <= 1e-11
@@ -255,7 +254,7 @@ def test_exact_recovery_small(small_problem):
 
 
 def test_constant_potential_single_datum():
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     basis = make_basis_w(grid, 4)
     coeffs = coeffs_from_function(basis, grid, np.full(grid.n_nodes, 0.8))
     problem = build_calderon_problem(grid, m=4, n_modes=1, q_coeffs=coeffs)
@@ -292,7 +291,7 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("m", [1, 4])
 def test_structured_operator_matches_the_dense_assembly(nd, m):
     # N = 1 has no coupling rows
-    problem = build_calderon_problem(build_grid_2d(9, 9), m=m, n_modes=nd)
+    problem = build_calderon_problem(build_grid_2d(9), m=m, n_modes=nd)
     system = assemble_calderon_system(problem)
     dense, counts = calderon_matrix_dense(problem)
     flux, integral, coupling = np.split(np.arange(dense.shape[0]),
@@ -325,7 +324,7 @@ def test_structured_operator_matches_the_dense_assembly(nd, m):
 
 
 def test_structured_operator_holds_a_small_share_of_the_dense_form():
-    problem = build_calderon_problem(build_grid_2d(17, 17), m=4, n_modes=4)
+    problem = build_calderon_problem(build_grid_2d(17), m=4, n_modes=4)
     op = assemble_calderon_system(problem).op_full
     held = sum(a.nbytes for a in (op.b, op.e, op.f))
     assert held < 0.1 * op.codomain_dim * op.domain_dim * 8
@@ -429,6 +428,26 @@ def test_gauss_newton_factors_once_per_iteration(small_problem, monkeypatch):
     assert len(calls) == 3 + 1                          # + the final misfit
 
 
+def test_gauss_newton_records_a_singular_last_step(small_problem, monkeypatch):
+    # divergence at the final misfit is recorded like any other, not raised
+    import liftrec.calderon as cal
+
+    grid, problem, _ = small_problem
+    calls = []
+    factorize = cal._factorize
+
+    def second_call_singular(a):
+        calls.append(a.shape)
+        if len(calls) == 2:
+            raise EigenvalueHit("singular")
+        return factorize(a)
+
+    monkeypatch.setattr(cal, "_factorize", second_call_singular)
+    q0 = problem.q_coeffs + 0.1 * np.random.default_rng(4).standard_normal(4)
+    misfits = gauss_newton_baseline(problem, q0, iters=1)["misfits"]
+    assert len(misfits) == 2 and np.isfinite(misfits[0]) and misfits[-1] == np.inf
+
+
 @pytest.mark.parametrize("scale", [0.1, 3.0])
 def test_gauss_newton_matches_the_per_column_jacobian(small_problem, scale):
     grid, problem, _ = small_problem
@@ -438,7 +457,7 @@ def test_gauss_newton_matches_the_per_column_jacobian(small_problem, scale):
 
 
 def test_precertificate_study_rows():
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     basis = make_basis_w(grid, 4)
     profile = 1.0 + 0.3 * np.cos(np.pi * (grid.xs - 0.5)) * np.cos(np.pi * (grid.ys - 0.5))
     coeffs = coeffs_from_function(basis, grid, profile)
@@ -452,12 +471,12 @@ def test_precertificate_study_rows():
 
 
 def test_alternative_scale_functional_keeps_truth_feasible():
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
     g_weights = grid.area_weights * mask
     problem = build_calderon_problem(grid, m=4, n_modes=2, g_weights=g_weights)
     system = assemble_calderon_system(problem)
-    resid = np.linalg.norm(system.op_full.apply(problem.true_stack_whitened())
+    resid = np.linalg.norm(system.op_full.apply([m.matrix for m in problem.models])
                            - system.z_full)
     assert resid <= 1e-9
 
@@ -465,7 +484,7 @@ def test_alternative_scale_functional_keeps_truth_feasible():
 def test_precertificate_study_keeps_the_scale_functional():
     # the study reads every N off one problem: its rows are those of N-datum
     # builds with the subdomain functional, not with the integral
-    grid = build_grid_2d(9, 9)
+    grid = build_grid_2d(9)
     mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
     g_weights = grid.area_weights * mask
     base = build_calderon_problem(grid, m=4, n_modes=3, g_weights=g_weights)

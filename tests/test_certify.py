@@ -107,7 +107,7 @@ def _internal_case(n):
 
 @functools.lru_cache(maxsize=None)
 def _calderon_problem(nd, m):
-    return build_calderon_problem(build_grid_2d(9, 9), m=m, n_modes=nd)
+    return build_calderon_problem(build_grid_2d(9), m=m, n_modes=nd)
 
 
 @functools.lru_cache(maxsize=None)

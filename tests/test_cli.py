@@ -240,6 +240,19 @@ def test_cli_internal_recover_matches_one_q0_sweep(tmp_path):
         == (tmp_path / "s" / "sweep.csv").read_bytes()
 
 
+def test_cli_internal_sweep_reads_the_single_noise_level(tmp_path):
+    # [noise] delta, like [noise] deltas, sets the sweep's noise levels
+    common = "[grid]\nn = 21\n[noise]\ndelta = 1e-2\n"
+    (tmp_path / "r.cfg").write_text(common + "[potential]\nq0 = 0.5\n")
+    (tmp_path / "s.cfg").write_text(common + "[sweep]\nq0_values = 0.5\n")
+    for name, task in (("r", "recover"), ("s", "sweep")):
+        assert main(["--config", str(tmp_path / f"{name}.cfg"), "--out",
+                     str(tmp_path / name), "--seed", "4", "internal", task]) == 0
+    sweep = (tmp_path / "s" / "sweep.csv").read_bytes()
+    assert sweep == (tmp_path / "r" / "recover.csv").read_bytes()
+    assert read_table(tmp_path / "s" / "sweep.csv", INTERNAL_SCHEMA)[0]["delta"] == 1e-2
+
+
 @pytest.mark.parametrize("config, task", [
     ("[grid]\nn = 41\n[sweep]\nq0_values = -0.3,0.3,0.5\n"
      "[noise]\ndeltas = 0,1e-2,1e-3\n", ("internal", "sweep")),
@@ -358,6 +371,31 @@ def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
     assert len(rows) == 2
     assert tables["a"] == [header, rows[0]]
     assert tables["b"] == [header, rows[1]]
+
+
+def test_cli_calderon_grid_must_be_square(tmp_path):
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text("[grid]\nnx = 9\nny = 5\n[boundary]\nn_modes = 2\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "calderon", "forward"]) == 2
+
+
+def test_cli_calderon_recover_exits_3_on_any_unconverged_status(tmp_path, monkeypatch):
+    recover = cal.recover_calderon
+
+    def infeasible(*args, **kwargs):
+        q_hat, blocks, report = recover(*args, **kwargs)
+        report.status = "infeasible_suspected"
+        return q_hat, blocks, report
+
+    monkeypatch.setattr(cal, "recover_calderon", infeasible)
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text("[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 2\n[solver]\n"
+                   "max_iter = 50\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "calderon", "recover"]) \
+        == EXIT_MAX_ITER
+    assert "infeasible_suspected" in (out / "recover.csv").read_text()
 
 
 def test_cli_calderon_forward_smoke(tmp_path):

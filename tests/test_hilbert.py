@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from liftrec.hilbert import (
-    BivariateField,
-    InnerProduct,
     assemble_inner_product,
     build_grid_1d,
     build_grid_2d,
     first_difference_1d,
-    unwhiten,
-    whiten,
 )
 
 
@@ -32,7 +28,7 @@ def test_grid_1d_rejects_bad_arguments(n, a, b):
 
 
 def test_grid_2d_invariants():
-    g = build_grid_2d(9, 9)
+    g = build_grid_2d(9)
     all_nodes = np.sort(np.concatenate([g.interior_index, g.boundary_index]))
     assert np.array_equal(all_nodes, np.arange(g.n_nodes))
     assert abs(g.boundary_weights.sum() - 4.0) < 1e-12          # perimeter
@@ -87,61 +83,15 @@ def test_gram_spd_and_whitener_reconstruction():
         defect = np.linalg.norm(ip.whitener.T @ ip.whitener - ip.gram)
         assert defect <= 1e-10 * np.linalg.norm(ip.gram)
     with pytest.raises(ValueError):
-        assemble_inner_product(build_grid_2d(5, 5), "h2")
+        assemble_inner_product(build_grid_2d(5), "h2")
     with pytest.raises(ValueError):
         assemble_inner_product(g, "sobolev")
-
-
-def _field_pair(n=13, seed=0):
-    g = build_grid_1d(n, 0.0, 1.0)
-    x = assemble_inner_product(g, "h2")
-    y = assemble_inner_product(g, "l2")
-    rng = np.random.default_rng(seed)
-    return g, x, y, rng
-
-
-def _identity(dim):
-    return InnerProduct(dim=dim, gram=np.eye(dim), whitener=np.eye(dim))
-
-
-def test_whiten_identity_grams_is_identity():
-    x = _identity(4)
-    y = _identity(3)
-    vals = np.arange(12.0).reshape(4, 3)
-    fld = BivariateField(x, y, vals)
-    assert np.allclose(whiten(fld), vals)
-
-
-def test_whiten_rank_one_factorizes():
-    g, x, y, rng = _field_pair()
-    u = rng.standard_normal(g.n)
-    v = rng.standard_normal(g.n)
-    fw = whiten(BivariateField(x, y, np.outer(u, v)))
-    expected = np.outer(x.whiten_vec(u), y.whiten_vec(v))
-    assert np.allclose(fw, expected, atol=1e-12 * np.abs(expected).max())
-
-
-def test_unwhiten_round_trip():
-    g, x, y, rng = _field_pair(seed=5)
-    vals = rng.standard_normal((g.n, g.n))
-    fld = BivariateField(x, y, vals)
-    back = unwhiten(whiten(fld), x, y)
-    assert np.linalg.norm(back.values - vals) <= 1e-12 * np.linalg.norm(vals)
-
-
-def test_whiten_shape_mismatch():
-    x = _identity(4)
-    y = _identity(3)
-    with pytest.raises(ValueError):
-        BivariateField(x, y, np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        unwhiten(np.zeros((3, 4)), x, y)
 
 
 @pytest.mark.parametrize("nn", [9, 17, 20])
 def test_h1_gram_2d_matches_the_dense_stencil_products(nn):
     # the sparse assembly sums the same products, in another order
-    grid = build_grid_2d(nn, nn)
+    grid = build_grid_2d(nn)
     d1 = first_difference_1d(build_grid_1d(nn, 0.0, 1.0))
     dx, dy = np.kron(d1, np.eye(nn)), np.kron(np.eye(nn), d1)
     w = np.diag(grid.area_weights)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from liftrec import certify, cli
 from liftrec.errors import EigenvalueHit
-from liftrec.hilbert import build_grid_1d, whiten
+from liftrec.hilbert import build_grid_1d
 from liftrec.internal import (
     alpha_study,
     apriori_constant,
@@ -42,7 +42,7 @@ def test_problem_invariants(step_instance):
     grid, problem, meas = step_instance
     assert problem.u_true.values.min() > 0
     assert problem.int_q > 0
-    assert problem.sigma > 0
+    assert problem.model.sigma > 0
     # measurements of a unit-potential instance reduce to the state itself
     p1, m1 = build_internal_problem(grid, constant_potential(grid, 1.0))
     assert np.allclose(m1.z2_values, p1.int_q * p1.u_true.values)
@@ -58,7 +58,7 @@ def test_truth_is_feasible(step_instance):
     grid, problem, meas = step_instance
     op = assemble_internal_operator(problem)
     z = measurement_vector(problem, meas)
-    resid = np.linalg.norm(op.apply([whiten(problem.field_true)]) - z)
+    resid = np.linalg.norm(op.apply([problem.model.matrix]) - z)
     assert resid <= 1e-10 * (1 + np.linalg.norm(z))
 
 
@@ -144,9 +144,7 @@ def test_adjoint_matches_kernel_form_unwhitened():
     p = np.concatenate([sqrtw * g, problem.h2.whiten_vec(w_vec)])
     h_white = op.adjoint_apply(p)[0]
 
-    from liftrec.hilbert import unwhiten
-
-    h_vals = unwhiten(h_white, problem.h2, problem.l2).values
+    h_vals = problem.h2.unwhitener @ h_white @ problem.l2.unwhitener.T
     kernel = np.linalg.inv(problem.h2.gram)
     h_expected = kernel @ np.diag(g) + np.outer(w_vec, np.ones(grid.n))
     assert np.linalg.norm(h_vals - h_expected) <= 1e-9 * np.linalg.norm(h_expected)
@@ -159,7 +157,7 @@ def test_exact_recovery(step_instance):
     rel = problem.l2.norm(q_hat.values - oracle.values) / problem.l2.norm(oracle.values)
     assert rel <= 1e-3
     assert report.extras["rank_ratio"] <= 1e-4
-    f_true = whiten(problem.field_true)
+    f_true = problem.model.matrix
     assert np.linalg.norm(f_white - f_true) <= 1e-4 * np.linalg.norm(f_true)
 
 
@@ -196,10 +194,11 @@ def test_linear_system_oracle(step_instance):
     oracle = direct_division_oracle(problem.u_true)
     # interior: both reduce to the same pointwise division
     assert np.abs(q_hat.values[1:-1] - oracle.values[1:-1]).max() < 1e-10
-    assert np.linalg.matrix_rank(f_hat.values, tol=1e-10) == 1
+    assert np.linalg.matrix_rank(f_hat, tol=1e-10) == 1
     op = assemble_internal_operator(problem)
     z = measurement_vector(problem, meas)
-    assert np.linalg.norm(op.apply([whiten(f_hat)]) - z) <= 1e-9 * (1 + np.linalg.norm(z))
+    f_white = problem.h2.whitener @ f_hat @ problem.l2.whitener.T
+    assert np.linalg.norm(op.apply([f_white]) - z) <= 1e-9 * (1 + np.linalg.norm(z))
 
 
 def test_closed_form_certificate_interpolates(step_instance):
