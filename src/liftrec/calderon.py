@@ -389,6 +389,19 @@ def assemble_calderon_system(problem):
     structure, and the boundary-weighted stack norm).  The flux rows and
     then the integral rows of one block form ``b``; the three operators
     read row views of it.
+
+    The lifted state of the diagonal restriction ``D[x, (i, k)] = uinv[x, i]
+    w_k(x)`` solves ``-A v = D`` on the interior nodes (``A`` the 5-point
+    block) and vanishes on the boundary, so the measurement rows reach it
+    through their interior columns alone.  With ``F`` the weighted flux rows
+    and ``U`` the whitener at those columns,
+
+        b = [-F; int_q U] A^{-1} D + [0; I kron g^T],
+
+    ``I kron g^T`` being the whitener times the unwhitened stack integral.
+    One sparse solve by the adjoint, against the ``nf + n`` rows, replaces
+    one solve per lifted column (``n m`` of them); one dense product with
+    ``D`` then forms ``b``.
     """
     grid = problem.grid
     n = grid.n_nodes
@@ -399,22 +412,17 @@ def assemble_calderon_system(problem):
     sqrt_wb = np.sqrt(grid.boundary_weights)
     uw = problem.h1.whitener
 
-    # diagonal restriction of one whitened block: (n, n*m)
-    dg = np.einsum("xi,xk->xik", uinv, problem.basis_w.matrix).reshape(n, n * m)
-    # states of the lifted equation: Lap v = d with zero boundary data,
-    # so the interior solve flips the sign of the 5-point operator
-    a_0, _ = grid.laplacian_blocks
-    lifted = np.zeros((n, n * m))
-    lifted[iidx] = -_factorize(a_0).solve(dg[iidx])
-
     # the one-sided corner stencil reads only boundary nodes: zero flux rows
     flux = ~_corner_mask(grid)
     nf = int(flux.sum())
-    # b is written in place: stacking separate flux and integral arrays copies
+    rows = np.vstack([-(sqrt_wb[flux, None] * grid.normal_derivative[flux][:, iidx]),
+                      problem.int_q * uw[:, iidx]])
+    a_0, _ = grid.laplacian_blocks
+    adjoint = _factorize(a_0).solve(rows.T, trans="T").T
+    d_int = np.einsum("xi,xk->xik", uinv[iidx], problem.basis_w.matrix[iidx])
     b = np.empty((nf + n, n * m))
-    np.matmul(sqrt_wb[flux, None] * grid.normal_derivative[flux], lifted, out=b[:nf])
-    ig = np.einsum("xi,k->xik", uinv, problem.g_omega).reshape(n, n * m)
-    np.matmul(uw, ig - problem.int_q * lifted, out=b[nf:])
+    np.matmul(adjoint, d_int.reshape(iidx.size, n * m), out=b)
+    b[nf:].reshape(n, n, m)[np.arange(n), np.arange(n)] += problem.g_omega
     # datum 0 is the constant 1, so the pairs (0, j) span every pair (i, j):
     # row (i, j) = f_i * row(0, j) - f_j * row(0, i), node by node
     e = sqrt_wb[:, None] * uinv[grid.boundary_index, :]

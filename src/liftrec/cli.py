@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -225,6 +226,20 @@ def _json_default(obj):
 # experiment pieces
 
 
+def _require(ok, message):
+    """Raise :class:`ConfigError` with ``message`` unless ``ok``: the range
+    checks of values that the model builders would reject."""
+    if not ok:
+        raise ConfigError(message)
+
+
+def _grid_nodes(config, default):
+    """``[grid] n``, the 1-D node count, at least 3."""
+    n = config.get("grid", "n", default, int)
+    _require(n >= 3, f"grid.n = {n}: the grid needs at least 3 nodes")
+    return n
+
+
 def _solver_options(config):
     return solvers.SolverOptions(
         max_iter=config.get("solver", "max_iter", 50_000, int),
@@ -275,7 +290,7 @@ PHASELIFT_SCHEMA = [("n", int), ("m", int), ("delta", float), ("err", float),
 
 def _internal_problem(config, q0=None):
     """The configured internal instance and its noiseless measurements."""
-    grid = build_grid_1d(config.get("grid", "n", 41, int), 0.0, 1.0)
+    grid = build_grid_1d(_grid_nodes(config, 41), 0.0, 1.0)
     return build_internal_problem(
         grid, _potential_for(config, grid, q0),
         f_a=config.get("boundary", "f_a", 1.0, float),
@@ -363,11 +378,17 @@ def run_calderon(config, out_dir, seed, task):
     nx, ny = (config.get("grid", key, 17, int) for key in ("nx", "ny"))
     if nx != ny:
         raise ConfigError(f"the grid is square: nx = {nx} and ny = {ny} differ")
+    _require(nx >= 3, f"grid.nx = {nx}: the grid needs at least 3 nodes per axis")
     grid = build_grid_2d(nx)
     m = config.get("boundary", "m_basis", 4, int)
+    _require(m >= 1 and math.isqrt(m) ** 2 == m,
+             f"boundary.m_basis = {m}: the bump basis needs a positive perfect square")
     n_modes = config.get("boundary", "n_modes", 4, int)
+    _require(n_modes >= 1, f"boundary.n_modes = {n_modes}: need at least one boundary mode")
     if task == "certify":
         n_list = [int(v) for v in config.get_list("sweep", "n_list", default=(2, 3, 4))]
+        _require(n_list and min(n_list) >= 1,
+                 f"sweep.n_list = {n_list}: need data-family sizes of at least 1")
         # the study reads every N off one problem, the first N data of
         # which are those of an N-datum build
         n_modes = max([n_modes, *n_list])
@@ -456,7 +477,7 @@ def run_certify(config, out_dir, seed):
     code = run_internal(config, out_dir, seed, 1, "certify")
     t0 = time.time()
     lower, upper = find_condition_interval(
-        n=config.get("grid", "n", 401, int), **_step_shape(config),
+        n=_grid_nodes(config, 401), **_step_shape(config),
         f_a=config.get("boundary", "f_a", 1.0, float),
         f_b=config.get("boundary", "f_b", 1.0, float),
     )

@@ -102,16 +102,24 @@ class Grid2D:
         The interior rows of ``kron(T, I) + kron(I, T)``, ``T`` the 1-D
         ``(-1, 2, -1) / h^2`` stencil, at the interior and at the boundary
         columns (CSC), so that ``A u_int + C u_bdry = 0`` for discrete
-        harmonic ``u``.
+        harmonic ``u``.  Each interior row reads the node itself and its
+        four neighbours, at flat offsets ``0, -n, -1, 1, n``, all on the grid.
         """
-        h2 = self.h ** 2
-        t = scipy.sparse.diags([-1.0 / h2, 2.0 / h2, -1.0 / h2], [-1, 0, 1],
-                               shape=(self.n, self.n))
-        eye = scipy.sparse.identity(self.n)
-        lap = scipy.sparse.kron(t, eye) + scipy.sparse.kron(eye, t)
-        rows = lap.tocsr()[self.interior_index]
-        return (rows[:, self.interior_index].tocsc(),
-                rows[:, self.boundary_index].tocsc())
+        n_int = self.interior_index.size
+        inside = np.zeros(self.n_nodes, dtype=bool)
+        inside[self.interior_index] = True
+        # column of each node in its block: interior or boundary position
+        col = np.empty(self.n_nodes, dtype=int)
+        col[self.interior_index] = np.arange(n_int)
+        col[self.boundary_index] = np.arange(self.boundary_index.size)
+        nbr = (self.interior_index[:, None] + [0, -self.n, -1, 1, self.n]).ravel()
+        row = np.repeat(np.arange(n_int), 5)
+        val = np.tile(np.array([4.0, -1.0, -1.0, -1.0, -1.0]) / self.h ** 2, n_int)
+        to_int = inside[nbr]
+        return tuple(
+            scipy.sparse.csc_matrix((val[sel], (row[sel], col[nbr[sel]])),
+                                    shape=(n_int, size))
+            for sel, size in ((to_int, n_int), (~to_int, self.boundary_index.size)))
 
     @cached_property
     def normal_derivative(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from liftrec.calderon import _corner_mask, dtn_map, frechet_derivative
 from liftrec.certify import _GRAM_RCOND
@@ -313,6 +314,53 @@ def calderon_matrix_dense(problem):
         a_full[r0:r0 + nb * m, j * d:(j + 1) * d] = blk_j
         r0 += nb * m
     return a_full, counts
+
+
+def calderon_system_forward_lifted(problem):
+    """The Calderon factors ``(b, e, z_data, z_hard)`` by the forward route:
+    solve the lifted equation for every one of the ``n m`` columns of the
+    diagonal restriction, then apply the flux and integral rows to the
+    states, as :func:`~liftrec.calderon.assemble_calderon_system` did before
+    it solved against the rows instead."""
+    grid = problem.grid
+    n = grid.n_nodes
+    m = problem.basis_w.m
+    nd = problem.n_data
+    iidx = grid.interior_index
+    uinv = problem.h1.unwhitener
+    sqrt_wb = np.sqrt(grid.boundary_weights)
+    uw = problem.h1.whitener
+
+    dg = np.einsum("xi,xk->xik", uinv, problem.basis_w.matrix).reshape(n, n * m)
+    a_0, _ = grid.laplacian_blocks
+    lifted = np.zeros((n, n * m))
+    lifted[iidx] = -scipy.sparse.linalg.splu(a_0).solve(dg[iidx])
+
+    flux = ~_corner_mask(grid)
+    ig = np.einsum("xi,k->xik", uinv, problem.g_omega).reshape(n, n * m)
+    b = np.vstack([(sqrt_wb[flux, None] * grid.normal_derivative[flux]) @ lifted,
+                   uw @ (ig - problem.int_q * lifted)])
+    e = sqrt_wb[:, None] * uinv[grid.boundary_index, :]
+    z_data = (sqrt_wb * (problem.flux_u - problem.flux_f_tilde))[:, flux].ravel()
+    z_hard = np.concatenate(
+        [uw @ (problem.int_q * problem.f_tilde_stack[i]) for i in range(nd)]
+        + [np.zeros((nd - 1) * grid.boundary_index.size * m)]
+    )
+    return b, e, z_data, z_hard
+
+
+def laplacian_blocks_kron(grid):
+    """``(A, C)`` of the 5-point ``-Lap`` as the interior rows of
+    ``kron(T, I) + kron(I, T)``, sliced at the interior and at the boundary
+    columns (CSC): the slicing reference for ``Grid2D.laplacian_blocks``."""
+    h2 = grid.h ** 2
+    t = scipy.sparse.diags([-1.0 / h2, 2.0 / h2, -1.0 / h2], [-1, 0, 1],
+                           shape=(grid.n, grid.n))
+    eye = scipy.sparse.identity(grid.n)
+    lap = scipy.sparse.kron(t, eye) + scipy.sparse.kron(eye, t)
+    rows = lap.tocsr()[grid.interior_index]
+    return (rows[:, grid.interior_index].tocsc(),
+            rows[:, grid.boundary_index].tocsc())
 
 
 def phase_retrieval_per_measurement(n, m, seed):

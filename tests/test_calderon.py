@@ -29,9 +29,11 @@ from liftrec.hilbert import build_grid_2d
 from liftrec.solvers import SolverOptions
 from oracles import (
     calderon_matrix_dense,
+    calderon_system_forward_lifted,
     dense_rank_one_maps,
     gauss_newton_per_column,
     interior_operator_loops,
+    laplacian_blocks_kron,
     onesided_flux_loops,
 )
 
@@ -123,6 +125,16 @@ def test_stencils_equal_the_loop_reference(nn, with_q):
     for row in grid.normal_derivative[mask]:
         assert np.count_nonzero(row) == 5
         assert set(np.flatnonzero(row)) <= set(grid.boundary_index)
+
+
+def test_laplacian_blocks_equal_the_kron_slices():
+    for nn in range(3, 42):
+        grid = build_grid_2d(nn)
+        for got, ref in zip(grid.laplacian_blocks, laplacian_blocks_kron(grid)):
+            assert got.format == ref.format == "csc"
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
 
 
 def test_eigenvalue_hit_2d():
@@ -323,6 +335,51 @@ def test_structured_operator_matches_the_dense_assembly(nd, m):
         assert op.check_adjoint(n_probes=20) < 1e-12
 
 
+def _central_quarter_weights(grid):
+    """The ``subdomain`` scale functional: area weights on the central
+    quarter of the square."""
+    mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
+    return grid.area_weights * mask
+
+
+@pytest.mark.parametrize("nn", [5, 9, 17])
+@pytest.mark.parametrize("m", [1, 4, 9])
+@pytest.mark.parametrize("subdomain", [False, True])
+def test_assembly_matches_the_forward_lifted_reference(nn, m, subdomain):
+    grid = build_grid_2d(nn)
+    problem = build_calderon_problem(
+        grid, m=m, n_modes=4, g_weights=_central_quarter_weights(grid) if subdomain else None)
+    system = assemble_calderon_system(problem)
+    got = (system.op_full.b, system.op_full.e, system.z_data, system.z_hard)
+    for a, ref in zip(got, calderon_system_forward_lifted(problem)):
+        assert a.shape == ref.shape
+        assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_assembly_solves_once_against_the_measurement_rows(monkeypatch):
+    import liftrec.calderon as cal
+
+    problem = build_calderon_problem(build_grid_2d(9), m=4, n_modes=3)
+    solves = []
+
+    class Recording:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, rhs, trans="N"):
+            solves.append(rhs.shape)
+            return self.factor.solve(rhs, trans=trans)
+
+    factorize = cal._factorize
+    monkeypatch.setattr(cal, "_factorize", lambda a: Recording(factorize(a)))
+    system = assemble_calderon_system(problem)
+    n_int = problem.grid.interior_index.size
+    rows = system.op_full.b.shape[0]        # nf flux rows and n integral rows
+    assert rows == (~_corner_mask(problem.grid)).sum() + problem.grid.n_nodes
+    assert solves == [(n_int, rows)]
+    assert rows < problem.grid.n_nodes * problem.basis_w.m
+
+
 def test_structured_operator_holds_a_small_share_of_the_dense_form():
     problem = build_calderon_problem(build_grid_2d(17), m=4, n_modes=4)
     op = assemble_calderon_system(problem).op_full
@@ -472,8 +529,7 @@ def test_precertificate_study_rows():
 
 def test_alternative_scale_functional_keeps_truth_feasible():
     grid = build_grid_2d(9)
-    mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
-    g_weights = grid.area_weights * mask
+    g_weights = _central_quarter_weights(grid)
     problem = build_calderon_problem(grid, m=4, n_modes=2, g_weights=g_weights)
     system = assemble_calderon_system(problem)
     resid = np.linalg.norm(system.op_full.apply([m.matrix for m in problem.models])
@@ -485,8 +541,7 @@ def test_precertificate_study_keeps_the_scale_functional():
     # the study reads every N off one problem: its rows are those of N-datum
     # builds with the subdomain functional, not with the integral
     grid = build_grid_2d(9)
-    mask = (np.abs(grid.xs - 0.5) <= 0.25) & (np.abs(grid.ys - 0.5) <= 0.25)
-    g_weights = grid.area_weights * mask
+    g_weights = _central_quarter_weights(grid)
     base = build_calderon_problem(grid, m=4, n_modes=3, g_weights=g_weights)
     rows, _ = precertificate_study(base, assemble_calderon_system(base), [2, 3])
     for row in rows:

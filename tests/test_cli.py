@@ -373,6 +373,22 @@ def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
     assert tables["b"] == [header, rows[1]]
 
 
+@pytest.mark.parametrize("text, command", [
+    ("[grid]\nnx = 2\nny = 2\n", ("calderon", "forward")),
+    ("[grid]\nn = 2\n", ("internal", "recover")),
+    ("[grid]\nnx = 9\nny = 9\n[boundary]\nm_basis = 5\n", ("calderon", "forward")),
+    ("[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 0\n", ("calderon", "forward")),
+    ("[grid]\nnx = 9\nny = 9\n[sweep]\nn_list = 0,2\n", ("calderon", "certify")),
+], ids=["nx", "n", "m_basis", "n_modes", "n_list"])
+def test_cli_out_of_range_values_exit_2(tmp_path, capsys, text, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_calderon_grid_must_be_square(tmp_path):
     cfg = tmp_path / "cal.cfg"
     cfg.write_text("[grid]\nnx = 9\nny = 5\n[boundary]\nn_modes = 2\n")
