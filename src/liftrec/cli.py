@@ -228,7 +228,7 @@ def _json_default(obj):
 
 def _require(ok, message):
     """Raise :class:`ConfigError` with ``message`` unless ``ok``: the range
-    checks of values that the model builders would reject."""
+    checks of values that the grid, basis and study constructors reject."""
     if not ok:
         raise ConfigError(message)
 
