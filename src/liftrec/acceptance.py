@@ -175,7 +175,7 @@ def criterion_5():
         worst = max(worst, f_norm - c_phi * phi_norm)
         ok = ok and f_norm <= c_phi * phi_norm + 1e-9
     with blas_threads(1):
-        sigma_min = certify.tangent_injectivity(op, [problem.model])
+        sigma_min = certify.precertificate(op, [problem.model]).sigma_min
     ok = ok and (1.0 / sigma_min) <= c_phi
     return CriterionResult(5, "a-priori estimate on the tangent space", ok,
                            {"c_phi": c_phi, "inv_sigma_min": 1.0 / sigma_min,

@@ -92,19 +92,9 @@ def _corner_mask(grid):
 # bases
 
 
-@dataclass
-class BasisW:
-    """Continuous bump basis sampled on the grid, orthonormal in weighted l2."""
-
-    m: int
-    matrix: np.ndarray        # n_nodes x m, columns orthonormal
-
-    def values(self, coeffs):
-        return self.matrix @ np.asarray(coeffs, float)
-
-
 def make_basis_w(grid, m):
-    """Tensor-product hat bumps, orthonormalized against the area weights."""
+    """Tensor-product hat bumps sampled on the grid, orthonormalized against
+    the area weights: the ``(n_nodes, m)`` basis of the potential."""
     k = math.isqrt(m)
     if k * k != m:
         raise ValueError(f"basis size must be a perfect square, got {m}")
@@ -129,23 +119,17 @@ def make_basis_w(grid, m):
             if nrm < 1e-12:
                 raise ValueError("bump basis is numerically dependent on this grid")
             mat[:, j] /= nrm
-    return BasisW(m=m, matrix=mat)
+    return mat
 
 
 def coeffs_from_function(basis, grid, fn_vals):
     """Weighted-l2 projection coefficients of nodal values onto the basis."""
-    return basis.matrix.T @ (grid.area_weights * np.asarray(fn_vals, float))
-
-
-@dataclass
-class BoundaryBasis:
-    """Trigonometric Dirichlet data in boundary arc length, constant first."""
-
-    n: int
-    matrix: np.ndarray        # n_bdry x N
+    return basis.T @ (grid.area_weights * np.asarray(fn_vals, float))
 
 
 def make_boundary_basis(grid, n_modes):
+    """Trigonometric Dirichlet data in boundary arc length, constant first:
+    the ``(n_bdry, n_modes)`` data family."""
     if n_modes < 1:
         raise ValueError("need at least one boundary mode")
     s = grid.boundary_arclength
@@ -161,7 +145,7 @@ def make_boundary_basis(grid, n_modes):
     gram = mat.T @ (grid.boundary_weights[:, None] * mat)
     if np.linalg.cond(gram) > 1e8:
         raise ValueError("boundary basis Gram is numerically singular")
-    return BoundaryBasis(n=n_modes, matrix=mat)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +155,8 @@ def make_boundary_basis(grid, n_modes):
 @dataclass
 class CalderonProblem:
     grid: Grid2D
-    basis_w: BasisW
-    bdry: BoundaryBasis
+    basis: np.ndarray             # n_nodes x m, orthonormal in weighted l2
+    bdry: np.ndarray              # n_bdry x N boundary data
     q_coeffs: np.ndarray
     q_values: np.ndarray
     int_q: float
@@ -186,7 +170,7 @@ class CalderonProblem:
 
     @property
     def n_data(self):
-        return self.bdry.n
+        return self.bdry.shape[1]
 
 
 def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
@@ -199,15 +183,15 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
     carry no certificate theory).  Its value on the potential must be
     positive and the discrete operator nonsingular.
     """
-    basis_w = make_basis_w(grid, m)
+    basis = make_basis_w(grid, m)
     bdry = make_boundary_basis(grid, n_modes)
     if q_coeffs is None:
         profile = 1.0 + 0.4 * np.cos(np.pi * (grid.xs - 0.5)) * np.cos(
             np.pi * (grid.ys - 0.5)
         )
-        q_coeffs = coeffs_from_function(basis_w, grid, profile)
+        q_coeffs = coeffs_from_function(basis, grid, profile)
     q_coeffs = np.asarray(q_coeffs, float)
-    q_values = basis_w.values(q_coeffs)
+    q_values = basis @ q_coeffs
     if g_weights is None:
         g_weights = grid.area_weights
     g_weights = np.asarray(g_weights, float)
@@ -215,8 +199,8 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
     if int_q <= 0:
         raise ValueError("the scale functional must be positive on the potential")
 
-    _, u_stack = _forward_states(grid, q_values, bdry.matrix)
-    _, f_tilde_stack = _forward_states(grid, None, bdry.matrix)
+    _, u_stack = _forward_states(grid, q_values, bdry)
+    _, f_tilde_stack = _forward_states(grid, None, bdry)
     fl = grid.normal_derivative
     flux_u = u_stack @ fl.T
     flux_f_tilde = f_tilde_stack @ fl.T
@@ -225,7 +209,7 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
 
     q_w_norm = float(np.linalg.norm(q_coeffs))
     models = []
-    for i in range(bdry.n):
+    for i in range(bdry.shape[1]):
         uw = h1.whiten_vec(u_stack[i])
         nrm = float(np.linalg.norm(uw))
         models.append(RankOneModel(
@@ -233,10 +217,10 @@ def build_calderon_problem(grid, m=4, n_modes=4, q_coeffs=None, g_weights=None):
         ))
 
     return CalderonProblem(
-        grid=grid, basis_w=basis_w, bdry=bdry, q_coeffs=q_coeffs,
+        grid=grid, basis=basis, bdry=bdry, q_coeffs=q_coeffs,
         q_values=q_values, int_q=int_q, u_stack=u_stack,
         f_tilde_stack=f_tilde_stack, flux_u=flux_u, flux_f_tilde=flux_f_tilde,
-        h1=h1, models=models, g_omega=basis_w.matrix.T @ g_weights,
+        h1=h1, models=models, g_omega=basis.T @ g_weights,
     )
 
 
@@ -257,17 +241,19 @@ class CalderonOperator(AffineOperator):
 
     with ``e`` the boundary rows of the unwhitening scaled by the square
     root of the boundary weights and ``f_j`` datum ``j`` on the boundary.
-    Operators over row views of one ``b`` share its memory.  The dense form
-    is built only on request, by :attr:`matrix`.
+    The basis size ``m`` is ``b``'s column count over ``n``.  Operators over
+    row views of one ``b`` share its memory.  The dense form is built only
+    on request, by :attr:`matrix`.
     """
 
-    def __init__(self, b, e, f, m, coupled=True):
-        self.b, self.e, self.f, self.m, self.coupled = b, e, f, m, coupled
+    def __init__(self, b, e, f, coupled=True):
+        self.b, self.e, self.f, self.coupled = b, e, f, coupled
         self.n = e.shape[1]
+        self.m = b.shape[1] // self.n
         n_data = f.shape[1]
         self._own_rows = n_data * b.shape[0]
-        coupling = (n_data - 1) * e.shape[0] * m if coupled else 0
-        super().__init__([(self.n, m)] * n_data, self._own_rows + coupling)
+        coupling = (n_data - 1) * e.shape[0] * self.m if coupled else 0
+        super().__init__([(self.n, self.m)] * n_data, self._own_rows + coupling)
 
     def _matvec(self, vec):
         x = vec.reshape(self.n_blocks, self.n * self.m)
@@ -405,7 +391,7 @@ def assemble_calderon_system(problem):
     """
     grid = problem.grid
     n = grid.n_nodes
-    m = problem.basis_w.m
+    m = problem.basis.shape[1]
     nd = problem.n_data
     iidx = grid.interior_index
     uinv = problem.h1.unwhitener
@@ -419,7 +405,7 @@ def assemble_calderon_system(problem):
                       problem.int_q * uw[:, iidx]])
     a_0, _ = grid.laplacian_blocks
     adjoint = _factorize(a_0).solve(rows.T, trans="T").T
-    d_int = np.einsum("xi,xk->xik", uinv[iidx], problem.basis_w.matrix[iidx])
+    d_int = np.einsum("xi,xk->xik", uinv[iidx], problem.basis[iidx])
     b = np.empty((nf + n, n * m))
     np.matmul(adjoint, d_int.reshape(iidx.size, n * m), out=b)
     b[nf:].reshape(n, n, m)[np.arange(n), np.arange(n)] += problem.g_omega
@@ -427,35 +413,29 @@ def assemble_calderon_system(problem):
     # row (i, j) = f_i * row(0, j) - f_j * row(0, i), node by node
     e = sqrt_wb[:, None] * uinv[grid.boundary_index, :]
 
-    f = problem.bdry.matrix
+    f = problem.bdry
     z_data = (sqrt_wb * (problem.flux_u - problem.flux_f_tilde))[:, flux].ravel()
     z_hard = np.concatenate(
         [uw @ (problem.int_q * problem.f_tilde_stack[i]) for i in range(nd)]
         + [np.zeros((nd - 1) * grid.boundary_index.size * m)]
     )
     return CalderonSystem(
-        op_full=CalderonOperator(b, e, f, m),
-        op_data=CalderonOperator(b[:nf], e, f, m, coupled=False),
-        op_hard=CalderonOperator(b[nf:], e, f, m),
+        op_full=CalderonOperator(b, e, f),
+        op_data=CalderonOperator(b[:nf], e, f, coupled=False),
+        op_hard=CalderonOperator(b[nf:], e, f),
         z_data=z_data, z_hard=z_hard,
     )
 
 
-@dataclass
-class CalderonMeasurements:
-    z_data: np.ndarray
-    delta: float
-
-
 def make_calderon_measurements(system, delta=0.0, seed=0):
-    """Flux measurements, optionally polluted by noise of exact norm delta."""
+    """Flux data vector, optionally polluted by noise of exact norm delta."""
     z = system.z_data.copy()
     if delta > 0:
         rng = np.random.default_rng(seed)
         e = rng.standard_normal(z.size)
         e *= delta / np.linalg.norm(e)
         z = z + e
-    return CalderonMeasurements(z_data=z, delta=float(delta))
+    return z
 
 
 def extract_q_calderon(c_vals, f_bdry_vals, problem):
@@ -469,30 +449,29 @@ def extract_q_calderon(c_vals, f_bdry_vals, problem):
     return num / den
 
 
-def recover_calderon(problem, system, measurements, c=1.0, opts=None):
-    """Convex recovery of the potential coordinates from the lifted solve.
+def recover_calderon(problem, system, z_data, lam, opts=None):
+    """Convex recovery of the potential coordinates from the flux data
+    ``z_data``.
 
-    Noiseless measurements (``delta == 0``): equality-constrained solve on
-    all three families.  Noisy ones: data fidelity on the flux block only,
-    with the remaining families kept as hard constraints inside the
-    splitting and ``lambda = c * delta``.  The potential estimate averages
-    the per-block boundary extractions.
+    ``lam == 0``: equality-constrained solve on all three families.
+    Otherwise: data fidelity on the flux block only, with the remaining
+    families kept as hard constraints inside the splitting, at weight
+    ``lam``.  The potential estimate averages the per-block boundary
+    extractions.
     """
-    if measurements.delta == 0:
+    if lam == 0:
         blocks, report = solve_equality_nnm(
-            system.op_full, system.full_data(measurements.z_data), opts=opts)
+            system.op_full, system.full_data(z_data), opts=opts)
     else:
         blocks, report = solve_regularized_constrained(
-            system.op_data, measurements.z_data, system.op_hard, system.z_hard,
-            c * measurements.delta, opts=opts,
-        )
+            system.op_data, z_data, system.op_hard, system.z_hard, lam, opts=opts)
 
     uinv = problem.h1.unwhitener
     extractions = []
     for i, blk in enumerate(blocks):
         c_vals = uinv @ blk
         extractions.append(
-            extract_q_calderon(c_vals, problem.bdry.matrix[:, i], problem)
+            extract_q_calderon(c_vals, problem.bdry[:, i], problem)
         )
     q_hat = np.mean(extractions, axis=0)
     report.extras["per_block_q"] = extractions
@@ -503,13 +482,17 @@ def recover_rows(problem, system, deltas, seed, c, opts):
     """One ``(row, blocks)`` per noise level in ``deltas``, all on the one
     assembly ``system``; every level draws its noise from ``seed``, so a row
     equals the single-level run's.  ``row`` holds the columns of ``calderon
-    recover``'s table, ``blocks`` the whitened recovered stack."""
+    recover``'s table, ``blocks`` the whitened recovered stack.  A noisy
+    level solves at ``lambda = c * delta``, which must be positive."""
     out = []
     for delta in deltas:
-        meas = make_calderon_measurements(system, delta=delta, seed=seed)
-        q_hat, blocks, report = recover_calderon(problem, system, meas, c=c, opts=opts)
+        lam = 0.0 if delta == 0 else c * delta
+        if delta != 0 and not lam > 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        z_data = make_calderon_measurements(system, delta=delta, seed=seed)
+        q_hat, blocks, report = recover_calderon(problem, system, z_data, lam, opts=opts)
         out.append(({
-            "delta": delta, "lambda": (0.0 if delta == 0 else c * delta),
+            "delta": delta, "lambda": lam,
             "rel_err_W": float(np.linalg.norm(q_hat - problem.q_coeffs)
                                / np.linalg.norm(problem.q_coeffs)),
             "iters": report.iterations, "feas_residual": report.feas_residual,
@@ -522,18 +505,16 @@ def recover_rows(problem, system, deltas, seed, c, opts):
 # forward-map derivative and baseline
 
 
-def boundary_restriction_constant(problem):
+def boundary_restriction_constant(system):
     """Discrete norm of the boundary restriction on lifted stacks.
 
     Largest amplification from the whitened stack norm to the
-    boundary-weighted stack norm; reported as a diagnostic (the continuum
-    trace theorem offers no quantitative constant to assert against).
+    boundary-weighted stack norm: the spectral norm of the boundary factor
+    ``e`` of the assembled operator.  Reported as a diagnostic (the
+    continuum trace theorem offers no quantitative constant to assert
+    against).
     """
-    uinv = problem.h1.unwhitener
-    bidx = problem.grid.boundary_index
-    weighted = np.sqrt(problem.grid.boundary_weights)[:, None] * uinv[bidx, :]
-    svals = np.linalg.svd(weighted, compute_uv=False)
-    return float(svals[0])
+    return float(np.linalg.svd(system.op_full.e, compute_uv=False)[0])
 
 
 def _fluxes(grid, states):
@@ -544,7 +525,7 @@ def _fluxes(grid, states):
 def dtn_map(grid, q_vals, bdry):
     """One-sided flux matrix of the boundary-data-to-flux map, one row per
     datum."""
-    _, states = _forward_states(grid, q_vals, bdry.matrix)
+    _, states = _forward_states(grid, q_vals, bdry)
     return _fluxes(grid, states)
 
 
@@ -573,8 +554,7 @@ def frechet_derivative(problem, q_vals, h_vals):
     (N x boundary) matrix of one-sided fluxes on the problem's boundary basis.
     """
     grid = problem.grid
-    return _derivative_fluxes(grid, *_forward_states(grid, q_vals, problem.bdry.matrix),
-                              h_vals)
+    return _derivative_fluxes(grid, *_forward_states(grid, q_vals, problem.bdry), h_vals)
 
 
 def derivative_pairing(problem, q_vals, h_vals):
@@ -587,10 +567,10 @@ def derivative_pairing(problem, q_vals, h_vals):
     """
     grid = problem.grid
     states = _linearized_states(
-        grid, *_forward_states(grid, q_vals, problem.bdry.matrix), h_vals)
+        grid, *_forward_states(grid, q_vals, problem.bdry), h_vals)
     _, coupling = grid.laplacian_blocks
     flux = grid.h ** 2 * (coupling.T @ np.stack(states)[:, grid.interior_index].T)
-    return flux.T @ problem.bdry.matrix
+    return flux.T @ problem.bdry
 
 
 def compactness_diagnostic(problem, q_vals, h_vals, mode_counts=(4, 8, 12)):
@@ -604,9 +584,9 @@ def compactness_diagnostic(problem, q_vals, h_vals, mode_counts=(4, 8, 12)):
     for count in mode_counts:
         bdry = make_boundary_basis(problem.grid, count)
         mat = _derivative_fluxes(problem.grid,
-                                 *_forward_states(problem.grid, q_vals, bdry.matrix), h_vals)
+                                 *_forward_states(problem.grid, q_vals, bdry), h_vals)
         wb = problem.grid.boundary_weights
-        in_norms = np.sqrt(np.einsum("bk,b,bk->k", bdry.matrix, wb, bdry.matrix))
+        in_norms = np.sqrt(np.einsum("bk,b,bk->k", bdry, wb, bdry))
         weighted = (mat / in_norms[:, None]) * np.sqrt(wb)[None, :]
         out[count] = np.linalg.svd(weighted, compute_uv=False)
     return out
@@ -621,7 +601,8 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8):
     the mean diagonal of the Gauss-Newton matrix.  Divergence is reported
     in the history, not raised.
     """
-    grid, bdry, basis = problem.grid, problem.bdry, problem.basis_w
+    grid, bdry, basis = problem.grid, problem.bdry, problem.basis
+    m = basis.shape[1]
     sqrt_wb = np.sqrt(grid.boundary_weights)
     observed = problem.flux_u * sqrt_wb[None, :]
 
@@ -631,7 +612,7 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8):
     # iters steps, so iters + 1 misfits: the last one is of the final step
     for k in range(iters + 1):
         try:
-            factor, states = _forward_states(grid, basis.values(coeffs), bdry.matrix)
+            factor, states = _forward_states(grid, basis @ coeffs, bdry)
         except EigenvalueHit:
             misfits.append(np.inf)
             break
@@ -642,14 +623,14 @@ def gauss_newton_baseline(problem, q_init_coeffs, iters=8):
         # one factor and N states per iteration serve the misfit and every
         # Jacobian column
         jac = np.stack([
-            (_derivative_fluxes(grid, factor, states, basis.matrix[:, k])
+            (_derivative_fluxes(grid, factor, states, basis[:, k])
              * sqrt_wb[None, :]).ravel()
-            for k in range(basis.m)
+            for k in range(m)
         ], axis=1)
         gram = jac.T @ jac
-        mu = 1e-8 * max(np.trace(gram) / basis.m, 1e-30)
+        mu = 1e-8 * max(np.trace(gram) / m, 1e-30)
         try:
-            step = np.linalg.solve(gram + mu * np.eye(basis.m), -jac.T @ resid)
+            step = np.linalg.solve(gram + mu * np.eye(m), -jac.T @ resid)
         except np.linalg.LinAlgError:
             break
         coeffs = coeffs + step
@@ -684,7 +665,7 @@ def precertificate_study(problem, system, n_list):
     rows, last = [], None
     with blas_threads(1):
         for n_modes in n_list:
-            op_n = CalderonOperator(op.b, op.e, op.f[:, :n_modes], op.m)
+            op_n = CalderonOperator(op.b, op.e, op.f[:, :n_modes])
             try:
                 report = certify.precertificate(op_n, problem.models[:n_modes])
             except DegenerateCertificate as exc:

@@ -274,15 +274,6 @@ def _tangent_least_norm(runs, rhs, rows):
     return sigma_min, (float(svals[0]) if svals.size else 0.0), p
 
 
-def tangent_injectivity(op, models):
-    """Smallest singular value of Phi restricted to the tangent space.
-
-    A positive value certifies discrete injectivity; its reciprocal is the
-    empirical stability constant.
-    """
-    return _tangent_least_norm(*_tangent_map(op, models), op.codomain_dim)[0]
-
-
 def ndsc_verify(h_blocks, models, margin=DEFAULT_MARGIN):
     """Evaluate tangent residual and off-tangent norm for each block.
 

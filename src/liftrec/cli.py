@@ -299,8 +299,20 @@ def _internal_problem(config, q0=None):
 
 
 def _noise_levels(config):
-    """``[noise] deltas``, or else the single ``[noise] delta``."""
-    return config.get_list("noise", "deltas") or [config.get("noise", "delta", 0.0, float)]
+    """``[noise] deltas``, or else the single ``[noise] delta``; each finite
+    and nonnegative."""
+    deltas = config.get_list("noise", "deltas") or [config.get("noise", "delta", 0.0, float)]
+    _require(all(math.isfinite(d) and d >= 0 for d in deltas),
+             f"noise deltas = {deltas}: each must be finite and nonnegative")
+    return deltas
+
+
+def _noise_weight(config):
+    """``[noise] c``, the positive finite factor of ``lambda = c * delta``."""
+    c = config.get("noise", "c", 1.0, float)
+    _require(0 < c < math.inf,
+             f"noise.c = {c}: the weight factor must be positive and finite")
+    return c
 
 
 def _internal_row(states, q0, delta, seed, c, opts):
@@ -339,7 +351,6 @@ def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
 
 def run_internal(config, out_dir, seed, jobs, task):
     opts = _solver_options(config)
-    c = config.get("noise", "c", 1.0, float)
     if task == "certify":
         problem, _ = _internal_problem(config)
         op = assemble_internal_operator(problem)
@@ -369,7 +380,8 @@ def run_internal(config, out_dir, seed, jobs, task):
         q0_values = config.get_list("sweep", "q0_values", default=(-0.3, 0.3, 0.5))
     else:
         raise ConfigError(f"unknown internal task {task!r}")
-    rows = _internal_rows(config, q0_values, _noise_levels(config), seed, c, opts, jobs)
+    rows = _internal_rows(config, q0_values, _noise_levels(config), seed,
+                          _noise_weight(config), opts, jobs)
     return _finish(out_dir, task, rows, INTERNAL_SCHEMA,
                    {"kind": "internal", "task": task, "seed": seed, "rows": len(rows)})
 
@@ -392,6 +404,9 @@ def run_calderon(config, out_dir, seed, task):
         # the study reads every N off one problem, the first N data of
         # which are those of an N-datum build
         n_modes = max([n_modes, *n_list])
+    _require(n_modes <= 4 * (nx - 1),
+             f"{n_modes} boundary modes (boundary.n_modes, sweep.n_list): the "
+             f"boundary loop of 4(nx - 1) = {4 * (nx - 1)} nodes holds no more")
     coeffs = config.get_list("potential", "coeffs", default=())
     q_coeffs = np.asarray(coeffs) if coeffs else None
     g_kind = config.get("potential", "g_functional", "integral")
@@ -420,14 +435,14 @@ def run_calderon(config, out_dir, seed, task):
     if task == "certify":
         system = cal.assemble_calderon_system(problem)
         rows, _ = cal.precertificate_study(problem, system, n_list)
-        summary["boundary_restriction_constant"] = \
-            cal.boundary_restriction_constant(problem)
+        summary["boundary_restriction_constant"] = cal.boundary_restriction_constant(system)
         return _finish(out_dir, task, rows, CALDERON_CERTIFY_SCHEMA, summary)
 
     if task == "recover":
+        deltas, c = _noise_levels(config), _noise_weight(config)
         rows = [row for row, _ in cal.recover_rows(
-            problem, cal.assemble_calderon_system(problem), _noise_levels(config), seed,
-            config.get("noise", "c", 1.0, float), _solver_options(config))]
+            problem, cal.assemble_calderon_system(problem), deltas, seed, c,
+            _solver_options(config))]
         # the first status short of convergence, if any row has one
         summary["assertions"] = {"converged": next(
             (r["status"] for r in rows if r["status"] != solvers.STATUS_CONVERGED),
@@ -447,6 +462,8 @@ def run_calderon(config, out_dir, seed, task):
 def run_phaselift(config, out_dir, seed):
     n = config.get("phaselift", "n", 5, int)
     m = config.get("phaselift", "m", 20, int)
+    _require(n >= 1 and m >= 1,
+             f"phaselift n = {n}, m = {m}: need at least one unknown and one measurement")
     deltas = _noise_levels(config)
     opts = _solver_options(config)
     inst = quadratic.make_phase_retrieval(n, m, seed)

@@ -92,9 +92,6 @@ class Grid2D:
     def n_nodes(self):
         return self.n * self.n
 
-    def flat(self, ix, iy):
-        return ix * self.n + iy
-
     @cached_property
     def laplacian_blocks(self):
         """Interior block ``A`` and boundary coupling ``C`` of the 5-point ``-Lap``.
@@ -240,27 +237,23 @@ def _axis_differences_2d(grid):
 
 @dataclass
 class InnerProduct:
-    """Discrete Hilbert structure: SPD Gram and its whitener.
+    """Discrete Hilbert structure, held as the whitener of its Gram matrix.
 
     Attributes
     ----------
-    dim : int
-        Space dimension.
-    gram : ndarray
-        The SPD Gram matrix G.
     whitener : ndarray
-        Upper triangular L with ``L.T @ L == G`` (Cholesky factor).
+        Upper triangular L with ``L.T @ L == G`` (Cholesky factor of the
+        SPD Gram matrix G).
     unwhitener : ndarray
         ``L^{-1}``, computed on first use and cached.
     """
 
-    dim: int
-    gram: np.ndarray
     whitener: np.ndarray
 
     @cached_property
     def unwhitener(self):
-        return scipy.linalg.solve_triangular(self.whitener, np.eye(self.dim), lower=False)
+        return scipy.linalg.solve_triangular(
+            self.whitener, np.eye(self.whitener.shape[0]), lower=False)
 
     def norm(self, u):
         return float(np.linalg.norm(self.whitener @ u))
@@ -281,7 +274,7 @@ def _cholesky_or_raise(gram, kind):
 
 
 def assemble_inner_product(grid, kind):
-    """Assemble a Gram matrix and its whitening factor on a grid.
+    """Assemble a Gram matrix on a grid and keep its whitening factor.
 
     Parameters
     ----------
@@ -299,29 +292,23 @@ def assemble_inner_product(grid, kind):
         raise ValueError(f"unknown inner product kind {kind!r}")
 
     if isinstance(grid, Grid1D):
-        w = grid.quad_weights
-        wmat = np.diag(w)
-        gram = wmat.copy()
+        gram = wmat = np.diag(grid.quad_weights)
         if kind in ("h1", "h2"):
             d1 = first_difference_1d(grid)
             gram = gram + d1.T @ wmat @ d1
         if kind == "h2":
             d2 = second_difference_1d(grid)
             gram = gram + d2.T @ wmat @ d2
-        whitener = _cholesky_or_raise(gram, kind)
-        return InnerProduct(dim=grid.n, gram=gram, whitener=whitener)
+        return InnerProduct(_cholesky_or_raise(gram, kind))
 
     if isinstance(grid, Grid2D):
         if kind == "h2":
             raise ValueError(f"kind {kind!r} is not supported on 2-D grids")
-        wmat = scipy.sparse.diags(grid.area_weights)
-        gram = wmat
+        gram = wmat = scipy.sparse.diags(grid.area_weights)
         if kind == "h1":
             # banded stencils: only the Gram is made dense, for the Cholesky
             dx, dy = (d / grid.h for d in _axis_differences_2d(grid))
             gram = gram + dx.T @ wmat @ dx + dy.T @ wmat @ dy
-        gram = gram.toarray()
-        whitener = _cholesky_or_raise(gram, kind)
-        return InnerProduct(dim=grid.n_nodes, gram=gram, whitener=whitener)
+        return InnerProduct(_cholesky_or_raise(gram.toarray(), kind))
 
     raise TypeError(f"unsupported grid type {type(grid)!r}")

@@ -55,12 +55,9 @@ class InternalProblem:
 
     grid: Grid1D
     q_true: Potential1D
-    f_a: float
-    f_b: float
-    u_true: StateField1D
+    u_true: StateField1D          # carries the boundary data f_a, f_b
     h2: object
     l2: object
-    int_q: float
     u_normalized: np.ndarray = field(repr=False)
     q_normalized: np.ndarray = field(repr=False)
     model: RankOneModel = field(repr=False)   # the whitened lift of u (x) q
@@ -107,8 +104,7 @@ def build_internal_problem(grid, q, f_a=1.0, f_b=1.0):
     )
 
     problem = InternalProblem(
-        grid=grid, q_true=q, f_a=float(f_a), f_b=float(f_b), u_true=u,
-        h2=h2, l2=l2, int_q=q.integral,
+        grid=grid, q_true=q, u_true=u, h2=h2, l2=l2,
         u_normalized=u_n, q_normalized=q_n, model=model,
     )
     return problem, make_measurements(problem)
@@ -127,8 +123,9 @@ def make_measurements(problem, delta=0.0, seed=0):
     noise = u_delta.values - u.values
     d2 = second_difference_1d(problem.grid)
     z1 = u.values * problem.q_true.values + d2 @ noise
-    z2 = problem.int_q * u_delta.values
-    delta_meas = delta * np.sqrt(1.0 + problem.int_q ** 2)
+    int_q = problem.q_true.integral
+    z2 = int_q * u_delta.values
+    delta_meas = delta * np.sqrt(1.0 + int_q ** 2)
     return InternalMeasurements(
         z1_values=z1, z2_values=z2, delta=float(delta),
         delta_meas=float(delta_meas),
@@ -220,7 +217,7 @@ def extract_q_from_trace(f_values, problem):
     potential, so the weighted average ``(f_a F[0, :] + f_b F[-1, :]) /
     (f_a^2 + f_b^2)`` reproduces it exactly and is linear in the field.
     """
-    f_a, f_b = problem.f_a, problem.f_b
+    f_a, f_b = problem.u_true.f_a, problem.u_true.f_b
     denom = f_a ** 2 + f_b ** 2
     if denom == 0:
         raise ValueError("boundary data vanishes; trace extraction undefined")

@@ -14,9 +14,6 @@ import numpy as np
 
 from .solvers import DenseOperator, solve_psd_trace_min
 
-# entries per slice of the tolerance test that require_symmetric falls back to
-_SYMMETRY_CHUNK = 4096
-
 
 def require_symmetric(vs, n):
     """Stack ``n x n`` matrices and check that each one is symmetric.
@@ -27,18 +24,15 @@ def require_symmetric(vs, n):
     stack, a view of ``vs`` when that already is one.
 
     An exactly symmetric stack passes, so the stack is first compared with
-    its transpose exactly.  Only a stack that fails (near-symmetric
-    entries, a NaN) takes the tolerance test, on slices of about
-    ``_SYMMETRY_CHUNK`` entries: testing a PhaseLift stack (120 matrices of
-    20 x 20) whole raised the peak memory of a run by 1.3 MB.
+    its transpose exactly; only a stack that fails (near-symmetric entries,
+    a NaN) takes the tolerance test.
     """
     stack = np.reshape(np.asarray(vs, float), (-1, n, n))
     if np.array_equal(stack, stack.transpose(0, 2, 1)):
         return stack
-    for part in np.array_split(stack, max(1, stack.size // _SYMMETRY_CHUNK)):
-        atol = 1e-12 * np.fmax(1.0, np.abs(part).max(axis=(1, 2)))
-        if not np.all(np.isclose(part, part.transpose(0, 2, 1), atol=atol[:, None, None])):
-            raise ValueError("measurement matrices must be symmetric")
+    atol = 1e-12 * np.fmax(1.0, np.abs(stack).max(axis=(1, 2)))
+    if not np.all(np.isclose(stack, stack.transpose(0, 2, 1), atol=atol[:, None, None])):
+        raise ValueError("measurement matrices must be symmetric")
     return stack
 
 
@@ -80,6 +74,8 @@ def make_phase_retrieval(n, m, seed):
     The m sensing vectors are drawn as one ``(m, n)`` block, the same
     generator stream as m draws of n.
     """
+    if n < 1:
+        raise ValueError("need at least one unknown")
     if m < 1:
         raise ValueError("need at least one measurement")
     rng = np.random.default_rng(seed)

@@ -188,19 +188,6 @@ class AffineOperator:
         mu = self.pinv_gram(self.apply_vec(x) - z)
         return x - self.adjoint_vec(mu), mu
 
-    def check_adjoint(self, n_probes=10):
-        """Max relative defect of the adjoint identity over random probes."""
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(n_probes):
-            x = rng.standard_normal(self.domain_dim)
-            p = rng.standard_normal(self.codomain_dim)
-            lhs = float(self._matvec(x) @ p)
-            rhs = float(x @ self._rmatvec(p))
-            scale = max(abs(lhs), abs(rhs), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / scale)
-        return worst
-
 
 class DenseOperator(AffineOperator):
     """The map held as a dense ``(m, D)`` matrix on the concatenation of the

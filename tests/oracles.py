@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 from liftrec.calderon import _corner_mask, dtn_map, frechet_derivative
 from liftrec.certify import _GRAM_RCOND
 from liftrec.errors import DegenerateInput, EigenvalueHit
+from liftrec.hilbert import Grid2D, build_grid_1d, first_difference_1d, second_difference_1d
 from liftrec.lowrank import RankOneModel
 from liftrec.pde1d import Potential1D
 
@@ -179,7 +180,7 @@ def interior_operator_loops(grid, q_vals=None):
         cols.append(j)
         vals.append(diag)
         ix, iy = divmod(int(flat), grid.n)
-        neighbors = [grid.flat(ix + dx, iy + dy)
+        neighbors = [(ix + dx) * grid.n + iy + dy
                      for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1))
                      if 0 <= ix + dx < grid.n and 0 <= iy + dy < grid.n]
         for nb in neighbors:
@@ -232,13 +233,14 @@ def gauss_newton_per_column(problem, q_init_coeffs, iters=8, damping=1e-8):
     """Regularized Gauss-Newton misfits with the Jacobian taken one column at
     a time from ``frechet_derivative``, each column with its own forward
     solves and factorization."""
-    grid, bdry, basis = problem.grid, problem.bdry, problem.basis_w
+    grid, bdry, basis = problem.grid, problem.bdry, problem.basis
+    m = basis.shape[1]
     sqrt_wb = np.sqrt(grid.boundary_weights)
     observed = problem.flux_u * sqrt_wb[None, :]
     coeffs = np.asarray(q_init_coeffs, float).copy()
     misfits = []
     for _ in range(iters):
-        q_vals = basis.values(coeffs)
+        q_vals = basis @ coeffs
         try:
             fluxes = dtn_map(grid, q_vals, bdry) * sqrt_wb[None, :]
         except EigenvalueHit:
@@ -249,19 +251,19 @@ def gauss_newton_per_column(problem, q_init_coeffs, iters=8, damping=1e-8):
         if misfits[-1] < 1e-12:
             break
         jac = np.stack([
-            (frechet_derivative(problem, q_vals, basis.matrix[:, k])
+            (frechet_derivative(problem, q_vals, basis[:, k])
              * sqrt_wb[None, :]).ravel()
-            for k in range(basis.m)
+            for k in range(m)
         ], axis=1)
         gram = jac.T @ jac
-        mu = damping * max(np.trace(gram) / basis.m, 1e-30)
+        mu = damping * max(np.trace(gram) / m, 1e-30)
         try:
-            step = np.linalg.solve(gram + mu * np.eye(basis.m), -jac.T @ resid)
+            step = np.linalg.solve(gram + mu * np.eye(m), -jac.T @ resid)
         except np.linalg.LinAlgError:
             break
         coeffs = coeffs + step
     else:
-        fluxes = dtn_map(grid, basis.values(coeffs), bdry) * sqrt_wb[None, :]
+        fluxes = dtn_map(grid, basis @ coeffs, bdry) * sqrt_wb[None, :]
         misfits.append(float(np.linalg.norm((fluxes - observed).ravel())))
     return misfits
 
@@ -275,12 +277,12 @@ def calderon_matrix_dense(problem):
     """
     grid = problem.grid
     n = grid.n_nodes
-    m = problem.basis_w.m
+    wmat = problem.basis
+    m = wmat.shape[1]
     nd = problem.n_data
     bidx = grid.boundary_index
     nb = bidx.size
     uinv = problem.h1.unwhitener
-    wmat = problem.basis_w.matrix
     sqrt_wb = np.sqrt(grid.boundary_weights)
     uw = problem.h1.whitener
 
@@ -309,7 +311,7 @@ def calderon_matrix_dense(problem):
     blk_j = -np.kron(sqrt_wb[:, None] * e_bdry, np.eye(m))
     r0 = nd * nf + nd * n
     for j in range(1, nd):
-        fj = problem.bdry.matrix[:, j]
+        fj = problem.bdry[:, j]
         a_full[r0:r0 + nb * m, :d] = np.kron((sqrt_wb * fj)[:, None] * e_bdry, np.eye(m))
         a_full[r0:r0 + nb * m, j * d:(j + 1) * d] = blk_j
         r0 += nb * m
@@ -324,14 +326,14 @@ def calderon_system_forward_lifted(problem):
     it solved against the rows instead."""
     grid = problem.grid
     n = grid.n_nodes
-    m = problem.basis_w.m
+    m = problem.basis.shape[1]
     nd = problem.n_data
     iidx = grid.interior_index
     uinv = problem.h1.unwhitener
     sqrt_wb = np.sqrt(grid.boundary_weights)
     uw = problem.h1.whitener
 
-    dg = np.einsum("xi,xk->xik", uinv, problem.basis_w.matrix).reshape(n, n * m)
+    dg = np.einsum("xi,xk->xik", uinv, problem.basis).reshape(n, n * m)
     a_0, _ = grid.laplacian_blocks
     lifted = np.zeros((n, n * m))
     lifted[iidx] = -scipy.sparse.linalg.splu(a_0).solve(dg[iidx])
@@ -381,3 +383,39 @@ def phase_retrieval_per_measurement(n, m, seed):
         vs.append(np.outer(v, v))
         z[k] = (v @ x) ** 2
     return np.asarray(vs), z, x
+
+
+def check_adjoint(op, n_probes=10):
+    """Largest relative defect of ``<Phi x, p> = <x, Phi^* p>`` over seeded
+    random probes."""
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(n_probes):
+        x = rng.standard_normal(op.domain_dim)
+        p = rng.standard_normal(op.codomain_dim)
+        lhs = float(op.apply_vec(x) @ p)
+        rhs = float(x @ op.adjoint_vec(p))
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+    return worst
+
+
+def gram_dense(grid, kind):
+    """The Gram matrix that ``assemble_inner_product(grid, kind)`` whitens,
+    from dense difference matrices: the quadrature weights ``W``, plus
+    ``D^T W D`` for each first difference ``D`` (``h1``, ``h2``), plus the
+    second-difference term (``h2``, 1-D grids only)."""
+    if isinstance(grid, Grid2D):
+        w = np.diag(grid.area_weights)
+        d1 = first_difference_1d(build_grid_1d(grid.n, 0.0, 1.0))
+        diffs = [np.kron(d1, np.eye(grid.n)), np.kron(np.eye(grid.n), d1)]
+    else:
+        w = np.diag(grid.quad_weights)
+        diffs = [first_difference_1d(grid)]
+    gram = w.copy()
+    if kind in ("h1", "h2"):
+        for d in diffs:
+            gram = gram + d.T @ w @ d
+    if kind == "h2":
+        d2 = second_difference_1d(grid)
+        gram = gram + d2.T @ w @ d2
+    return gram

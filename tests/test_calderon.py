@@ -21,6 +21,7 @@ from liftrec.calderon import (
     make_calderon_measurements,
     precertificate_study,
     recover_calderon,
+    recover_rows,
     solve_schrodinger_2d,
 )
 from liftrec.certify import precertificate
@@ -30,6 +31,7 @@ from liftrec.solvers import SolverOptions
 from oracles import (
     calderon_matrix_dense,
     calderon_system_forward_lifted,
+    check_adjoint,
     dense_rank_one_maps,
     gauss_newton_per_column,
     interior_operator_loops,
@@ -117,8 +119,7 @@ def test_stencils_equal_the_loop_reference(nn, with_q):
         assert np.array_equal(got.data, ref.data)
     ref_fl = onesided_flux_loops(grid)
     assert np.array_equal(grid.normal_derivative, ref_fl)
-    corners = {grid.flat(0, 0), grid.flat(nn - 1, 0), grid.flat(nn - 1, nn - 1),
-               grid.flat(0, nn - 1)}
+    corners = {0, (nn - 1) * nn, nn * nn - 1, nn - 1}        # flat index ix * nn + iy
     mask = _corner_mask(grid)
     assert set(grid.boundary_index[mask]) == corners
     # a corner row reads both axes: 5 nodes, all on the boundary
@@ -155,7 +156,7 @@ def test_harmonic_extension_2d():
 def test_basis_w_orthonormal_and_continuous():
     grid = build_grid_2d(17)
     basis = make_basis_w(grid, 4)
-    gram = basis.matrix.T @ (grid.area_weights[:, None] * basis.matrix)
+    gram = basis.T @ (grid.area_weights[:, None] * basis)
     assert np.abs(gram - np.eye(4)).max() <= 1e-10
     coeffs = coeffs_from_function(basis, grid, np.ones(grid.n_nodes))
     # the default scale functional integrates each basis function
@@ -167,8 +168,8 @@ def test_basis_w_orthonormal_and_continuous():
 def test_boundary_basis_floor_and_gram():
     grid = build_grid_2d(9)
     bdry = make_boundary_basis(grid, 4)
-    assert np.abs(bdry.matrix[:, 0]).min() > 0
-    gram = bdry.matrix.T @ (grid.boundary_weights[:, None] * bdry.matrix)
+    assert np.abs(bdry[:, 0]).min() > 0
+    gram = bdry.T @ (grid.boundary_weights[:, None] * bdry)
     assert np.linalg.cond(gram) < 1e3
 
 
@@ -192,7 +193,7 @@ def test_phi3_vanishes_on_truth_and_antisymmetry(small_problem):
     bidx = grid.boundary_index
     uinv = problem.h1.unwhitener
     c_vals = [uinv @ s for s in stack]
-    f = problem.bdry.matrix
+    f = problem.bdry
     pair_01 = f[:, 1][:, None] * c_vals[0][bidx] - f[:, 0][:, None] * c_vals[1][bidx]
     pair_10 = f[:, 0][:, None] * c_vals[1][bidx] - f[:, 1][:, None] * c_vals[0][bidx]
     assert np.allclose(pair_01, -pair_10)
@@ -210,7 +211,7 @@ def test_boundary_rows_tie_each_datum_to_datum_0(small_problem):
     # on the boundary, in whitened coordinates and boundary weights
     e_bdry = (np.sqrt(grid.boundary_weights)[:, None]
               * problem.h1.unwhitener[grid.boundary_index])
-    f = problem.bdry.matrix
+    f = problem.bdry
     d = n * m
     pair_12 = np.zeros((nb * m, nd * d))
     pair_12[:, d:2 * d] = np.kron(f[:, 2][:, None] * e_bdry, np.eye(m))
@@ -232,7 +233,7 @@ def test_scaling_invariance_is_broken_by_integral_block(small_problem):
     wrong_int_q = problem.int_q / mu          # integral of q / mu
     for i in range(problem.n_data):
         c_true = np.outer(mu * problem.u_stack[i], problem.q_coeffs / mu)
-        diag = np.sum(c_true * problem.basis_w.matrix, axis=1)
+        diag = np.sum(c_true * problem.basis, axis=1)
         assert np.abs(diag - problem.u_stack[i] * problem.q_values).max() < 1e-12
         v_i = problem.u_stack[i] - problem.f_tilde_stack[i]
         phi2 = c_true @ problem.g_omega - wrong_int_q * v_i
@@ -242,24 +243,24 @@ def test_scaling_invariance_is_broken_by_integral_block(small_problem):
 
 def test_operator_adjoint_consistency(small_problem):
     grid, problem, system = small_problem
-    assert system.op_full.check_adjoint(n_probes=100) < 1e-9
+    assert check_adjoint(system.op_full, n_probes=100) < 1e-9
 
 
 def test_extraction_is_exact_on_rank_one(small_problem):
     grid, problem, system = small_problem
     for i in range(problem.n_data):
         c_true = np.outer(problem.u_stack[i], problem.q_coeffs)
-        got = extract_q_calderon(c_true, problem.bdry.matrix[:, i], problem)
+        got = extract_q_calderon(c_true, problem.bdry[:, i], problem)
         assert np.abs(got - problem.q_coeffs).max() < 1e-10
         zero = extract_q_calderon(np.zeros_like(c_true),
-                                  problem.bdry.matrix[:, i], problem)
+                                  problem.bdry[:, i], problem)
         assert np.abs(zero).max() == 0.0
 
 
 def test_exact_recovery_small(small_problem):
     grid, problem, system = small_problem
-    meas = make_calderon_measurements(system)
-    q_hat, blocks, report = recover_calderon(problem, system, meas, opts=TIGHT)
+    z_data = make_calderon_measurements(system)
+    q_hat, blocks, report = recover_calderon(problem, system, z_data, 0.0, opts=TIGHT)
     rel = np.linalg.norm(q_hat - problem.q_coeffs) / np.linalg.norm(problem.q_coeffs)
     assert rel <= 1e-6
     assert report.feas_residual <= 1e-7
@@ -271,16 +272,16 @@ def test_constant_potential_single_datum():
     coeffs = coeffs_from_function(basis, grid, np.full(grid.n_nodes, 0.8))
     problem = build_calderon_problem(grid, m=4, n_modes=1, q_coeffs=coeffs)
     system = assemble_calderon_system(problem)
-    meas = make_calderon_measurements(system)
-    q_hat, _, report = recover_calderon(problem, system, meas, opts=TIGHT)
+    z_data = make_calderon_measurements(system)
+    q_hat, _, report = recover_calderon(problem, system, z_data, 0.0, opts=TIGHT)
     rel = np.linalg.norm(q_hat - problem.q_coeffs) / np.linalg.norm(problem.q_coeffs)
     assert rel <= 1e-5
 
 
 def test_noisy_recovery_keeps_hard_constraints(small_problem):
     grid, problem, system = small_problem
-    meas = make_calderon_measurements(system, delta=1e-3, seed=5)
-    q_hat, blocks, report = recover_calderon(problem, system, meas, c=1.0)
+    z_data = make_calderon_measurements(system, delta=1e-3, seed=5)
+    q_hat, blocks, report = recover_calderon(problem, system, z_data, 1e-3)
     assert report.extras["hard_residual"] <= 1e-8
     err = np.linalg.norm(q_hat - problem.q_coeffs)
     assert err <= 1e-1
@@ -288,10 +289,12 @@ def test_noisy_recovery_keeps_hard_constraints(small_problem):
 
 def test_recover_rejects_nonpositive_weight(small_problem):
     grid, problem, system = small_problem
-    noisy = make_calderon_measurements(system, delta=1e-3, seed=1)
     for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="lambda must be positive"):
-            recover_calderon(problem, system, noisy, c=c)
+            recover_rows(problem, system, [1e-3], 1, c, None)
+    noisy = make_calderon_measurements(system, delta=1e-3, seed=1)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        recover_calderon(problem, system, noisy, -1e-3)
 
 
 def _assert_close(got, want):
@@ -332,7 +335,7 @@ def test_structured_operator_matches_the_dense_assembly(nd, m):
         _assert_close(op.gram(), a @ a.T)
         assert op.max_abs_entry() == np.abs(op.matrix).max()
         assert abs(op.max_abs_entry() - np.abs(a).max()) <= 1e-12 * np.abs(a).max()
-        assert op.check_adjoint(n_probes=20) < 1e-12
+        assert check_adjoint(op, n_probes=20) < 1e-12
 
 
 def _central_quarter_weights(grid):
@@ -377,7 +380,7 @@ def test_assembly_solves_once_against_the_measurement_rows(monkeypatch):
     rows = system.op_full.b.shape[0]        # nf flux rows and n integral rows
     assert rows == (~_corner_mask(problem.grid)).sum() + problem.grid.n_nodes
     assert solves == [(n_int, rows)]
-    assert rows < problem.grid.n_nodes * problem.basis_w.m
+    assert rows < problem.grid.n_nodes * problem.basis.shape[1]
 
 
 def test_structured_operator_holds_a_small_share_of_the_dense_form():
@@ -404,9 +407,9 @@ def test_pipelines_never_build_the_dense_form(small_problem, monkeypatch):
     fresh = assemble_calderon_system(problem)
     precertificate_study(problem, fresh, [2, problem.n_data])
     opts = SolverOptions(max_iter=50)
-    recover_calderon(problem, fresh, make_calderon_measurements(fresh), opts=opts)
+    recover_calderon(problem, fresh, make_calderon_measurements(fresh), 0.0, opts=opts)
     noisy = make_calderon_measurements(fresh, delta=1e-3, seed=5)
-    recover_calderon(problem, fresh, noisy, opts=opts)
+    recover_calderon(problem, fresh, noisy, 1e-3, opts=opts)
 
 
 def test_assemble_operator_wrapper(small_problem):
@@ -604,5 +607,18 @@ def test_boundary_restriction_constant_reported(small_problem):
     from liftrec.calderon import boundary_restriction_constant
 
     grid, problem, system = small_problem
-    c_tr = boundary_restriction_constant(problem)
+    c_tr = boundary_restriction_constant(system)
     assert np.isfinite(c_tr) and c_tr > 0
+    # the boundary factor of the operator is the weighted boundary restriction
+    weighted = (np.sqrt(grid.boundary_weights)[:, None]
+                * problem.h1.unwhitener[grid.boundary_index])
+    assert c_tr == np.linalg.svd(weighted, compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("nn", [3, 5, 9, 17])
+def test_boundary_loop_holds_one_mode_per_node(nn):
+    # the command line caps boundary.n_modes at this count, 4(nn - 1)
+    grid = build_grid_2d(nn)
+    assert make_boundary_basis(grid, grid.boundary_index.size).shape[1] == 4 * (nn - 1)
+    with pytest.raises(ValueError, match="numerically singular"):
+        make_boundary_basis(grid, 4 * (nn - 1) + 1)

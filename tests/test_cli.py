@@ -379,7 +379,21 @@ def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
     ("[grid]\nnx = 9\nny = 9\n[boundary]\nm_basis = 5\n", ("calderon", "forward")),
     ("[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 0\n", ("calderon", "forward")),
     ("[grid]\nnx = 9\nny = 9\n[sweep]\nn_list = 0,2\n", ("calderon", "certify")),
-], ids=["nx", "n", "m_basis", "n_modes", "n_list"])
+    ("[noise]\ndelta = 1e-3\nc = 0\n", ("internal", "recover")),
+    ("[noise]\ndelta = 1e-3\nc = inf\n", ("internal", "recover")),
+    ("[grid]\nnx = 9\nny = 9\n[noise]\ndelta = 1e-3\nc = 0\n", ("calderon", "recover")),
+    ("[noise]\ndelta = -1e-3\n", ("internal", "recover")),
+    ("[noise]\ndelta = -1e-3\n", ("phaselift",)),
+    ("[noise]\ndelta = nan\n", ("internal", "recover")),
+    ("[noise]\ndeltas = 0,nan\n", ("phaselift",)),
+    ("[phaselift]\nm = 0\n", ("phaselift",)),
+    ("[phaselift]\nn = 0\nm = 5\n", ("phaselift",)),
+    # a 9 x 9 grid has 32 boundary nodes, room for 32 modes and no more
+    ("[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 33\n", ("calderon", "forward")),
+    ("[grid]\nnx = 9\nny = 9\n[sweep]\nn_list = 2,33\n", ("calderon", "certify")),
+], ids=["nx", "n", "m_basis", "n_modes", "n_list", "c_internal", "c_inf", "c_calderon",
+        "delta_internal", "delta_phaselift", "delta_nan", "deltas_nan", "phaselift_m",
+        "phaselift_n", "n_modes_above_boundary", "n_list_above_boundary"])
 def test_cli_out_of_range_values_exit_2(tmp_path, capsys, text, command):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -161,18 +161,46 @@ def test_every_defaulted_parameter_is_passed():
     assert not never, f"defaulted parameters no call passes: {never}"
 
 
+def _methods(modules):
+    """``{name: [(module, class, def), ...]}`` of every method and property
+    defined in a class body."""
+    methods = {}
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        methods.setdefault(fn.name, []).append((module, cls.name, fn))
+    return methods
+
+
+def test_every_method_is_referenced():
+    """Every method and property of a class in ``src/`` is looked up as an
+    attribute in ``src/`` outside its own body.  Only attribute lookups
+    count, so a local function of the same name hides nothing.  Dunders are
+    exempt, and so are hooks: names that two or more classes define."""
+    modules = _modules()
+    lookups = {module: [(node.attr, node.lineno) for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)]
+               for module, tree in modules.items()}
+    unreferenced = [
+        f"{module}.{cls}.{name}"
+        for name, defs in _methods(modules).items()
+        if len(defs) == 1 and not (name.startswith("__") and name.endswith("__"))
+        for module, cls, fn in defs
+        if not any(attr == name and not (other == module
+                                         and fn.lineno <= line <= fn.end_lineno)
+                   for other, found in lookups.items() for attr, line in found)
+    ]
+    assert not unreferenced, f"methods nothing in src looks up: {unreferenced}"
+
+
 def test_every_parameter_is_read():
     """Every parameter of a function in ``src/`` is read by its body.  Hooks
     are exempt: a method that another class in the package also defines
     keeps the signature its callers use, read or not."""
     modules = _modules()
-    methods = {}
-    for tree in modules.values():
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef):
-                for fn in cls.body:
-                    if isinstance(fn, ast.FunctionDef):
-                        methods.setdefault(fn.name, []).append(fn)
+    methods = {name: [fn for _, _, fn in defs] for name, defs in _methods(modules).items()}
     hooks = {id(fn) for fns in methods.values() if len(fns) > 1 for fn in fns}
     owned = {id(fn) for fns in methods.values() for fn in fns}
     unread = []

@@ -26,7 +26,7 @@ from liftrec.internal import (
 from liftrec.pde1d import constant_potential, direct_division_oracle, step_potential
 from liftrec.solvers import DenseOperator, SolverOptions
 
-from oracles import dense_rank_one_maps, linear_system_oracle
+from oracles import dense_rank_one_maps, gram_dense, linear_system_oracle
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
@@ -41,11 +41,11 @@ def step_instance():
 def test_problem_invariants(step_instance):
     grid, problem, meas = step_instance
     assert problem.u_true.values.min() > 0
-    assert problem.int_q > 0
+    assert problem.q_true.integral > 0
     assert problem.model.sigma > 0
     # measurements of a unit-potential instance reduce to the state itself
     p1, m1 = build_internal_problem(grid, constant_potential(grid, 1.0))
-    assert np.allclose(m1.z2_values, p1.int_q * p1.u_true.values)
+    assert np.allclose(m1.z2_values, p1.q_true.integral * p1.u_true.values)
 
 
 def test_noiseless_z1_is_the_diagonal(step_instance):
@@ -145,7 +145,7 @@ def test_adjoint_matches_kernel_form_unwhitened():
     h_white = op.adjoint_apply(p)[0]
 
     h_vals = problem.h2.unwhitener @ h_white @ problem.l2.unwhitener.T
-    kernel = np.linalg.inv(problem.h2.gram)
+    kernel = np.linalg.inv(gram_dense(grid, "h2"))
     h_expected = kernel @ np.diag(g) + np.outer(w_vec, np.ones(grid.n))
     assert np.linalg.norm(h_vals - h_expected) <= 1e-9 * np.linalg.norm(h_expected)
 
@@ -262,7 +262,7 @@ def test_apriori_constant_and_tangent_estimate(step_instance):
         f_vals = np.outer(problem.u_normalized, a) + np.outer(b, problem.q_normalized)
         fw = problem.h2.whitener @ f_vals @ np.diag(np.sqrt(grid.quad_weights))
         assert np.linalg.norm(fw) <= c_phi * np.linalg.norm(op.apply([fw])) + 1e-9
-    sigma_min = certify.tangent_injectivity(op, [problem.model])
+    sigma_min = certify.precertificate(op, [problem.model]).sigma_min
     assert sigma_min > 0
     assert 1.0 / sigma_min <= c_phi
 
@@ -292,7 +292,7 @@ def test_rank_one_consistency_probe(step_instance):
     rng = np.random.default_rng(4)
     u_vals = problem.u_true.values
     q_vals = problem.q_true.values
-    int_q = problem.int_q
+    int_q = problem.q_true.integral
     for _ in range(20):
         pert = rng.standard_normal(grid.n)
         for eps in (0.0, 3e-2):
@@ -319,7 +319,7 @@ def test_noise_bound_on_measurements(step_instance):
     meas = make_measurements(problem, delta=delta, seed=7)
     z0 = measurement_vector(problem, meas0)
     z = measurement_vector(problem, meas)
-    bound = delta * np.sqrt(1.0 + problem.int_q ** 2)
+    bound = delta * np.sqrt(1.0 + problem.q_true.integral ** 2)
     assert np.linalg.norm(z - z0) <= bound * (1.0 + 1e-9)
 
 

@@ -27,6 +27,9 @@ def test_instance_generation():
     assert np.array_equal(inst.x_true, again.x_true)
     with pytest.raises(ValueError):
         make_phase_retrieval(5, 0, 7)
+    # an empty draw always has norm 0, so the unit-norm redraw would not end
+    with pytest.raises(ValueError, match="at least one unknown"):
+        make_phase_retrieval(0, 5, 7)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (5, 20), (20, 120), (7, 1)])

@@ -33,7 +33,7 @@ from liftrec.solvers import (
     unpack_blocks,
 )
 
-from oracles import leading_rank_one
+from oracles import check_adjoint, leading_rank_one
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
@@ -67,7 +67,7 @@ def test_operator_validates_shapes_and_adjoint():
     with pytest.raises(ValueError):
         DenseOperator(np.zeros((3, 5)), [(2, 2)])
     op = _random_op(rng, 7, [(3, 3), (2, 2)])
-    assert op.check_adjoint() < 1e-10
+    assert check_adjoint(op) < 1e-10
     svals = np.linalg.svd(op.matrix, compute_uv=False)
     assert op.opnorm_estimate >= svals[0] * (1.0 - 1e-3)
 
