@@ -1,4 +1,15 @@
-"""Process-wide BLAS thread cap for the thread-pool sweeps.
+"""Process-wide BLAS thread caps: one per CLI invocation, one per sweep.
+
+``cli.main`` runs every command on one BLAS thread, except ``calderon
+recover`` and ``selftest``, which keep the process's thread count.  The
+other commands make many small dense BLAS calls (factorizations of a few
+hundred rows, whitening mat-vecs, the Gauss-Newton steps, the PSD prox).  On
+two OpenBLAS threads such a call is slower than on one, and on a busy
+2-core host it can stall for about 0.1 s.  ``calderon recover`` multiplies
+by the dense lifted operator (2164 x 4624 at 17^2), and on two threads
+criterion 11's four solves at 17^2 take 5.6 s against 7.6 s on one;
+``selftest`` runs that pipeline in criterion 11 and caps its own
+pre-certificates, which the gate also calls outside the CLI.
 
 A sweep runs its rows on ``jobs`` pool threads.  If every row's BLAS calls
 also spread over all cores, the pool threads and the BLAS threads compete
@@ -7,15 +18,17 @@ for the same cores and ``--jobs 2`` runs slower than ``--jobs 1``.  So
 thread: the parallelism comes from the pool alone, and the serial and pooled
 paths do the same arithmetic, which keeps their outputs byte-identical.
 
-The cap is set through the OpenBLAS libraries already loaded into the
-process (numpy's and scipy's bundled copies export differently named
-setters), found through ``/proc/self/maps``.  Where none is found (another
-BLAS, another platform, no ``/proc``) the cap does nothing; no result
-depends on it for correctness.
+The cap is set through the OpenBLAS libraries loaded into the process
+(numpy's and scipy's bundled copies export differently named setters),
+found through ``/proc/self/maps`` on the first cap and kept for the life of
+the process; ``liftrec`` imports ``scipy.linalg`` before any cap, so both
+copies are loaded by then.  Where none is found (another BLAS, another
+platform, no ``/proc``) the cap does nothing; no result depends on it for
+correctness.
 
 OpenBLAS keeps its thread count in one process-wide variable.  The cap is
-therefore set and restored only in the thread that starts the sweep, around
-the whole pool, never per task: a worker restoring the count while another
+therefore set and restored only in the thread that starts the work, around
+all of it, never per task: a worker restoring the count while another
 worker is still computing would change that worker's arithmetic.
 """
 
@@ -24,6 +37,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import ctypes
+import functools
 import os
 
 MAPS = "/proc/self/maps"
@@ -37,13 +51,15 @@ _SYMBOLS = (
 )
 
 
+@functools.cache
 def _loaded_controls():
-    """(setter, getter) of every OpenBLAS library mapped into this process."""
+    """(setter, getter) of every OpenBLAS library mapped into this process
+    at the first call; later calls return the same tuple."""
     try:
         with open(MAPS, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError:
-        return []
+        return ()
     controls, seen = [], set()
     for line in lines:
         parts = line.split(maxsplit=5)
@@ -63,7 +79,7 @@ def _loaded_controls():
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 controls.append((setter, getter))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextlib.contextmanager

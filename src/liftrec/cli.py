@@ -17,6 +17,7 @@ named), 2 configuration error, 3 a solve stopped short of convergence, at
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -284,8 +285,9 @@ CALDERON_CERTIFY_SCHEMA = [("N", int), ("sigma_min", float), ("max_w_norm", floa
 CALDERON_RECOVER_SCHEMA = [("delta", float), ("lambda", float), ("rel_err_W", float),
                            ("iters", int), ("feas_residual", float), ("status", str)]
 BASELINE_SCHEMA = [("iteration", int), ("misfit", float)]
-PHASELIFT_SCHEMA = [("n", int), ("m", int), ("delta", float), ("err", float),
-                    ("rank_ratio", float), ("iters", int), ("status", str)]
+PHASELIFT_SCHEMA = [("n", int), ("m", int), ("delta", float), ("lambda", float),
+                    ("err", float), ("rank_ratio", float), ("iters", int),
+                    ("status", str)]
 
 
 def _internal_problem(config, q0=None):
@@ -354,9 +356,7 @@ def run_internal(config, out_dir, seed, jobs, task):
     if task == "certify":
         problem, _ = _internal_problem(config)
         op = assemble_internal_operator(problem)
-        # its small factorizations run faster on one BLAS thread than on two
-        with blas_threads(1):
-            cert = certify.precertificate(op, [problem.model])
+        cert = certify.precertificate(op, [problem.model])
         lhs_n, lhs_u, cond_pass = sufficient_condition(problem)
         study = alpha_study(problem)
         _write_json(out_dir, "certificate.json", {
@@ -464,7 +464,7 @@ def run_phaselift(config, out_dir, seed):
     m = config.get("phaselift", "m", 20, int)
     _require(n >= 1 and m >= 1,
              f"phaselift n = {n}, m = {m}: need at least one unknown and one measurement")
-    deltas = _noise_levels(config)
+    deltas, c = _noise_levels(config), _noise_weight(config)
     opts = _solver_options(config)
     inst = quadratic.make_phase_retrieval(n, m, seed)
     rows = []
@@ -472,15 +472,16 @@ def run_phaselift(config, out_dir, seed):
     # by O(delta) between noise levels, so that start saves APG iterations
     x_prev = None
     for i, delta in enumerate(deltas):
+        lam = c * delta
         if delta == 0:
             x_hat, x_prev, report = quadratic.recover_phaselift(inst, opts=opts)
         else:
             z_noisy = quadratic.add_noise(inst, delta, seed + 1 + i)
             x_hat, x_prev, report = quadratic.recover_phaselift(
-                inst, lam=delta, z=z_noisy, opts=opts, x0=x_prev
+                inst, lam=lam, z=z_noisy, opts=opts, x0=x_prev
             )
         rows.append({
-            "n": n, "m": m, "delta": delta,
+            "n": n, "m": m, "delta": delta, "lambda": lam,
             "err": quadratic.sign_aligned_error(x_hat, inst.x_true),
             "rank_ratio": report.extras["rank_ratio"],
             "iters": report.iterations, "status": report.status,
@@ -547,27 +548,35 @@ def build_parser():
 # built once per process: in-process callers such as liftbench call main many times
 _PARSER = build_parser()
 
+# commands that keep the process's BLAS thread count: the dense operator
+# products of `calderon recover` run faster on two threads, and selftest caps
+# its own small calls.  Every other command runs on one BLAS thread, where its
+# small dense calls are faster and do not stall (see liftrec._blas).
+_MULTI_THREADED = {("calderon", "recover"), ("selftest", None)}
+
 
 def main(argv=None):
     level = os.environ.get("LIFTREC_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _PARSER.parse_args(argv)
     out_dir = args.out or "."
-    try:
-        config = load_config(args.config)
-        os.makedirs(out_dir, exist_ok=True)
-        if args.command == "internal":
-            return run_internal(config, out_dir, args.seed, args.jobs, args.task)
-        if args.command == "calderon":
-            return run_calderon(config, out_dir, args.seed, args.task)
-        if args.command == "phaselift":
-            return run_phaselift(config, out_dir, args.seed)
-        if args.command == "certify":
-            return run_certify(config, out_dir, args.seed)
-        return run_selftest(out_dir, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    multi = (args.command, getattr(args, "task", None)) in _MULTI_THREADED
+    with contextlib.nullcontext() if multi else blas_threads(1):
+        try:
+            config = load_config(args.config)
+            os.makedirs(out_dir, exist_ok=True)
+            if args.command == "internal":
+                return run_internal(config, out_dir, args.seed, args.jobs, args.task)
+            if args.command == "calderon":
+                return run_calderon(config, out_dir, args.seed, args.task)
+            if args.command == "phaselift":
+                return run_phaselift(config, out_dir, args.seed)
+            if args.command == "certify":
+                return run_certify(config, out_dir, args.seed)
+            return run_selftest(out_dir, args.seed)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

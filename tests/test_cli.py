@@ -286,6 +286,21 @@ def test_cli_phaselift_smoke(tmp_path):
     assert rows[0]["status"] == "converged"
 
 
+def test_cli_phaselift_solves_noisy_rows_at_c_times_delta(tmp_path):
+    rows = {}
+    for c in (1, 50):
+        cfg = tmp_path / f"c{c}.cfg"
+        cfg.write_text(f"[noise]\ndeltas = 0,1e-2\nc = {c}\n")
+        out = tmp_path / f"out{c}"
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "7",
+                     "phaselift"]) == 0
+        rows[c] = read_table(out / "phaselift.csv", PHASELIFT_SCHEMA)
+    assert [r["lambda"] for r in rows[1]] == [0.0, 1e-2]
+    assert [r["lambda"] for r in rows[50]] == [0.0, 50 * 1e-2]
+    assert rows[1][0] == rows[50][0]
+    assert rows[1][1]["err"] != rows[50][1]["err"]
+
+
 @pytest.mark.parametrize("flag", ["--n", "--m", "--noise"])
 def test_cli_phaselift_takes_its_sizes_from_the_config(tmp_path, capsys, flag):
     # [phaselift] n, m and [noise] delta are the only way to set them
