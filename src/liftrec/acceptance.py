@@ -24,12 +24,12 @@ from .internal import (
     certificate_norm,
     find_condition_interval,
     loglog_slope,
-    measurement_vector,
+    make_measurements,
     noisy_row,
     prepare_rows,
     sufficient_condition,
 )
-from .pde1d import direct_division_oracle, step_potential
+from .pde1d import Potential1D, direct_division_oracle, step_potential
 
 
 @dataclass
@@ -73,9 +73,9 @@ def criterion_2():
         # small factorizations run slower on two
         with blas_threads(1):
             state = prepare_rows(
-                *build_internal_problem(grid, step_potential(grid, q0=q0)), opts=_TIGHT)
+                build_internal_problem(grid, step_potential(grid, q0=q0)), opts=_TIGHT)
         problem, cert, report = state.problem, state.cert, state.report
-        oracle = direct_division_oracle(problem.u_true)
+        oracle = direct_division_oracle(grid, problem.u_true)
         rel_err = problem.l2.norm(state.q_hat.values - oracle.values) \
             / problem.l2.norm(oracle.values)
         f_true = problem.model.matrix
@@ -104,16 +104,18 @@ def criterion_3(bound_reports):
     deltas = (1e-2, 3e-3, 1e-3, 3e-4)
     grid = build_grid_1d(41, 0.0, 1.0)
     with blas_threads(1):
-        state = prepare_rows(*build_internal_problem(grid, step_potential(grid, q0=0.5)))
+        state = prepare_rows(build_internal_problem(grid, step_potential(grid, q0=0.5)))
     problem = state.problem
     f_ref = [problem.model.matrix]
 
     def one(task):
         delta, seed = task
-        meas, q_hat, f_white, report = noisy_row(state, delta, seed)
+        q_hat, f_white, report = noisy_row(state, delta, seed, delta)   # c = 1
+        # the state noise's bound on the measurement perturbation
+        delta_meas = delta * np.sqrt(1.0 + problem.q_true.integral ** 2)
         bounds = certify.robustness_bounds(
             state.op, [f_white], f_ref, [problem.model], state.cert.h_blocks,
-            state.cert.p, delta / meas.delta_meas, meas.delta_meas,
+            state.cert.p, delta / delta_meas, delta_meas,
         )
         return problem.l2.norm(q_hat.values - problem.q_true.values), report, bounds
 
@@ -140,7 +142,7 @@ def criterion_4():
         ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
         q_vals = 1.0 + amp1 * np.sin(2 * np.pi * grid.nodes + ph1) \
             + amp2 * np.cos(4 * np.pi * grid.nodes + ph2)
-        problem, _ = build_internal_problem(grid, q_vals)
+        problem = build_internal_problem(grid, Potential1D(grid, q_vals))
         q_n = problem.q_normalized
         alpha = rng.uniform(q_n.min() - 0.5, q_n.max() + 0.5)
         exact, bound = certificate_norm(problem, float(alpha))
@@ -158,7 +160,7 @@ def criterion_4():
 def criterion_5():
     """A-priori tangent estimate and empirical constant domination."""
     grid = build_grid_1d(41, 0.0, 1.0)
-    problem, _ = build_internal_problem(grid, step_potential(grid, q0=0.5))
+    problem = build_internal_problem(grid, step_potential(grid, q0=0.5))
     op = assemble_internal_operator(problem)
     c_phi = apriori_constant(problem)
     rng = np.random.default_rng(5)
@@ -244,9 +246,9 @@ def criterion_7():
 
     # internal equality solve
     grid = build_grid_1d(41, 0.0, 1.0)
-    problem, meas = build_internal_problem(grid, step_potential(grid, q0=0.5))
+    problem = build_internal_problem(grid, step_potential(grid, q0=0.5))
     op = assemble_internal_operator(problem)
-    z = measurement_vector(problem, meas)
+    z = make_measurements(problem)
     blocks, report = solvers.solve_equality_nnm(op, z, opts=_TIGHT)
     checks.append(("internal", op, z, blocks, report))
 

@@ -251,25 +251,45 @@ def _solver_options(config):
 
 
 def _step_shape(config):
-    """Base level and jump interval of the configured step potential."""
-    return {"base": config.get("potential", "base", 1.0, float),
-            "lo": config.get("potential", "jump_lo", 0.4, float),
-            "hi": config.get("potential", "jump_hi", 0.6, float)}
+    """Base level and jump interval of the configured step potential, each
+    finite."""
+    shape = {"base": config.get("potential", "base", 1.0, float),
+             "lo": config.get("potential", "jump_lo", 0.4, float),
+             "hi": config.get("potential", "jump_hi", 0.6, float)}
+    _require(all(map(math.isfinite, shape.values())),
+             f"potential base, jump_lo, jump_hi = {list(shape.values())}: must be finite")
+    return shape
 
 
 def _potential_for(config, grid, q0=None):
-    """The configured 1-D potential; a given ``q0`` (the key of ``internal
-    recover|sweep`` rows) replaces the jump size and requires a step."""
+    """The configured 1-D potential, which must be positive; a given ``q0``
+    (the key of ``internal recover|sweep`` rows) replaces the jump size and
+    requires a step."""
     kind = config.get("potential", "type", "step")
     if kind == "step":
         if q0 is None:
             q0 = config.get("potential", "q0", 0.5, float)
-        return step_potential(grid, q0=q0, **_step_shape(config))
-    if q0 is not None:
+        _require(math.isfinite(q0), f"potential q0 = {q0}: the jump must be finite")
+        q = step_potential(grid, q0=q0, **_step_shape(config))
+    elif q0 is not None:
         raise ConfigError(f"rows keyed by q0 need potential type 'step', not {kind!r}")
-    if kind == "constant":
-        return constant_potential(grid, config.get("potential", "value", 1.0, float))
-    raise ConfigError(f"unsupported 1-D potential type {kind!r}")
+    elif kind == "constant":
+        value = config.get("potential", "value", 1.0, float)
+        _require(math.isfinite(value), f"potential.value = {value}: must be finite")
+        q = constant_potential(grid, value)
+    else:
+        raise ConfigError(f"unsupported 1-D potential type {kind!r}")
+    _require(q.inf > 0, f"the {kind} potential has minimum {q.inf}: it must be positive")
+    return q
+
+
+def _boundary_data(config):
+    """``[boundary] f_a`` and ``f_b``, the 1-D Dirichlet data; each positive
+    and finite."""
+    f_a, f_b = (config.get("boundary", key, 1.0, float) for key in ("f_a", "f_b"))
+    _require(0 < f_a < math.inf and 0 < f_b < math.inf,
+             f"boundary f_a = {f_a}, f_b = {f_b}: the data must be positive and finite")
+    return f_a, f_b
 
 
 INTERNAL_SCHEMA = [
@@ -290,14 +310,13 @@ PHASELIFT_SCHEMA = [("n", int), ("m", int), ("delta", float), ("lambda", float),
                     ("status", str)]
 
 
-def _internal_problem(config, q0=None):
-    """The configured internal instance and its noiseless measurements."""
+def _internal_instances(config, q0_values):
+    """``build_internal_problem``'s arguments for each of ``q0_values``
+    (``None``: the configured potential), every value checked before the
+    first forward solve."""
     grid = build_grid_1d(_grid_nodes(config, 41), 0.0, 1.0)
-    return build_internal_problem(
-        grid, _potential_for(config, grid, q0),
-        f_a=config.get("boundary", "f_a", 1.0, float),
-        f_b=config.get("boundary", "f_b", 1.0, float),
-    )
+    f_a, f_b = _boundary_data(config)
+    return [(grid, _potential_for(config, grid, q0), f_a, f_b) for q0 in q0_values]
 
 
 def _noise_levels(config):
@@ -322,8 +341,8 @@ def _internal_row(states, q0, delta, seed, c, opts):
     if delta == 0:
         q_hat, report, lam = state.q_hat, state.report, 0.0
     else:
-        _, q_hat, _, report = noisy_row(state, delta, seed, c, opts)
         lam = c * delta
+        q_hat, _, report = noisy_row(state, delta, seed, lam, opts)
     problem = state.problem
     return {
         "q0": q0, "lhs": state.lhs, "pass": state.passed,
@@ -344,7 +363,8 @@ def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
     """
     distinct = list(dict.fromkeys(q0_values))
     states = dict(zip(distinct, map_rows(
-        lambda q0: prepare_rows(*_internal_problem(config, q0), opts), distinct, jobs)))
+        lambda args: prepare_rows(build_internal_problem(*args), opts),
+        _internal_instances(config, distinct), jobs)))
     tasks = [(q0, delta, seed + k) for k, (q0, delta) in enumerate(
         (a, b) for a in q0_values for b in deltas
     )]
@@ -354,7 +374,7 @@ def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
 def run_internal(config, out_dir, seed, jobs, task):
     opts = _solver_options(config)
     if task == "certify":
-        problem, _ = _internal_problem(config)
+        problem = build_internal_problem(*_internal_instances(config, [None])[0])
         op = assemble_internal_operator(problem)
         cert = certify.precertificate(op, [problem.model])
         lhs_n, lhs_u, cond_pass = sufficient_condition(problem)
@@ -408,6 +428,8 @@ def run_calderon(config, out_dir, seed, task):
              f"{n_modes} boundary modes (boundary.n_modes, sweep.n_list): the "
              f"boundary loop of 4(nx - 1) = {4 * (nx - 1)} nodes holds no more")
     coeffs = config.get_list("potential", "coeffs", default=())
+    _require(not coeffs or (len(coeffs) == m and all(map(math.isfinite, coeffs))),
+             f"potential.coeffs = {coeffs}: need boundary.m_basis = {m} finite values")
     q_coeffs = np.asarray(coeffs) if coeffs else None
     g_kind = config.get("potential", "g_functional", "integral")
     if g_kind == "integral":
@@ -493,12 +515,10 @@ def run_phaselift(config, out_dir, seed):
 def run_certify(config, out_dir, seed):
     """Top-level certificate report for the internal geometry."""
     code = run_internal(config, out_dir, seed, 1, "certify")
+    f_a, f_b = _boundary_data(config)
     t0 = time.time()
     lower, upper = find_condition_interval(
-        n=_grid_nodes(config, 401), **_step_shape(config),
-        f_a=config.get("boundary", "f_a", 1.0, float),
-        f_b=config.get("boundary", "f_b", 1.0, float),
-    )
+        n=_grid_nodes(config, 401), **_step_shape(config), f_a=f_a, f_b=f_b)
     _write_json(out_dir, "interval.json", {"q0_lower": lower, "q0_upper": upper,
                                            "seconds": time.time() - t0})
     return code

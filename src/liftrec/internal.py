@@ -34,13 +34,7 @@ from .hilbert import (
     second_difference_1d,
 )
 from .lowrank import RankOneModel, operator_norm, project_tangent_complement
-from .pde1d import (
-    Potential1D,
-    StateField1D,
-    inject_h2_noise,
-    solve_schrodinger_1d,
-    step_potential,
-)
+from .pde1d import Potential1D, inject_h2_noise, solve_schrodinger_1d, step_potential
 from .solvers import (
     AffineOperator,
     SolveReport,
@@ -55,7 +49,7 @@ class InternalProblem:
 
     grid: Grid1D
     q_true: Potential1D
-    u_true: StateField1D          # carries the boundary data f_a, f_b
+    u_true: np.ndarray            # node values; the ends are the data f_a, f_b
     h2: object
     l2: object
     u_normalized: np.ndarray = field(repr=False)
@@ -63,73 +57,54 @@ class InternalProblem:
     model: RankOneModel = field(repr=False)   # the whitened lift of u (x) q
 
 
-@dataclass
-class InternalMeasurements:
-    """Measurement data, exact or polluted through a noisy state."""
-
-    z1_values: np.ndarray          # L2 block on the full grid
-    z2_values: np.ndarray          # H2 block
-    delta: float
-    delta_meas: float              # induced bound on the measurement perturbation
-
-
 def build_internal_problem(grid, q, f_a=1.0, f_b=1.0):
-    """Forward-solve an instance and assemble its noiseless measurements.
+    """Forward-solve an instance for the :class:`Potential1D` ``q``.
 
-    The potential and the boundary data must be positive, which keeps the
-    state positive on the closed interval.  Noisy measurements come from
-    :func:`make_measurements`.
+    The potential and the boundary data must be positive, and the data
+    finite, which keeps the state positive on the closed interval.
+    Measurements come from :func:`make_measurements`.
     """
-    if not isinstance(q, Potential1D):
-        q = Potential1D(grid, np.asarray(q, float))
     if q.inf <= 0:
         raise ValueError(f"potential must be positive, inf q = {q.inf}")
-    if f_a <= 0 or f_b <= 0:
-        raise ValueError("boundary data must be positive")
+    if not (0 < f_a < np.inf and 0 < f_b < np.inf):
+        raise ValueError(f"boundary data must be positive and finite, got {f_a}, {f_b}")
 
     u = solve_schrodinger_1d(grid, q, f_a, f_b)
-    if u.values.min() <= 0:
+    if u.min() <= 0:
         raise ValueError("state is not positive; check the potential")
     h2 = assemble_inner_product(grid, "h2")
     l2 = assemble_inner_product(grid, "l2")
 
-    u_norm = h2.norm(u.values)
+    u_norm = h2.norm(u)
     q_norm = l2.norm(q.values)
-    u_n = u.values / u_norm
+    u_n = u / u_norm
     q_n = q.values / q_norm
     uw = h2.whiten_vec(u_n)
     vw = l2.whiten_vec(q_n)
     model = RankOneModel(
         sigma=u_norm * q_norm, u=uw / np.linalg.norm(uw), v=vw / np.linalg.norm(vw)
     )
-
-    problem = InternalProblem(
+    return InternalProblem(
         grid=grid, q_true=q, u_true=u, h2=h2, l2=l2,
         u_normalized=u_n, q_normalized=q_n, model=model,
     )
-    return problem, make_measurements(problem)
 
 
 def make_measurements(problem, delta=0.0, seed=0):
-    """Assemble (noisy) measurements from a forward-solved instance.
+    """Whitened codomain vector of the measurements at noise level ``delta``.
 
     The noiseless first block is the diagonal of the true lifted field,
-    the pointwise product ``u * q``; state noise enters it through the
-    full-grid second-difference stencil and enters the second block
-    directly.
+    the pointwise product ``u * q``, weighted by the square-root L2
+    quadrature weights; state noise enters it through the full-grid
+    second-difference stencil.  The second block is the integral of the
+    potential times the (noisy) state, whitened in H2.
     """
     u = problem.u_true
     u_delta = inject_h2_noise(u, delta, seed, problem.h2)
-    noise = u_delta.values - u.values
-    d2 = second_difference_1d(problem.grid)
-    z1 = u.values * problem.q_true.values + d2 @ noise
-    int_q = problem.q_true.integral
-    z2 = int_q * u_delta.values
-    delta_meas = delta * np.sqrt(1.0 + int_q ** 2)
-    return InternalMeasurements(
-        z1_values=z1, z2_values=z2, delta=float(delta),
-        delta_meas=float(delta_meas),
-    )
+    z1 = u * problem.q_true.values + second_difference_1d(problem.grid) @ (u_delta - u)
+    z2 = problem.q_true.integral * u_delta
+    return np.concatenate([np.sqrt(problem.grid.quad_weights) * z1,
+                           problem.h2.whiten_vec(z2)])
 
 
 class InternalOperator(AffineOperator):
@@ -203,13 +178,6 @@ def assemble_internal_operator(problem):
     return InternalOperator(problem.h2.unwhitener, np.sqrt(problem.grid.quad_weights))
 
 
-def measurement_vector(problem, measurements):
-    """Whitened codomain vector consumed by the solvers."""
-    z1 = np.sqrt(problem.grid.quad_weights) * measurements.z1_values
-    z2 = problem.h2.whiten_vec(measurements.z2_values)
-    return np.concatenate([z1, z2])
-
-
 def extract_q_from_trace(f_values, problem):
     """Potential from the boundary rows of a recovered field.
 
@@ -217,7 +185,7 @@ def extract_q_from_trace(f_values, problem):
     potential, so the weighted average ``(f_a F[0, :] + f_b F[-1, :]) /
     (f_a^2 + f_b^2)`` reproduces it exactly and is linear in the field.
     """
-    f_a, f_b = problem.u_true.f_a, problem.u_true.f_b
+    f_a, f_b = problem.u_true[0], problem.u_true[-1]
     denom = f_a ** 2 + f_b ** 2
     if denom == 0:
         raise ValueError("boundary data vanishes; trace extraction undefined")
@@ -225,30 +193,27 @@ def extract_q_from_trace(f_values, problem):
     return Potential1D(problem.grid, vals)
 
 
-def recover_internal(problem, measurements, c=1.0, opts=None, op=None, x0=None):
-    """Solve the convex relaxation and extract the potential.
+def recover_internal(problem, z, lam, opts=None, op=None, x0=None):
+    """Solve the convex relaxation on the whitened data ``z`` and extract
+    the potential.
 
-    Noiseless measurements (``delta == 0``) run the equality-constrained
-    solve; noisy ones run the regularized solve with weight
-    ``lambda = c * delta``.  ``op`` is the problem's assembled operator,
-    built here when the caller holds none.  A noisy solve starts from the
-    whitened field ``x0`` when one is given, such as the exact lift of the
-    same problem.  Returns the potential estimate, the whitened recovered
-    field, and the solve report (with the rank diagnostic
-    ``sigma2 / sigma1`` in ``extras``).
+    ``lam == 0`` runs the equality-constrained solve; otherwise the
+    regularized solve runs at weight ``lam``.  ``op`` is the problem's
+    assembled operator, built here when the caller holds none.  A
+    regularized solve starts from the whitened field ``x0`` when one is
+    given, such as the exact lift of the same problem.  Returns the potential
+    estimate, the whitened recovered field, and the solve report (with the
+    rank diagnostic ``sigma2 / sigma1`` in ``extras``).
     """
     if op is None:
         op = assemble_internal_operator(problem)
-    z = measurement_vector(problem, measurements)
-    if measurements.delta == 0:
+    if lam == 0:
         if x0 is not None:
             raise ValueError("the exact solve starts from the least-norm point, not x0")
         blocks, report = solve_equality_nnm(op, z, opts=opts)
     else:
         blocks, report = solve_regularized_nnm(
-            op, z, c * measurements.delta, opts=opts,
-            x0=None if x0 is None else [x0],
-        )
+            op, z, lam, opts=opts, x0=None if x0 is None else [x0])
 
     f_white = blocks[0]
     svals = np.linalg.svd(f_white, compute_uv=False)
@@ -281,26 +246,28 @@ class RowState:
     report: SolveReport
 
 
-def prepare_rows(problem, exact, opts=None):
+def prepare_rows(problem, opts=None):
     """Condition, operator, pre-certificate and exact solve of ``problem``
-    from its noiseless measurements ``exact``, in that order."""
+    from its noiseless measurements, in that order."""
     lhs, _, passed = sufficient_condition(problem)
     op = assemble_internal_operator(problem)
     try:
         cert = certify.precertificate(op, [problem.model])
     except certify.DegenerateCertificate:
         cert = None
-    q_hat, lift, report = recover_internal(problem, exact, opts=opts, op=op)
+    q_hat, lift, report = recover_internal(problem, make_measurements(problem), 0.0,
+                                           opts=opts, op=op)
     return RowState(problem, op, lhs, passed, cert, q_hat, lift, report)
 
 
-def noisy_row(state, delta, seed, c=1.0, opts=None):
-    """Measurements at ``delta`` > 0 and ``seed``, and their solve from the
-    exact lift of ``state``: the measurements, then :func:`recover_internal`'s
-    potential, whitened field and report."""
-    meas = make_measurements(state.problem, delta=delta, seed=seed)
-    return (meas, *recover_internal(state.problem, meas, c=c, opts=opts,
-                                    op=state.op, x0=state.lift))
+def noisy_row(state, delta, seed, lam, opts=None):
+    """The measurements at ``delta`` > 0 and ``seed``, solved at weight
+    ``lam``, which must be positive, from the exact lift of ``state``:
+    :func:`recover_internal`'s potential, whitened field and report."""
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    z = make_measurements(state.problem, delta=delta, seed=seed)
+    return recover_internal(state.problem, z, lam, opts=opts, op=state.op, x0=state.lift)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +386,7 @@ def sufficient_condition(problem):
     passing here is stricter than what the certificate bound needs.
     """
     grid = problem.grid
-    u_vals = problem.u_true.values
+    u_vals = problem.u_true
     q = problem.q_true
     u_h2 = summed_h2_norm(grid, u_vals)
     q_l2 = problem.l2.norm(q.values)
@@ -445,7 +412,7 @@ def apriori_constant(problem):
     inf u) / int q)`` with discrete norms; every tangent field F then
     satisfies ``|F| <= C * |Phi F|``.
     """
-    u_vals = problem.u_true.values
+    u_vals = problem.u_true
     q = problem.q_true
     u_h2 = problem.h2.norm(u_vals)
     q_l2 = problem.l2.norm(q.values)
@@ -472,7 +439,7 @@ def condition_lhs_for_q0(q0, grid, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0):
         return np.inf
     u = solve_schrodinger_1d(grid, q, f_a, f_b)
     q_l2 = float(np.sqrt(grid.quad_weights @ q.values ** 2))
-    return _condition_lhs(grid, u.values, q.values, summed_h2_norm(grid, u.values), q_l2)
+    return _condition_lhs(grid, u, q.values, summed_h2_norm(grid, u), q_l2)
 
 
 def find_condition_interval(n=401, base=1.0, lo=0.4, hi=0.6, f_a=1.0, f_b=1.0):

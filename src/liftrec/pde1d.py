@@ -40,24 +40,6 @@ class Potential1D:
         self.integral = float(self.grid.quad_weights @ self.values)
 
 
-@dataclass
-class StateField1D:
-    """PDE state on the grid together with its Dirichlet data."""
-
-    grid: Grid1D
-    values: np.ndarray
-    f_a: float
-    f_b: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, float)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError("state values do not match the grid")
-        tol = 1e-10 * max(1.0, abs(self.f_a), abs(self.f_b))
-        if abs(self.values[0] - self.f_a) > tol or abs(self.values[-1] - self.f_b) > tol:
-            raise ValueError("endpoint values must equal the boundary data")
-
-
 def step_potential(grid, base=1.0, q0=0.0, lo=0.4, hi=0.6):
     """Potential ``base + q0`` on the open interval (lo, hi), ``base`` outside."""
     vals = np.full(grid.n, base, float)
@@ -100,12 +82,13 @@ def _solve_tridiag(ab, rhs):
 def solve_schrodinger_1d(grid, q, f_a, f_b):
     """Solve ``-u'' + q u = 0`` with Dirichlet data on the interval.
 
-    The tridiagonal interior system is solved directly; the relative
-    residual of the interior equations is verified to be at round-off.
+    ``q`` is a :class:`Potential1D`.  The tridiagonal interior system is
+    solved directly; the relative residual of the interior equations is
+    verified to be at round-off.  Returns the node values, whose end values
+    are ``f_a`` and ``f_b``.
     """
-    q_vals = q.values if isinstance(q, Potential1D) else np.asarray(q, float)
     n, h = grid.n, grid.h
-    ab = _interior_tridiag(grid, q_vals)
+    ab = _interior_tridiag(grid, q.values)
     rhs = np.zeros(n - 2)
     rhs[0] += f_a / h ** 2
     rhs[-1] += f_b / h ** 2
@@ -118,29 +101,29 @@ def solve_schrodinger_1d(grid, q, f_a, f_b):
         raise EigenvalueHit(
             "solution blow-up: 0 is (numerically) a discrete Dirichlet eigenvalue"
         )
-    resid = (-(u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2) + q_vals[1:-1] * u[1:-1]
+    resid = (-(u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2) + q.values[1:-1] * u[1:-1]
     scale = max(np.abs(u).max() / h ** 2, 1e-30)
     if np.abs(resid).max() > 1e-12 * scale:
         raise NumericFailure("Schrodinger solve residual exceeds round-off tolerance")
-    return StateField1D(grid, u, float(f_a), float(f_b))
+    return u
 
 
-def direct_division_oracle(u):
-    """Recover the potential pointwise as ``q = u'' / u``.
+def direct_division_oracle(grid, u):
+    """Recover the potential pointwise as ``q = u'' / u`` from the node
+    values ``u`` of a state on ``grid``.
 
     Interior nodes use the same 3-point stencil as the forward solve, so the
     round trip through :func:`solve_schrodinger_1d` is exact there; boundary
     nodes use second-order one-sided stencils and carry an O(h^2) error.
     """
-    grid, vals = u.grid, u.values
-    if np.abs(vals).min() < 1e-10:
+    if np.abs(u).min() < 1e-10:
         raise DegenerateInput("state passes too close to zero for pointwise division")
-    d2 = second_difference_1d(grid)
-    return Potential1D(grid, (d2 @ vals) / vals)
+    return Potential1D(grid, (second_difference_1d(grid) @ u) / u)
 
 
 def inject_h2_noise(u, delta, seed, h2):
-    """Add Gaussian noise vanishing at the boundary with exact Gram norm ``delta``.
+    """The state ``u`` plus Gaussian noise vanishing at the boundary with
+    exact Gram norm ``delta``.
 
     The perturbation is rescaled so its norm in the supplied second-order
     Sobolev structure equals ``delta``; seeded, hence reproducible.
@@ -148,12 +131,12 @@ def inject_h2_noise(u, delta, seed, h2):
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if delta == 0:
-        return StateField1D(u.grid, u.values.copy(), u.f_a, u.f_b)
+        return u.copy()
     rng = np.random.default_rng(seed)
-    e = rng.standard_normal(u.grid.n)
+    e = rng.standard_normal(u.size)
     e[0] = e[-1] = 0.0
     nrm = h2.norm(e)
     if nrm == 0:
         raise NumericFailure("degenerate noise draw")
     e *= delta / nrm
-    return StateField1D(u.grid, u.values + e, u.f_a, u.f_b)
+    return u + e

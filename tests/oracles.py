@@ -10,10 +10,33 @@ from liftrec.certify import _GRAM_RCOND
 from liftrec.errors import DegenerateInput, EigenvalueHit
 from liftrec.hilbert import Grid2D, build_grid_1d, first_difference_1d, second_difference_1d
 from liftrec.lowrank import RankOneModel
-from liftrec.pde1d import Potential1D
+from liftrec.pde1d import Potential1D, inject_h2_noise
 
 
-def linear_system_oracle(problem, measurements):
+def measurement_blocks(problem, delta, seed):
+    """The unwhitened measurement blocks ``(z1, z2)`` at noise level
+    ``delta``: the diagonal block ``u * q`` on the full grid plus the state
+    noise through the second-difference stencil, and the integral block
+    ``int q * u_delta`` of the noisy state."""
+    u = problem.u_true
+    u_delta = inject_h2_noise(u, delta, seed, problem.h2)
+    noise = u_delta - u
+    d2 = second_difference_1d(problem.grid)
+    z1 = u * problem.q_true.values + d2 @ noise
+    z2 = problem.q_true.integral * u_delta
+    return z1, z2
+
+
+def whitened_measurements(problem, delta, seed):
+    """The blocks of :func:`measurement_blocks`, whitened: the first by the
+    square-root L2 quadrature weights, the second in H2."""
+    z1, z2 = measurement_blocks(problem, delta, seed)
+    z1 = np.sqrt(problem.grid.quad_weights) * z1
+    z2 = problem.h2.whiten_vec(z2)
+    return np.concatenate([z1, z2])
+
+
+def linear_system_oracle(problem):
     """Independent recovery through the lifted linear system.
 
     With noiseless data the state block already carries the diagonal of the
@@ -22,12 +45,11 @@ def linear_system_oracle(problem, measurements):
     nodes coincide with the direct-division recovery built on the same
     stencil.  Returns the potential and the field's value matrix.
     """
-    if measurements.delta != 0:
-        raise ValueError("the linear-system oracle requires noiseless measurements")
-    u_vals = problem.u_true.values
+    u_vals = problem.u_true
     if np.abs(u_vals).min() < 1e-10:
         raise DegenerateInput("state too close to zero for pointwise division")
-    q_vals = measurements.z1_values / u_vals
+    z1, _ = measurement_blocks(problem, 0.0, 0)
+    q_vals = z1 / u_vals
     q_hat = Potential1D(problem.grid, q_vals)
     return q_hat, np.outer(u_vals, q_vals)
 

@@ -100,7 +100,7 @@ def test_tangent_map_matches_dense_basis_oracle(shapes, extra_rows, symmetric, s
 @functools.lru_cache(maxsize=None)
 def _internal_case(n):
     grid = build_grid_1d(n, 0.0, 1.0)
-    problem, _ = build_internal_problem(grid, step_potential(grid, q0=0.5))
+    problem = build_internal_problem(grid, step_potential(grid, q0=0.5))
     return problem, assemble_internal_operator(problem)
 
 

@@ -406,9 +406,20 @@ def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
     # a 9 x 9 grid has 32 boundary nodes, room for 32 modes and no more
     ("[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 33\n", ("calderon", "forward")),
     ("[grid]\nnx = 9\nny = 9\n[sweep]\nn_list = 2,33\n", ("calderon", "certify")),
+    ("[boundary]\nf_a = -1\n", ("internal", "recover")),
+    ("[boundary]\nf_b = nan\n", ("internal", "recover")),
+    ("[potential]\nq0 = nan\n", ("internal", "recover")),
+    ("[potential]\nbase = 0\n", ("internal", "recover")),
+    ("[potential]\njump_lo = nan\n", ("internal", "recover")),
+    ("[sweep]\nq0_values = -2\n", ("internal", "sweep")),
+    ("[potential]\ntype = constant\nvalue = 0\n", ("internal", "certify")),
+    ("[grid]\nnx = 9\nny = 9\n[potential]\ncoeffs = 1,2,3\n", ("calderon", "forward")),
+    ("[grid]\nnx = 9\nny = 9\n[potential]\ncoeffs = nan,1,1,1\n", ("calderon", "forward")),
 ], ids=["nx", "n", "m_basis", "n_modes", "n_list", "c_internal", "c_inf", "c_calderon",
         "delta_internal", "delta_phaselift", "delta_nan", "deltas_nan", "phaselift_m",
-        "phaselift_n", "n_modes_above_boundary", "n_list_above_boundary"])
+        "phaselift_n", "n_modes_above_boundary", "n_list_above_boundary", "f_a", "f_b_nan",
+        "q0_nan", "base", "jump_lo_nan", "q0_values", "constant_value", "coeffs",
+        "coeffs_nan"])
 def test_cli_out_of_range_values_exit_2(tmp_path, capsys, text, command):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

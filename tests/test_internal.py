@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,17 +18,26 @@ from liftrec.internal import (
     extract_q_from_trace,
     loglog_slope,
     make_measurements,
-    measurement_vector,
     noisy_row,
     optimal_alpha,
     prepare_rows,
     recover_internal,
     sufficient_condition,
 )
-from liftrec.pde1d import constant_potential, direct_division_oracle, step_potential
+from liftrec.pde1d import (
+    Potential1D,
+    constant_potential,
+    direct_division_oracle,
+    step_potential,
+)
 from liftrec.solvers import DenseOperator, SolverOptions
 
-from oracles import dense_rank_one_maps, gram_dense, linear_system_oracle
+from oracles import (
+    dense_rank_one_maps,
+    gram_dense,
+    linear_system_oracle,
+    whitened_measurements,
+)
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
@@ -34,30 +45,49 @@ TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 @pytest.fixture(scope="module")
 def step_instance():
     grid = build_grid_1d(41, 0.0, 1.0)
-    problem, meas = build_internal_problem(grid, step_potential(grid, q0=0.5))
-    return grid, problem, meas
+    problem = build_internal_problem(grid, step_potential(grid, q0=0.5))
+    return grid, problem, make_measurements(problem)
 
 
 def test_problem_invariants(step_instance):
-    grid, problem, meas = step_instance
-    assert problem.u_true.values.min() > 0
+    grid, problem, z = step_instance
+    assert problem.u_true.min() > 0
     assert problem.q_true.integral > 0
     assert problem.model.sigma > 0
     # measurements of a unit-potential instance reduce to the state itself
-    p1, m1 = build_internal_problem(grid, constant_potential(grid, 1.0))
-    assert np.allclose(m1.z2_values, p1.q_true.integral * p1.u_true.values)
+    p1 = build_internal_problem(grid, constant_potential(grid, 1.0))
+    z_1 = make_measurements(p1)
+    assert np.allclose(z_1[grid.n:], p1.h2.whiten_vec(p1.q_true.integral * p1.u_true))
 
 
 def test_noiseless_z1_is_the_diagonal(step_instance):
-    grid, problem, meas = step_instance
-    diag_truth = problem.u_true.values * problem.q_true.values
-    assert np.abs(meas.z1_values - diag_truth).max() < 1e-10
+    grid, problem, z = step_instance
+    diag_truth = problem.u_true * problem.q_true.values
+    assert np.abs(z[:grid.n] / np.sqrt(grid.quad_weights) - diag_truth).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [41, 121])
+def test_measurements_equal_the_whitened_blocks(n):
+    # the two-step assembly (unwhitened blocks, then whitening), bit for bit
+    grid = build_grid_1d(n, 0.0, 1.0)
+    problem = build_internal_problem(grid, step_potential(grid, q0=0.5))
+    for delta, seed in ((0.0, 0), (1e-3, 1), (1e-3, 7)):
+        got = make_measurements(problem, delta=delta, seed=seed)
+        assert np.array_equal(got, whitened_measurements(problem, delta, seed))
+
+
+def test_boundary_data_must_be_positive_and_finite():
+    grid = build_grid_1d(21, 0.0, 1.0)
+    q = step_potential(grid, q0=0.5)
+    for f_a, f_b in ((-1.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.nan),
+                     (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="boundary data"):
+            build_internal_problem(grid, q, f_a=f_a, f_b=f_b)
 
 
 def test_truth_is_feasible(step_instance):
-    grid, problem, meas = step_instance
+    grid, problem, z = step_instance
     op = assemble_internal_operator(problem)
-    z = measurement_vector(problem, meas)
     resid = np.linalg.norm(op.apply([problem.model.matrix]) - z)
     assert resid <= 1e-10 * (1 + np.linalg.norm(z))
 
@@ -66,11 +96,11 @@ def test_eigenvalue_hit_propagates():
     grid = build_grid_1d(31, 0.0, 1.0)
     lam1 = 4.0 / grid.h ** 2 * np.sin(np.pi * grid.h / 2.0) ** 2
     with pytest.raises((EigenvalueHit, ValueError)):
-        build_internal_problem(grid, np.full(grid.n, -lam1))
+        build_internal_problem(grid, Potential1D(grid, np.full(grid.n, -lam1)))
 
 
 def test_operator_adjoint_consistency(step_instance):
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     op = assemble_internal_operator(problem)
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -86,7 +116,7 @@ def test_operator_adjoint_consistency(step_instance):
 def test_structured_operator_matches_its_dense_form(n, seed):
     rng = np.random.default_rng(seed)
     grid = build_grid_1d(n, 0.0, 1.0)
-    problem, _ = build_internal_problem(grid, rng.uniform(0.2, 3.0, n))
+    problem = build_internal_problem(grid, Potential1D(grid, rng.uniform(0.2, 3.0, n)))
     op = assemble_internal_operator(problem)
     dense = DenseOperator(op.matrix, op.domain_shapes)
     assert dense.matrix.shape == (2 * n, n * n)
@@ -114,7 +144,7 @@ def test_structured_operator_matches_its_dense_form(n, seed):
 def test_adjoint_matches_closed_form(step_instance):
     # the adjoint of (diagonal extraction, integration) is a kernel-weighted
     # diagonal term plus a rank-one term in the second argument
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     op = assemble_internal_operator(problem)
     rng = np.random.default_rng(1)
     g = rng.standard_normal(grid.n)              # L2 component of the dual
@@ -135,7 +165,7 @@ def test_adjoint_matches_closed_form(step_instance):
 def test_adjoint_matches_kernel_form_unwhitened():
     # small instance where the explicit inverse Gram is well conditioned
     grid = build_grid_1d(15, 0.0, 1.0)
-    problem, _ = build_internal_problem(grid, step_potential(grid, q0=0.3))
+    problem = build_internal_problem(grid, step_potential(grid, q0=0.3))
     op = assemble_internal_operator(problem)
     rng = np.random.default_rng(2)
     g = rng.standard_normal(grid.n)
@@ -151,9 +181,9 @@ def test_adjoint_matches_kernel_form_unwhitened():
 
 
 def test_exact_recovery(step_instance):
-    grid, problem, meas = step_instance
-    q_hat, f_white, report = recover_internal(problem, meas, opts=TIGHT)
-    oracle = direct_division_oracle(problem.u_true)
+    grid, problem, z = step_instance
+    q_hat, f_white, report = recover_internal(problem, z, 0.0, opts=TIGHT)
+    oracle = direct_division_oracle(grid, problem.u_true)
     rel = problem.l2.norm(q_hat.values - oracle.values) / problem.l2.norm(oracle.values)
     assert rel <= 1e-3
     assert report.extras["rank_ratio"] <= 1e-4
@@ -163,24 +193,28 @@ def test_exact_recovery(step_instance):
 
 def test_exact_recovery_constant_potential():
     grid = build_grid_1d(41, 0.0, 1.0)
-    problem, meas = build_internal_problem(grid, constant_potential(grid, 2.0))
+    problem = build_internal_problem(grid, constant_potential(grid, 2.0))
     lhs, _, _ = sufficient_condition(problem)
     assert lhs == pytest.approx(0.0, abs=1e-12)      # no variation
-    q_hat, _, report = recover_internal(problem, meas, opts=TIGHT)
+    q_hat, _, report = recover_internal(problem, make_measurements(problem), 0.0,
+                                        opts=TIGHT)
     assert problem.l2.norm(q_hat.values - 2.0) <= 1e-6
 
 
 def test_recover_rejects_nonpositive_weight(step_instance):
-    grid, problem, meas = step_instance
-    noisy = make_measurements(problem, delta=1e-3, seed=1)
-    for c in (0.0, -1.0):
+    _, problem, _ = step_instance
+    state = prepare_rows(problem)
+    for lam in (0.0, -1.0):
         with pytest.raises(ValueError, match="lambda must be positive"):
-            recover_internal(problem, noisy, c=c)
+            noisy_row(state, 1e-3, 1, lam)
+    noisy = make_measurements(problem, delta=1e-3, seed=1)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        recover_internal(problem, noisy, -1.0)
 
 
 def test_extract_q_from_trace(step_instance):
-    grid, problem, meas = step_instance
-    f_vals = np.outer(problem.u_true.values, problem.q_true.values)
+    grid, problem, _ = step_instance
+    f_vals = np.outer(problem.u_true, problem.q_true.values)
     got = extract_q_from_trace(f_vals, problem)
     assert np.abs(got.values - problem.q_true.values).max() < 1e-12
     assert np.abs(extract_q_from_trace(np.zeros_like(f_vals), problem).values).max() == 0
@@ -189,20 +223,19 @@ def test_extract_q_from_trace(step_instance):
 
 
 def test_linear_system_oracle(step_instance):
-    grid, problem, meas = step_instance
-    q_hat, f_hat = linear_system_oracle(problem, meas)
-    oracle = direct_division_oracle(problem.u_true)
+    grid, problem, z = step_instance
+    q_hat, f_hat = linear_system_oracle(problem)
+    oracle = direct_division_oracle(grid, problem.u_true)
     # interior: both reduce to the same pointwise division
     assert np.abs(q_hat.values[1:-1] - oracle.values[1:-1]).max() < 1e-10
     assert np.linalg.matrix_rank(f_hat, tol=1e-10) == 1
     op = assemble_internal_operator(problem)
-    z = measurement_vector(problem, meas)
     f_white = problem.h2.whitener @ f_hat @ problem.l2.whitener.T
     assert np.linalg.norm(op.apply([f_white]) - z) <= 1e-9 * (1 + np.linalg.norm(z))
 
 
 def test_closed_form_certificate_interpolates(step_instance):
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     for alpha in (0.0, 0.5, 1.0):
         h = closed_form_precertificate(problem, alpha)
         assert np.linalg.norm(h.T @ problem.model.u - problem.model.v) <= 1e-8
@@ -210,7 +243,7 @@ def test_closed_form_certificate_interpolates(step_instance):
 
 
 def test_certificate_norm_dominated(step_instance):
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     a_star = optimal_alpha(problem)
     exact, bound = certificate_norm(problem, a_star)
     assert exact <= bound + 1e-9
@@ -222,7 +255,7 @@ def test_certificate_norm_dominated(step_instance):
 
 def test_certificate_norm_constant_potential():
     grid = build_grid_1d(31, 0.0, 1.0)
-    problem, _ = build_internal_problem(grid, constant_potential(grid, 1.0))
+    problem = build_internal_problem(grid, constant_potential(grid, 1.0))
     a_star = optimal_alpha(problem)
     exact, bound = certificate_norm(problem, a_star)
     assert exact == pytest.approx(0.0, abs=1e-10)
@@ -230,14 +263,14 @@ def test_certificate_norm_constant_potential():
 
 
 def test_alpha_study_reports_optimum(step_instance):
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     study = alpha_study(problem, n_points=11)
     assert len(study["rows"]) == 11
     assert study["exact_at_star"] <= study["bound_at_star"] + 1e-9
 
 
 def test_sufficient_condition_forms_agree(step_instance):
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     lhs_n, lhs_u, passed = sufficient_condition(problem)
     assert abs(lhs_n - lhs_u) <= 1e-10 * max(1.0, abs(lhs_n))
     assert passed and lhs_n < 1.0
@@ -245,13 +278,13 @@ def test_sufficient_condition_forms_agree(step_instance):
 
 def test_sufficient_condition_fails_large_jump():
     grid = build_grid_1d(101, 0.0, 1.0)
-    problem, _ = build_internal_problem(grid, step_potential(grid, q0=1.5))
+    problem = build_internal_problem(grid, step_potential(grid, q0=1.5))
     lhs, _, passed = sufficient_condition(problem)
     assert not passed and lhs >= 1.0
 
 
 def test_apriori_constant_and_tangent_estimate(step_instance):
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     c_phi = apriori_constant(problem)
     assert c_phi >= np.sqrt(2.0)
     op = assemble_internal_operator(problem)
@@ -268,7 +301,7 @@ def test_apriori_constant_and_tangent_estimate(step_instance):
 
 
 def test_precertificate_passes_when_condition_holds(step_instance):
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     _, _, cond = sufficient_condition(problem)
     assert cond
     op = assemble_internal_operator(problem)
@@ -288,9 +321,9 @@ def test_rank_one_consistency_probe(step_instance):
     # integral relation has its state factor pinned, and the diagonal
     # residual then vanishes exactly when p is the true potential; factor
     # rescalings (mu w, p / mu) leave the lifted field itself unchanged
-    grid, problem, meas = step_instance
+    grid, problem, _ = step_instance
     rng = np.random.default_rng(4)
-    u_vals = problem.u_true.values
+    u_vals = problem.u_true
     q_vals = problem.q_true.values
     int_q = problem.q_true.integral
     for _ in range(20):
@@ -315,23 +348,21 @@ def test_rank_one_consistency_probe(step_instance):
 def test_noise_bound_on_measurements(step_instance):
     grid, problem, _ = step_instance
     delta = 1e-3
-    meas0 = make_measurements(problem, delta=0.0, seed=0)
-    meas = make_measurements(problem, delta=delta, seed=7)
-    z0 = measurement_vector(problem, meas0)
-    z = measurement_vector(problem, meas)
+    z0 = make_measurements(problem, delta=0.0, seed=0)
+    z = make_measurements(problem, delta=delta, seed=7)
     bound = delta * np.sqrt(1.0 + problem.q_true.integral ** 2)
     assert np.linalg.norm(z - z0) <= bound * (1.0 + 1e-9)
 
 
 def test_noisy_recovery_rate_two_seeds(step_instance):
-    _, problem, exact = step_instance
-    state = prepare_rows(problem, exact)
+    _, problem, _ = step_instance
+    state = prepare_rows(problem)
     deltas = (1e-2, 1e-3)
     med = []
     for delta in deltas:
         errs = []
         for seed in range(2):
-            _, q_hat, _, _ = noisy_row(state, delta, seed)
+            q_hat, _, _ = noisy_row(state, delta, seed, delta)
             errs.append(problem.l2.norm(q_hat.values - problem.q_true.values))
         med.append(float(np.median(errs)))
     slope = loglog_slope(deltas, med)
@@ -340,7 +371,7 @@ def test_noisy_recovery_rate_two_seeds(step_instance):
 
 def test_noisy_row_is_the_internal_sweep_row(tmp_path, step_instance):
     # criterion 3 and `internal sweep` solve one row the same way, to the digit
-    _, problem, exact = step_instance
+    _, problem, _ = step_instance
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[grid]\nn = 41\n[sweep]\nq0_values = 0.5\n"
                    "[noise]\ndeltas = 1e-2,1e-3\n")
@@ -348,9 +379,9 @@ def test_noisy_row_is_the_internal_sweep_row(tmp_path, step_instance):
                      "internal", "sweep"]) == 0
     rows = cli.read_table(tmp_path / "sweep.csv", cli.INTERNAL_SCHEMA)
     assert [r["delta"] for r in rows] == [1e-2, 1e-3]
-    state = prepare_rows(problem, exact)
+    state = prepare_rows(problem)
     for k, row in enumerate(rows):
-        _, q_hat, _, _ = noisy_row(state, row["delta"], 3 + k)
+        q_hat, _, _ = noisy_row(state, row["delta"], 3 + k, row["delta"])
         err = problem.l2.norm(q_hat.values - problem.q_true.values)
         assert f"{err:.17g}" == f"{row['err_L2']:.17g}"
 
@@ -358,17 +389,17 @@ def test_noisy_row_is_the_internal_sweep_row(tmp_path, step_instance):
 def test_noisy_solve_started_from_the_exact_lift(step_instance):
     _, problem, exact = step_instance
     op = assemble_internal_operator(problem)
-    _, f_exact, _ = recover_internal(problem, exact, op=op)
-    meas = make_measurements(problem, delta=1e-3, seed=3)
-    q_cold, _, cold = recover_internal(problem, meas, op=op)
-    q_warm, _, warm = recover_internal(problem, meas, op=op, x0=f_exact)
+    _, f_exact, _ = recover_internal(problem, exact, 0.0, op=op)
+    z = make_measurements(problem, delta=1e-3, seed=3)
+    q_cold, _, cold = recover_internal(problem, z, 1e-3, op=op)
+    q_warm, _, warm = recover_internal(problem, z, 1e-3, op=op, x0=f_exact)
     err_cold = problem.l2.norm(q_cold.values - problem.q_true.values)
     err_warm = problem.l2.norm(q_warm.values - problem.q_true.values)
     assert cold.status == warm.status == "converged"
     assert abs(err_warm - err_cold) <= 1e-6 * err_cold
     assert warm.iterations <= cold.iterations
     with pytest.raises(ValueError):
-        recover_internal(problem, exact, op=op, x0=f_exact)
+        recover_internal(problem, exact, 0.0, op=op, x0=f_exact)
 
 
 def test_linear_rate_down_to_small_delta(tmp_path):
@@ -397,7 +428,15 @@ def test_exact_certificate_norm_random_pairs():
         amp = rng.uniform(0.0, 0.4)
         phase = rng.uniform(0.0, 2 * np.pi)
         q_vals = 1.0 + amp * np.sin(2 * np.pi * grid.nodes + phase)
-        problem, _ = build_internal_problem(grid, q_vals)
+        problem = build_internal_problem(grid, Potential1D(grid, q_vals))
         alpha = float(rng.uniform(-0.5, 1.5))
         exact, bound = certificate_norm(problem, alpha)
         assert exact <= bound + 1e-9
+
+
+def test_readme_library_sketch_runs():
+    # the code block under README's "Library sketch", run as written, so a
+    # signature change cannot leave it stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    exec(compile(sketch.split("```", 1)[0], "README.md", "exec"), {})

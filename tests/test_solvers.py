@@ -74,7 +74,7 @@ def test_operator_validates_shapes_and_adjoint():
 
 def test_opnorm_is_the_largest_singular_value():
     grid = build_grid_1d(25, 0.0, 1.0)
-    problem, _ = build_internal_problem(grid, step_potential(grid, q0=0.5))
+    problem = build_internal_problem(grid, step_potential(grid, q0=0.5))
     ops = [_random_op(np.random.default_rng(2), 9, [(3, 3), (2, 4)]),
            assemble_internal_operator(problem)]
     for op in ops:
