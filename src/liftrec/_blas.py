@@ -5,10 +5,11 @@ recover`` and ``selftest``, which keep the process's thread count.  The
 other commands make many small dense BLAS calls (factorizations of a few
 hundred rows, whitening mat-vecs, the Gauss-Newton steps, the PSD prox).  On
 two OpenBLAS threads such a call is slower than on one, and on a busy
-2-core host it can stall for about 0.1 s.  ``calderon recover`` multiplies
-by the dense lifted operator (2164 x 4624 at 17^2), and on two threads
-criterion 11's four solves at 17^2 take 5.6 s against 7.6 s on one;
-``selftest`` runs that pipeline in criterion 11 and caps its own
+2-core host it can stall for about 0.1 s.  The dense work of ``calderon
+recover`` is the ``eigh`` of the lifted Gram (2164 x 2164 at 17^2) and the
+projector's products with its kept eigenvectors; on two threads criterion
+11's four solves at 17^2, that ``eigh`` included, take 3.5 s against 5.5 s
+on one (2-core host, OpenBLAS); ``selftest`` runs that pipeline in criterion 11 and caps its own
 pre-certificates, which the gate also calls outside the CLI.
 
 A sweep runs its rows on ``jobs`` pool threads.  If every row's BLAS calls

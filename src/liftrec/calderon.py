@@ -467,14 +467,8 @@ def recover_calderon(problem, system, z_data, lam, opts=None):
             system.op_data, z_data, system.op_hard, system.z_hard, lam, opts=opts)
 
     uinv = problem.h1.unwhitener
-    extractions = []
-    for i, blk in enumerate(blocks):
-        c_vals = uinv @ blk
-        extractions.append(
-            extract_q_calderon(c_vals, problem.bdry[:, i], problem)
-        )
-    q_hat = np.mean(extractions, axis=0)
-    report.extras["per_block_q"] = extractions
+    q_hat = np.mean([extract_q_calderon(uinv @ blk, problem.bdry[:, i], problem)
+                     for i, blk in enumerate(blocks)], axis=0)
     return q_hat, blocks, report
 
 

@@ -242,12 +242,16 @@ def _grid_nodes(config, default):
 
 
 def _solver_options(config):
-    return solvers.SolverOptions(
-        max_iter=config.get("solver", "max_iter", 50_000, int),
-        tol_feas=config.get("solver", "tol_feas", 1e-8, float),
-        tol_gap=config.get("solver", "tol_gap", 1e-6, float),
-        tol_fp=config.get("solver", "tol_fp", 1e-8, float),
-    )
+    """``[solver]``: ``max_iter`` at least 1, each tolerance positive and
+    finite."""
+    max_iter = config.get("solver", "max_iter", 50_000, int)
+    tol_feas = config.get("solver", "tol_feas", 1e-8, float)
+    tol_gap = config.get("solver", "tol_gap", 1e-6, float)
+    tol_fp = config.get("solver", "tol_fp", 1e-8, float)
+    try:
+        return solvers.SolverOptions(max_iter, tol_feas, tol_gap, tol_fp)
+    except ValueError as exc:
+        raise ConfigError(f"solver.{exc}") from exc
 
 
 def _step_shape(config):
@@ -440,8 +444,12 @@ def run_calderon(config, out_dir, seed, task):
         g_weights = grid.area_weights * mask
     else:
         raise ConfigError(f"unknown g_functional {g_kind!r}")
-    problem = cal.build_calderon_problem(grid, m=m, n_modes=n_modes,
-                                         q_coeffs=q_coeffs, g_weights=g_weights)
+    try:
+        problem = cal.build_calderon_problem(grid, m=m, n_modes=n_modes,
+                                             q_coeffs=q_coeffs, g_weights=g_weights)
+    except ValueError as exc:
+        # the basis size, the boundary Gram or the scale functional
+        raise ConfigError(str(exc)) from exc
     summary = {"kind": "calderon", "task": task, "seed": seed}
 
     if task == "forward":
@@ -461,10 +469,9 @@ def run_calderon(config, out_dir, seed, task):
         return _finish(out_dir, task, rows, CALDERON_CERTIFY_SCHEMA, summary)
 
     if task == "recover":
-        deltas, c = _noise_levels(config), _noise_weight(config)
+        deltas, c, opts = _noise_levels(config), _noise_weight(config), _solver_options(config)
         rows = [row for row, _ in cal.recover_rows(
-            problem, cal.assemble_calderon_system(problem), deltas, seed, c,
-            _solver_options(config))]
+            problem, cal.assemble_calderon_system(problem), deltas, seed, c, opts)]
         # the first status short of convergence, if any row has one
         summary["assertions"] = {"converged": next(
             (r["status"] for r in rows if r["status"] != solvers.STATUS_CONVERGED),

@@ -40,6 +40,8 @@ STATUS_INFEASIBLE = "infeasible_suspected"
 RANK_RTOL = 1e-12
 # the equality solve accepts a dual vector with ``dual_norm(Phi^* p) <= 1 + TOL_DUAL``
 TOL_DUAL = 1e-6
+# a solve checks convergence at every multiple of this and at its last iteration
+CHECK_EVERY = 25
 
 
 @dataclass
@@ -47,16 +49,26 @@ class SolverOptions:
     """Tuning knobs shared by the solvers.
 
     Feasibility is measured relative to ``1 + ||z||`` and the duality gap
-    relative to ``1 + objective``.  A report's ``extras["objective_history"]``
-    holds the objective at each convergence check, every ``check_every``
-    iterations.
+    relative to ``1 + objective``.  A solve checks convergence every
+    ``CHECK_EVERY`` iterations and at its last one, so the report always
+    describes the iterate returned; a report's
+    ``extras["objective_history"]`` holds the objective at each check.
+    ``max_iter`` must be at least 1 and every tolerance positive and finite;
+    other values raise ``ValueError``.
     """
 
     max_iter: int = 50_000
     tol_feas: float = 1e-8
     tol_gap: float = 1e-6
     tol_fp: float = 1e-8
-    check_every: int = 25
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter = {self.max_iter}: need at least one iteration")
+        for name in ("tol_feas", "tol_gap", "tol_fp"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} = {value}: must be positive and finite")
 
 
 @dataclass
@@ -331,17 +343,13 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
         y = op.adjoint_vec(op.pinv_gram(z))
         history = []
         status = STATUS_MAX_ITER
-        x = y
-        p = np.zeros_like(z)
-        gap = np.inf
-        feas = np.inf
 
         for it in range(1, opts.max_iter + 1):
             x, mu = op.project(y, z)
             w = reg.prox(2.0 * x - y, shapes, rho)
             y = y + w - x
 
-            if it % opts.check_every == 0 or it == 1:
+            if it % CHECK_EVERY == 0 or it in (1, opts.max_iter):
                 p = -mu / rho
                 feas = float(np.linalg.norm(op.apply_vec(x) - z))
                 _require_finite(residual=feas)
@@ -363,9 +371,6 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
     except NumericFailure as exc:
         raise _at_iteration("solve_equality_nnm", it, exc) from exc
 
-    obj = reg.value(x, shapes)
-    feas = float(np.linalg.norm(op.apply_vec(x) - z))
-    gap = obj - float(p @ z)
     report = SolveReport(
         iterations=it, objective=obj, feas_residual=feas, duality_gap=gap,
         status=status, dual=p,
@@ -410,7 +415,6 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR, x0=None):
         theta = 1.0
         history = []
         status = STATUS_MAX_ITER
-        fp_resid = np.inf
 
         for it in range(1, opts.max_iter + 1):
             grad = op.adjoint_vec(op.apply_vec(yv) - z)
@@ -427,9 +431,10 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR, x0=None):
             theta = theta_new
             x = x_new
 
-            if it % opts.check_every == 0:
+            if it % CHECK_EVERY == 0 or it == opts.max_iter:
                 resid = op.apply_vec(x) - z
-                obj = 0.5 * float(np.linalg.norm(resid) ** 2) + lam * reg.value(x, shapes)
+                misfit = np.linalg.norm(resid)
+                obj = 0.5 * float(misfit ** 2) + lam * reg.value(x, shapes)
                 _require_finite(objective=obj)
                 history.append(obj)
                 g = op.adjoint_vec(resid)
@@ -442,13 +447,11 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR, x0=None):
     except NumericFailure as exc:
         raise _at_iteration("solve_regularized_nnm", it, exc) from exc
 
-    misfit_vec = op.apply_vec(x) - z
-    obj = 0.5 * float(np.linalg.norm(misfit_vec) ** 2) + lam * reg.value(x, shapes)
-    p = -misfit_vec / lam
+    p = -resid / lam
     pt = (1.0 / max(1.0, reg.dual_norm(op.adjoint_apply(p)))) * p
     gap = obj - (lam * float(pt @ z) - 0.5 * lam ** 2 * float(pt @ pt))
     report = SolveReport(
-        iterations=it, objective=obj, feas_residual=float(np.linalg.norm(misfit_vec)),
+        iterations=it, objective=obj, feas_residual=float(misfit),
         duality_gap=gap, status=status, dual=p,
         extras={"objective_history": history, "step": step, "fp_residual": fp_resid},
     )
@@ -487,15 +490,13 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
 
         y = op_hard.adjoint_vec(op_hard.pinv_gram(zh))
         status = STATUS_MAX_ITER
-        x_g = y
-        kkt = np.inf
         for it in range(1, opts.max_iter + 1):
             x_g, _ = op_hard.project(y, zh)
             grad = op_data.adjoint_vec(op_data.apply_vec(x_g) - zd)
             prox_in = 2.0 * x_g - y - gamma * grad
             x_f = NUCLEAR.prox(prox_in, shapes, lam * gamma)
             shift = x_f - x_g
-            if it % opts.check_every == 0:
+            if it % CHECK_EVERY == 0 or it == opts.max_iter:
                 # stationarity: the prox supplies an exact nuclear-norm
                 # subgradient at x_f; project the full gradient onto the
                 # constraint null space and account for the iterate mismatch

@@ -155,7 +155,8 @@ def test_cli_internal_sweep_reports_max_iter_rows(tmp_path):
 
 def test_cli_phaselift_reports_max_iter_rows(tmp_path, caplog):
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("[noise]\ndeltas = 0,1e-3\n[solver]\nmax_iter = 5\n")
+    cfg.write_text("[phaselift]\nn = 20\nm = 120\n[noise]\ndeltas = 0,1e-3\n"
+                   "[solver]\nmax_iter = 5\n")
     out = tmp_path / "out"
     with caplog.at_level("WARNING", logger="liftrec"):
         assert main(["--config", str(cfg), "--out", str(out), "phaselift"]) \
@@ -163,6 +164,17 @@ def test_cli_phaselift_reports_max_iter_rows(tmp_path, caplog):
     rows = read_table(out / "phaselift.csv", PHASELIFT_SCHEMA)
     assert [(r["iters"], r["status"]) for r in rows] == [(5, "max_iter")] * 2
     assert "phaselift.csv: 2 of 2 rows stopped at max_iter" in caplog.text
+
+
+def test_cli_phaselift_checks_its_last_iteration(tmp_path):
+    # at n = 5, m = 20 the exact solve's fifth iterate meets every
+    # tolerance; the check at the last iteration reports it converged
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[noise]\ndeltas = 0\n[solver]\nmax_iter = 5\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "phaselift"]) == 0
+    rows = read_table(out / "phaselift.csv", PHASELIFT_SCHEMA)
+    assert [(r["iters"], r["status"]) for r in rows] == [(5, "converged")]
 
 
 def test_cli_internal_certify_emits_json(tmp_path):
@@ -415,11 +427,21 @@ def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
     ("[potential]\ntype = constant\nvalue = 0\n", ("internal", "certify")),
     ("[grid]\nnx = 9\nny = 9\n[potential]\ncoeffs = 1,2,3\n", ("calderon", "forward")),
     ("[grid]\nnx = 9\nny = 9\n[potential]\ncoeffs = nan,1,1,1\n", ("calderon", "forward")),
+    # coefficients on which the scale functional is not positive
+    ("[grid]\nnx = 9\nny = 9\n[potential]\ncoeffs = -1,-1,-1,-1\ng_functional = integral\n",
+     ("calderon", "forward")),
+    ("[grid]\nnx = 9\nny = 9\n[potential]\ncoeffs = -1,-1,-1,-1\ng_functional = subdomain\n",
+     ("calderon", "forward")),
+    ("[solver]\nmax_iter = 0\n", ("phaselift",)),
+    ("[solver]\ntol_gap = nan\n", ("phaselift",)),
+    ("[solver]\ntol_fp = -1\n", ("internal", "recover")),
+    ("[grid]\nnx = 9\nny = 9\n[solver]\ntol_feas = 0\n", ("calderon", "recover")),
 ], ids=["nx", "n", "m_basis", "n_modes", "n_list", "c_internal", "c_inf", "c_calderon",
         "delta_internal", "delta_phaselift", "delta_nan", "deltas_nan", "phaselift_m",
         "phaselift_n", "n_modes_above_boundary", "n_list_above_boundary", "f_a", "f_b_nan",
         "q0_nan", "base", "jump_lo_nan", "q0_values", "constant_value", "coeffs",
-        "coeffs_nan"])
+        "coeffs_nan", "integral", "subdomain", "max_iter", "tol_gap_nan", "tol_fp",
+        "tol_feas_calderon"])
 def test_cli_out_of_range_values_exit_2(tmp_path, capsys, text, command):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

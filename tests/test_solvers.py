@@ -185,16 +185,66 @@ def test_equality_report_invariants_and_weak_duality():
     assert not audit.flagged
 
 
-def test_equality_objective_monotone_after_burn_in():
+def test_equality_objective_monotone_after_burn_in(monkeypatch):
     rng = np.random.default_rng(4)
     op = _random_op(rng, 8, [(5, 5)])
     truth = np.outer(rng.standard_normal(5), rng.standard_normal(5))
     z = op.apply([truth])
-    _, report = solve_equality_nnm(op, z, opts=SolverOptions(check_every=1))
+    monkeypatch.setattr(solvers, "CHECK_EVERY", 1)
+    _, report = solve_equality_nnm(op, z)
     hist = np.asarray(report.extras["objective_history"], float)
     windows = [hist[i:i + 10].mean() for i in range(10, len(hist) - 10, 10)]
     diffs = np.diff(windows)
     assert np.all(diffs <= 1e-6 * (1 + np.abs(windows[0])))
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_options_need_an_iteration(value):
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverOptions(max_iter=value)
+
+
+@pytest.mark.parametrize("name", ["tol_feas", "tol_gap", "tol_fp"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_options_need_positive_finite_tolerances(name, value):
+    with pytest.raises(ValueError, match=name):
+        SolverOptions(**{name: value})
+
+
+def _final_check_problem():
+    rng = np.random.default_rng(21)
+    op = _random_op(rng, 12, [(5, 4)])
+    truth = np.outer(rng.standard_normal(5), rng.standard_normal(4))
+    return op, op.apply([truth]) + 1e-2 * rng.standard_normal(12)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["douglas_rachford", "apg"])
+def test_last_iteration_is_a_check(noisy):
+    # 30 is no multiple of CHECK_EVERY: the report and the last history
+    # entry both come from iteration 30, the iterate returned
+    op, z = _final_check_problem()
+    opts = SolverOptions(max_iter=30, tol_fp=1e-12)
+    if noisy:
+        blocks, report = solve_regularized_nnm(op, z, 1e-3, opts=opts)
+    else:
+        blocks, report = solve_equality_nnm(op, z, opts=opts)
+    assert report.iterations == 30
+    assert report.extras["objective_history"][-1] == report.objective
+    misfit = float(np.linalg.norm(op.apply(blocks) - z))
+    assert report.feas_residual == pytest.approx(misfit, rel=1e-12, abs=1e-15)
+
+
+def test_equality_evaluates_the_regularizer_only_at_checks(monkeypatch):
+    op, z = _final_check_problem()
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return nuclear_norm(m)
+
+    monkeypatch.setattr(solvers, "nuclear_norm", counted)
+    _, report = solve_equality_nnm(op, z, opts=SolverOptions(max_iter=60))
+    assert len(calls) == len(report.extras["objective_history"]) == 4
 
 
 def test_equality_invariant_under_domain_rotation():
@@ -351,7 +401,7 @@ def test_regularized_start_point(reg):
     assert np.array_equal(cold[0], zero[0])
     assert cold_rep.iterations == zero_rep.iterations
     warm, warm_rep = solve_regularized_nnm(op, z, 1e-2, reg=reg, x0=cold)
-    assert warm_rep.iterations == SolverOptions().check_every < cold_rep.iterations
+    assert warm_rep.iterations == solvers.CHECK_EVERY < cold_rep.iterations
     assert np.linalg.norm(warm[0] - cold[0]) <= 1e-8
     with pytest.raises(ValueError, match="start point"):
         solve_regularized_nnm(op, z, 1e-2, reg=reg, x0=[np.zeros((2, 2))])
