@@ -513,12 +513,12 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
         raise _at_iteration("solve_regularized_constrained", it, exc) from exc
 
     hard_resid = float(np.linalg.norm(op_hard.apply_vec(x_g) - zh))
-    misfit = float(np.linalg.norm(op_data.apply_vec(x_g) - zd))
+    resid = op_data.apply_vec(x_g) - zd
+    misfit = float(np.linalg.norm(resid))
     obj = 0.5 * misfit ** 2 + lam * NUCLEAR.value(x_g, shapes)
     report = SolveReport(
         iterations=it, objective=obj, feas_residual=misfit,
-        duality_gap=np.nan, status=status,
-        dual=(zd - op_data.apply_vec(x_g)) / lam,
+        duality_gap=np.nan, status=status, dual=-resid / lam,
         extras={"hard_residual": hard_resid, "step": gamma, "kkt_residual": kkt},
     )
     return unpack_blocks(x_g, shapes), report
