@@ -48,10 +48,6 @@ class CriterionResult:
 _TIGHT = solvers.SolverOptions(tol_gap=1e-9, tol_feas=1e-10)
 
 
-def _all_converged(reports):
-    return all(r.status == solvers.STATUS_CONVERGED for r in reports)
-
-
 def criterion_1():
     """Jump-size interval of the sufficient condition at n = 401."""
     t0 = time.time()
@@ -123,7 +119,8 @@ def criterion_3(bound_reports):
     errs, reports, bounds = zip(*map_rows(one, tasks, 1))
     medians = [float(m) for m in np.median(np.reshape(errs, (len(deltas), 5)), axis=1)]
     slope = loglog_slope(deltas, medians)
-    ok = 0.8 <= slope <= 1.2 and _all_converged(reports)
+    ok = 0.8 <= slope <= 1.2 and all(
+        r.status == solvers.STATUS_CONVERGED for r in reports)
     bound_reports.extend(bounds)
     return CriterionResult(3, "linear robustness rate (internal)", ok,
                            {"slope": slope, "medians": dict(zip(deltas, medians)),
@@ -341,12 +338,14 @@ def criterion_9():
 
 
 def criterion_10():
-    """PhaseLift recovery and its conditional robustness rate."""
+    """PhaseLift recovery and its conditional robustness rate, on the rows
+    of ``phaselift``: the exact row at seed 7, then three noisy sweeps on
+    the first instance whose pre-certificate passes, noise bases 100, 200
+    and 300."""
     t0 = time.time()
-    inst = quadratic.make_phase_retrieval(5, 20, 7)
-    x_hat, _, report = quadratic.recover_phaselift(inst, opts=_TIGHT)
-    base_err = quadratic.sign_aligned_error(x_hat, inst.x_true)
-    ok = base_err <= 1e-3 and report.status == solvers.STATUS_CONVERGED
+    (exact,) = quadratic.recover_rows(quadratic.make_phase_retrieval(5, 20, 7), (0.0,), 7,
+                                      1.0, _TIGHT)
+    ok = exact["err"] <= 1e-3 and exact["status"] == solvers.STATUS_CONVERGED
 
     # locate an instance whose pre-certificate verifies the source condition
     ndsc_seed = None
@@ -364,24 +363,18 @@ def criterion_10():
     noisy = []
     if ndsc_seed is not None:
         deltas = (1e-1, 1e-2, 1e-3, 1e-4)
-        medians = []
-        for d in deltas:
-            errs = []
-            for s in range(3):
-                z_noisy = quadratic.add_noise(inst_v, d, 100 + s)
-                xh, _, rep = quadratic.recover_phaselift(
-                    inst_v, lam=d, z=z_noisy
-                )
-                errs.append(quadratic.sign_aligned_error(xh, inst_v.x_true))
-                noisy.append(rep)
-            medians.append(float(np.median(errs)))
+        runs = [quadratic.recover_rows(inst_v, deltas, base, 1.0, None)
+                for base in (100, 200, 300)]
+        noisy = [row for rows in runs for row in rows]
+        medians = np.median([[row["err"] for row in rows] for rows in runs], axis=0)
         slope = loglog_slope(deltas, medians)
-        ok = ok and 0.8 <= slope <= 1.2 and _all_converged(noisy)
+        ok = ok and 0.8 <= slope <= 1.2 and all(
+            row["status"] == solvers.STATUS_CONVERGED for row in noisy)
     ok = ok and (time.time() - t0) <= 60.0
     return CriterionResult(10, "PhaseLift recovery and robustness", ok,
-                           {"noiseless_err": base_err, "ndsc_seed": ndsc_seed,
+                           {"noiseless_err": exact["err"], "ndsc_seed": ndsc_seed,
                             "ndsc_w_norm": cert_w, "slope": slope,
-                            "noisy_iters": sum(r.iterations for r in noisy)})
+                            "noisy_iters": sum(row["iters"] for row in noisy)})
 
 
 def criterion_11(bound_reports):

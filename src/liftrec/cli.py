@@ -422,9 +422,10 @@ def run_calderon(config, out_dir, seed, task):
     n_modes = config.get("boundary", "n_modes", 4, int)
     _require(n_modes >= 1, f"boundary.n_modes = {n_modes}: need at least one boundary mode")
     if task == "certify":
-        n_list = [int(v) for v in config.get_list("sweep", "n_list", default=(2, 3, 4))]
-        _require(n_list and min(n_list) >= 1,
-                 f"sweep.n_list = {n_list}: need data-family sizes of at least 1")
+        n_list = config.get_list("sweep", "n_list", default=(2, 3, 4))
+        _require(n_list and all(float(v).is_integer() and v >= 1 for v in n_list),
+                 f"sweep.n_list = {n_list}: need integer data-family sizes of at least 1")
+        n_list = [int(v) for v in n_list]
         # the study reads every N off one problem, the first N data of
         # which are those of an N-datum build
         n_modes = max([n_modes, *n_list])
@@ -496,25 +497,7 @@ def run_phaselift(config, out_dir, seed):
     deltas, c = _noise_levels(config), _noise_weight(config)
     opts = _solver_options(config)
     inst = quadratic.make_phase_retrieval(n, m, seed)
-    rows = []
-    # a noisy row starts from the lift of the row before it: the lift moves
-    # by O(delta) between noise levels, so that start saves APG iterations
-    x_prev = None
-    for i, delta in enumerate(deltas):
-        lam = c * delta
-        if delta == 0:
-            x_hat, x_prev, report = quadratic.recover_phaselift(inst, opts=opts)
-        else:
-            z_noisy = quadratic.add_noise(inst, delta, seed + 1 + i)
-            x_hat, x_prev, report = quadratic.recover_phaselift(
-                inst, lam=lam, z=z_noisy, opts=opts, x0=x_prev
-            )
-        rows.append({
-            "n": n, "m": m, "delta": delta, "lambda": lam,
-            "err": quadratic.sign_aligned_error(x_hat, inst.x_true),
-            "rank_ratio": report.extras["rank_ratio"],
-            "iters": report.iterations, "status": report.status,
-        })
+    rows = quadratic.recover_rows(inst, deltas, seed, c, opts)
     return _finish(out_dir, "phaselift", rows, PHASELIFT_SCHEMA,
                    {"kind": "phaselift", "seed": seed, "rows": len(rows)})
 
@@ -551,6 +534,16 @@ def run_selftest(out_dir, seed):
 # entry point
 
 
+def _at_least(low):
+    """An argparse type: an integer of at least ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="liftrec",
@@ -558,8 +551,8 @@ def build_parser():
     )
     parser.add_argument("--config", default=None, help="configuration file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count for sweeps")
+    parser.add_argument("--seed", type=_at_least(0), default=0, help="base random seed")
+    parser.add_argument("--jobs", type=_at_least(1), default=1, help="worker count for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_int = sub.add_parser("internal", help="internal-measurement experiments")

@@ -124,9 +124,35 @@ def recover_phaselift(instance, lam=0.0, z=None, opts=None, x0=None):
     pivot = np.flatnonzero(np.abs(x_hat) > 1e-10 * max(np.abs(x_hat).max(), 1e-30))
     if pivot.size and x_hat[pivot[0]] < 0:
         x_hat = -x_hat
-    rank_ratio = float(evals[-2] / evals[-1]) if evals[-1] > 0 else 0.0
+    # a 1 x 1 lift has one eigenvalue and is rank one
+    rank_ratio = float(evals[-2] / evals[-1]) if evals.size > 1 and evals[-1] > 0 else 0.0
     report.extras["rank_ratio"] = rank_ratio
     return x_hat, x_mat, report
+
+
+def recover_rows(instance, deltas, seed, c, opts):
+    """One row of ``phaselift``'s table per noise level in ``deltas``.  Level
+    ``i`` draws its noise from ``seed + 1 + i`` and solves at ``lambda = c *
+    delta``, which must be positive.  A noisy level starts from the lift of
+    the level before it, O(delta) away, which saves APG iterations."""
+    if not all(delta == 0 or c * delta > 0 for delta in deltas):
+        raise ValueError(f"lambda = c * delta must be positive, got c = {c}")
+    rows, x_prev = [], None
+    for i, delta in enumerate(deltas):
+        lam = c * delta
+        if delta == 0:
+            x_hat, x_prev, report = recover_phaselift(instance, opts=opts)
+        else:
+            x_hat, x_prev, report = recover_phaselift(
+                instance, lam=lam, z=add_noise(instance, delta, seed + 1 + i),
+                opts=opts, x0=x_prev)
+        rows.append({
+            "n": instance.n, "m": instance.z.size, "delta": delta, "lambda": lam,
+            "err": sign_aligned_error(x_hat, instance.x_true),
+            "rank_ratio": report.extras["rank_ratio"],
+            "iters": report.iterations, "status": report.status,
+        })
+    return rows
 
 
 def sign_aligned_error(x_hat, x_true):

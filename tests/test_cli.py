@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liftrec import calderon as cal
-from liftrec import certify, cli, lowrank
+from liftrec import certify, cli, lowrank, quadratic
 from liftrec.cli import (
     EXIT_MAX_ITER,
     INTERNAL_SCHEMA,
@@ -290,12 +290,50 @@ def test_cli_solver_proxes_take_the_rank_one_step(tmp_path, monkeypatch, config,
 
 
 def test_cli_phaselift_smoke(tmp_path):
+    # the default instance, and n = 1, whose 1 x 1 lift has one eigenvalue
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("[phaselift]\nn = 1\nm = 3\n[noise]\ndeltas = 0,1e-3\n")
+    for name, config in (("default", []), ("one", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert main([*config, "--out", str(out), "--seed", "7", "phaselift"]) == 0
+        rows = read_table(out / "phaselift.csv", PHASELIFT_SCHEMA)
+        assert rows[0]["err"] <= 1e-3
+        assert all(row["status"] == "converged" for row in rows)
+    assert [row["rank_ratio"] for row in rows] == [0.0, 0.0]
+
+
+def test_cli_phaselift_solves_its_rows_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    recover_rows = quadratic.recover_rows
+
+    def recording_rows(instance, deltas, seed, c, opts):
+        calls.append((instance.n, tuple(deltas), seed, c))
+        return recover_rows(instance, deltas, seed, c, opts)
+
+    monkeypatch.setattr(quadratic, "recover_rows", recording_rows)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[noise]\ndeltas = 0,1e-2,1e-3\nc = 2\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "3",
+                 "phaselift"]) == 0
+    assert calls == [(5, (0.0, 1e-2, 1e-3), 3, 2.0)]
+
+
+@pytest.mark.parametrize("flag", [("--seed", "-1"), ("--jobs", "0"), ("--jobs", "-1")],
+                         ids=["seed", "jobs_0", "jobs_negative"])
+@pytest.mark.parametrize("command", [("phaselift",), ("calderon", "baseline"),
+                                     ("internal", "recover")],
+                         ids=["phaselift", "calderon", "internal"])
+def test_cli_rejects_a_negative_seed_and_fewer_than_one_job(tmp_path, capsys, flag,
+                                                             command):
+    # each command draws noise or a start from --seed; --jobs K runs K threads
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[grid]\nn = 21\nnx = 9\nny = 9\n[noise]\ndelta = 1e-3\n")
     out = tmp_path / "out"
-    code = main(["--out", str(out), "--seed", "7", "phaselift"])
-    assert code == 0
-    rows = read_table(out / "phaselift.csv", PHASELIFT_SCHEMA)
-    assert rows[0]["err"] <= 1e-3
-    assert rows[0]["status"] == "converged"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--out", str(out), *flag, *command])
+    assert exc.value.code == 2
+    assert f"argument {flag[0]}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_phaselift_solves_noisy_rows_at_c_times_delta(tmp_path):
@@ -418,6 +456,7 @@ def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
     # a 9 x 9 grid has 32 boundary nodes, room for 32 modes and no more
     ("[grid]\nnx = 9\nny = 9\n[boundary]\nn_modes = 33\n", ("calderon", "forward")),
     ("[grid]\nnx = 9\nny = 9\n[sweep]\nn_list = 2,33\n", ("calderon", "certify")),
+    ("[grid]\nnx = 9\nny = 9\n[sweep]\nn_list = 2.7,4\n", ("calderon", "certify")),
     ("[boundary]\nf_a = -1\n", ("internal", "recover")),
     ("[boundary]\nf_b = nan\n", ("internal", "recover")),
     ("[potential]\nq0 = nan\n", ("internal", "recover")),
@@ -438,7 +477,8 @@ def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
     ("[grid]\nnx = 9\nny = 9\n[solver]\ntol_feas = 0\n", ("calderon", "recover")),
 ], ids=["nx", "n", "m_basis", "n_modes", "n_list", "c_internal", "c_inf", "c_calderon",
         "delta_internal", "delta_phaselift", "delta_nan", "deltas_nan", "phaselift_m",
-        "phaselift_n", "n_modes_above_boundary", "n_list_above_boundary", "f_a", "f_b_nan",
+        "phaselift_n", "n_modes_above_boundary", "n_list_above_boundary", "n_list_fraction",
+        "f_a", "f_b_nan",
         "q0_nan", "base", "jump_lo_nan", "q0_values", "constant_value", "coeffs",
         "coeffs_nan", "integral", "subdomain", "max_iter", "tol_gap_nan", "tol_fp",
         "tol_feas_calderon"])

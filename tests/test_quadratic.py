@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from liftrec import certify
+from liftrec import certify, quadratic
 from liftrec.lowrank import RankOneModel
 from liftrec.quadratic import (
     QuadraticInstance,
     add_noise,
     make_phase_retrieval,
     recover_phaselift,
+    recover_rows,
     require_symmetric,
     sign_aligned_error,
 )
@@ -203,3 +204,24 @@ def test_solves_on_one_instance_share_the_gram_factorization(monkeypatch):
     _, x_exact, _ = recover_phaselift(inst)
     recover_phaselift(inst, lam=1e-3, z=add_noise(inst, 1e-3, 8), x0=x_exact)
     assert len(calls) == 1
+
+
+def test_rows_start_each_noisy_level_from_the_last_lift():
+    # level i draws its noise from seed + 1 + i and solves at c * delta
+    inst = make_phase_retrieval(5, 20, 7)
+    rows = recover_rows(inst, (0.0, 1e-2, 1e-3), 4, 2.0, None)
+    _, x_prev, _ = recover_phaselift(inst)
+    for i, delta in ((1, 1e-2), (2, 1e-3)):
+        x_hat, x_prev, report = recover_phaselift(
+            inst, lam=2.0 * delta, z=add_noise(inst, delta, 5 + i), x0=x_prev)
+        assert rows[i]["err"] == sign_aligned_error(x_hat, inst.x_true)
+        assert (rows[i]["lambda"], rows[i]["iters"]) == (2.0 * delta, report.iterations)
+
+
+def test_rows_reject_a_noisy_level_at_c_zero_before_any_solve(monkeypatch):
+    # at lambda = 0 the noisy row would run the exact solve on noisy data
+    solves = []
+    monkeypatch.setattr(quadratic, "recover_phaselift", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match="must be positive"):
+        recover_rows(make_phase_retrieval(5, 20, 7), (0.0, 1e-3), 7, 0.0, None)
+    assert solves == []
