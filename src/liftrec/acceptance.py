@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calderon as cal
-from . import certify, lowrank, quadratic, solvers
+from . import certify, internal, lowrank, quadratic, solvers
 from ._blas import blas_threads, map_rows
 from .hilbert import build_grid_1d, build_grid_2d
 from .internal import (
@@ -25,7 +25,6 @@ from .internal import (
     find_condition_interval,
     loglog_slope,
     make_measurements,
-    noisy_row,
     prepare_rows,
     sufficient_condition,
 )
@@ -96,7 +95,8 @@ def criterion_2():
 
 
 def criterion_3(bound_reports):
-    """Linear robustness rate over ``internal sweep``'s rows, five seeds each."""
+    """Linear robustness rate over ``internal sweep``'s rows, five seeds each
+    (:func:`~liftrec.internal.recover_row` at c = 1), and their lifts' bounds."""
     deltas = (1e-2, 3e-3, 1e-3, 3e-4)
     grid = build_grid_1d(41, 0.0, 1.0)
     with blas_threads(1):
@@ -106,25 +106,26 @@ def criterion_3(bound_reports):
 
     def one(task):
         delta, seed = task
-        q_hat, f_white, report = noisy_row(state, delta, seed, delta)   # c = 1
+        row, f_white = internal.recover_row(state, delta, seed, 1.0)
         # the state noise's bound on the measurement perturbation
         delta_meas = delta * np.sqrt(1.0 + problem.q_true.integral ** 2)
         bounds = certify.robustness_bounds(
-            state.op, [f_white], f_ref, [problem.model], state.cert.h_blocks,
-            state.cert.p, delta / delta_meas, delta_meas,
+            state.op, [f_white], f_ref, [problem.model], state.cert,
+            delta / delta_meas, delta_meas,
         )
-        return problem.l2.norm(q_hat.values - problem.q_true.values), report, bounds
+        return row, bounds
 
     tasks = [(d, s) for d in deltas for s in range(5)]
-    errs, reports, bounds = zip(*map_rows(one, tasks, 1))
-    medians = [float(m) for m in np.median(np.reshape(errs, (len(deltas), 5)), axis=1)]
+    rows, bounds = zip(*map_rows(one, tasks, 1))
+    errs = np.reshape([row["err_L2"] for row in rows], (len(deltas), 5))
+    medians = [float(m) for m in np.median(errs, axis=1)]
     slope = loglog_slope(deltas, medians)
     ok = 0.8 <= slope <= 1.2 and all(
-        r.status == solvers.STATUS_CONVERGED for r in reports)
+        row["status"] == solvers.STATUS_CONVERGED for row in rows)
     bound_reports.extend(bounds)
     return CriterionResult(3, "linear robustness rate (internal)", ok,
                            {"slope": slope, "medians": dict(zip(deltas, medians)),
-                            "noisy_iters": sum(r.iterations for r in reports)})
+                            "noisy_iters": sum(row["iters"] for row in rows)})
 
 
 def criterion_4():
@@ -410,9 +411,8 @@ def criterion_11(bound_reports):
         ok = ok and q_err <= 1e-2 and exact["status"] == solvers.STATUS_CONVERGED
         for row, blocks in noisy:
             bound_reports.append(certify.robustness_bounds(
-                system.op_full, blocks, f_true, problem.models,
-                full_cert.h_blocks, full_cert.p, 1.0, row["delta"],
-            ))
+                system.op_full, blocks, f_true, problem.models, full_cert, 1.0,
+                row["delta"]))
         slope = loglog_slope(deltas, [row["rel_err_W"] for row, _ in noisy])
         ok = ok and 0.7 <= slope <= 1.3 and all(
             row["status"] == solvers.STATUS_CONVERGED for row, _ in noisy)

@@ -427,17 +427,6 @@ def assemble_calderon_system(problem):
     )
 
 
-def make_calderon_measurements(system, delta=0.0, seed=0):
-    """Flux data vector, optionally polluted by noise of exact norm delta."""
-    z = system.z_data.copy()
-    if delta > 0:
-        rng = np.random.default_rng(seed)
-        e = rng.standard_normal(z.size)
-        e *= delta / np.linalg.norm(e)
-        z = z + e
-    return z
-
-
 def extract_q_calderon(c_vals, f_bdry_vals, problem):
     """Potential coordinates from the boundary rows of one stack."""
     wb = problem.grid.boundary_weights
@@ -476,14 +465,12 @@ def recover_rows(problem, system, deltas, seed, c, opts):
     """One ``(row, blocks)`` per noise level in ``deltas``, all on the one
     assembly ``system``; every level draws its noise from ``seed``, so a row
     equals the single-level run's.  ``row`` holds the columns of ``calderon
-    recover``'s table, ``blocks`` the whitened recovered stack.  A noisy
-    level solves at ``lambda = c * delta``, which must be positive."""
+    recover``'s table, ``blocks`` the whitened recovered stack.  Noise and
+    weights are :mod:`~liftrec.certify`'s, every weight checked first."""
+    lams = [certify.noise_weight(c, delta) for delta in deltas]
     out = []
-    for delta in deltas:
-        lam = 0.0 if delta == 0 else c * delta
-        if delta != 0 and not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        z_data = make_calderon_measurements(system, delta=delta, seed=seed)
+    for delta, lam in zip(deltas, lams):
+        z_data = certify.add_noise(system.z_data, delta, seed) if delta else system.z_data
         q_hat, blocks, report = recover_calderon(problem, system, z_data, lam, opts=opts)
         out.append(({
             "delta": delta, "lambda": lam,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,30 +328,48 @@ def precertificate(op, models, symmetric=False):
     return report
 
 
-def robustness_bounds(op, f_delta, f_ref, models, h_blocks, p, c, delta):
+def noise_weight(c, delta):
+    """``lambda = c * delta``, the weight of a row at noise level ``delta``:
+    0 at ``delta == 0``, else positive with a finite reciprocal (the solvers
+    divide by it) or ``ValueError``."""
+    if delta == 0:
+        return 0.0
+    lam = c * delta
+    if not (0 < lam < math.inf and math.isfinite(1.0 / lam)):
+        raise ValueError(f"lambda must be positive with a finite reciprocal, got {c} * {delta}")
+    return lam
+
+
+def add_noise(z, delta, seed):
+    """``z`` plus a Gaussian vector of exact norm ``delta`` drawn from ``seed``."""
+    e = np.random.default_rng(seed).standard_normal(np.size(z))
+    e *= delta / np.linalg.norm(e)
+    return z + e
+
+
+def robustness_bounds(op, f_delta, f_ref, models, cert, c, delta):
     """Measured-versus-theoretical robustness quantities for a noisy solve.
 
     Evaluates the Bregman divergence between the noisy solution and the
     reference, the prediction error, and the off-tangent error mass, and
-    compares each against its certified bound:
+    compares each against its certified bound, ``H`` and ``p`` from ``cert``:
 
     * ``D_H <= (1 + c ||p||)^2 delta / (2 c)``
     * ``||Phi F_delta - Phi F_ref|| <= 2 (1 + c ||p||) delta``
     * ``sum_i ||P_perp(F_delta - F_ref)_i||_F <= D_H / (1 - max_i ||W_i||)``
 
-    The bounds require H to be a valid subgradient at the reference and the
-    regularization weight to equal ``c * delta``.  Each comparison allows
-    ``1e-9`` of absolute round-off.
+    The bounds require H to be a valid subgradient at the reference, noise
+    of norm ``delta`` (:func:`add_noise`) and the weight ``c * delta``
+    (:func:`noise_weight`).  Each comparison allows ``1e-9`` of round-off.
     """
     slack = 1e-9
-    p_norm = float(np.linalg.norm(p))
+    p_norm = float(np.linalg.norm(cert.p))
     d_h = 0.0
     tperp_sum = 0.0
-    w_max = 0.0
-    for fd, fr, h, model in zip(f_delta, f_ref, h_blocks, models):
+    for fd, fr, h, model in zip(f_delta, f_ref, cert.h_blocks, models):
         d_h += bregman_divergence(fd, fr, h)
         tperp_sum += float(np.linalg.norm(project_tangent_complement(fd - fr, model)))
-        w_max = max(w_max, operator_norm(project_tangent_complement(h, model)))
+    w_max = cert.max_w_norm
     pred = float(np.linalg.norm(op.apply(f_delta) - op.apply(f_ref)))
 
     bound_dh = (1.0 + c * p_norm) ** 2 * delta / (2.0 * c)

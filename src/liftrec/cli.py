@@ -26,7 +26,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from .internal import (
     assemble_internal_operator,
     build_internal_problem,
     find_condition_interval,
-    noisy_row,
     prepare_rows,
+    recover_row,
     sufficient_condition,
 )
 from .pde1d import constant_potential, step_potential
@@ -59,7 +59,7 @@ KNOWN_KEYS = {
     "boundary": {"f_a", "f_b", "n_modes", "m_basis"},
     "noise": {"delta", "deltas", "c"},
     "phaselift": {"n", "m"},
-    "solver": {"max_iter", "tol_feas", "tol_gap", "tol_fp"},
+    "solver": {f.name for f in fields(solvers.SolverOptions)},
     "sweep": {"q0_values", "n_list"},
 }
 
@@ -235,21 +235,21 @@ def _require(ok, message):
 
 
 def _grid_nodes(config, default):
-    """``[grid] n``, the 1-D node count, at least 3."""
+    """``[grid] n``, the 1-D node count, at least 4: the second difference
+    of the H2 structure reads four nodes at each end."""
     n = config.get("grid", "n", default, int)
-    _require(n >= 3, f"grid.n = {n}: the grid needs at least 3 nodes")
+    _require(n >= 4, f"grid.n = {n}: the 1-D grid needs at least 4 nodes")
     return n
 
 
 def _solver_options(config):
-    """``[solver]``: ``max_iter`` at least 1, each tolerance positive and
-    finite."""
-    max_iter = config.get("solver", "max_iter", 50_000, int)
-    tol_feas = config.get("solver", "tol_feas", 1e-8, float)
-    tol_gap = config.get("solver", "tol_gap", 1e-6, float)
-    tol_fp = config.get("solver", "tol_fp", 1e-8, float)
+    """``[solver]``: each field of :class:`~liftrec.solvers.SolverOptions`,
+    read with that field's default and type; ``max_iter`` at least 1, each
+    tolerance positive and finite."""
+    values = {f.name: config.get("solver", f.name, f.default, type(f.default))
+              for f in fields(solvers.SolverOptions)}
     try:
-        return solvers.SolverOptions(max_iter, tol_feas, tol_gap, tol_fp)
+        return solvers.SolverOptions(**values)
     except ValueError as exc:
         raise ConfigError(f"solver.{exc}") from exc
 
@@ -323,38 +323,22 @@ def _internal_instances(config, q0_values):
     return [(grid, _potential_for(config, grid, q0), f_a, f_b) for q0 in q0_values]
 
 
-def _noise_levels(config):
-    """``[noise] deltas``, or else the single ``[noise] delta``; each finite
-    and nonnegative."""
+def _noise(config):
+    """``[noise] deltas``, or else the single ``[noise] delta``, each finite
+    and nonnegative, and ``c``, the positive finite factor of ``lambda = c *
+    delta``: every level's weight must pass :func:`certify.noise_weight`."""
     deltas = config.get_list("noise", "deltas") or [config.get("noise", "delta", 0.0, float)]
     _require(all(math.isfinite(d) and d >= 0 for d in deltas),
              f"noise deltas = {deltas}: each must be finite and nonnegative")
-    return deltas
-
-
-def _noise_weight(config):
-    """``[noise] c``, the positive finite factor of ``lambda = c * delta``."""
     c = config.get("noise", "c", 1.0, float)
     _require(0 < c < math.inf,
              f"noise.c = {c}: the weight factor must be positive and finite")
-    return c
-
-
-def _internal_row(states, q0, delta, seed, c, opts):
-    state = states[q0]
-    if delta == 0:
-        q_hat, report, lam = state.q_hat, state.report, 0.0
-    else:
-        lam = c * delta
-        q_hat, _, report = noisy_row(state, delta, seed, lam, opts)
-    problem = state.problem
-    return {
-        "q0": q0, "lhs": state.lhs, "pass": state.passed,
-        "w_norm": float("nan") if state.cert is None else state.cert.max_w_norm,
-        "err_L2": problem.l2.norm(q_hat.values - problem.q_true.values),
-        "delta": delta, "lambda": lam, "iters": report.iterations,
-        "status": report.status,
-    }
+    try:
+        for delta in deltas:
+            certify.noise_weight(c, delta)
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}") from exc
+    return deltas, c
 
 
 def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
@@ -363,7 +347,8 @@ def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
     The :class:`~liftrec.internal.RowState`, exact lift included, is built
     once per distinct q0; both stages run through :func:`map_rows`, so every
     ``jobs`` gives the same bytes.  Each row stays its own task, which keeps
-    the pool balanced.
+    the pool balanced.  A row is :func:`~liftrec.internal.recover_row`'s
+    under the configured q0 that keys its state.
     """
     distinct = list(dict.fromkeys(q0_values))
     states = dict(zip(distinct, map_rows(
@@ -372,7 +357,8 @@ def _internal_rows(config, q0_values, deltas, seed, c, opts, jobs):
     tasks = [(q0, delta, seed + k) for k, (q0, delta) in enumerate(
         (a, b) for a in q0_values for b in deltas
     )]
-    return map_rows(lambda t: _internal_row(states, *t, c, opts), tasks, jobs)
+    return map_rows(lambda t: {"q0": t[0], **recover_row(states[t[0]], *t[1:], c, opts)[0]},
+                    tasks, jobs)
 
 
 def run_internal(config, out_dir, seed, jobs, task):
@@ -404,8 +390,8 @@ def run_internal(config, out_dir, seed, jobs, task):
         q0_values = config.get_list("sweep", "q0_values", default=(-0.3, 0.3, 0.5))
     else:
         raise ConfigError(f"unknown internal task {task!r}")
-    rows = _internal_rows(config, q0_values, _noise_levels(config), seed,
-                          _noise_weight(config), opts, jobs)
+    deltas, c = _noise(config)
+    rows = _internal_rows(config, q0_values, deltas, seed, c, opts, jobs)
     return _finish(out_dir, task, rows, INTERNAL_SCHEMA,
                    {"kind": "internal", "task": task, "seed": seed, "rows": len(rows)})
 
@@ -470,7 +456,7 @@ def run_calderon(config, out_dir, seed, task):
         return _finish(out_dir, task, rows, CALDERON_CERTIFY_SCHEMA, summary)
 
     if task == "recover":
-        deltas, c, opts = _noise_levels(config), _noise_weight(config), _solver_options(config)
+        (deltas, c), opts = _noise(config), _solver_options(config)
         rows = [row for row, _ in cal.recover_rows(
             problem, cal.assemble_calderon_system(problem), deltas, seed, c, opts)]
         # the first status short of convergence, if any row has one
@@ -494,8 +480,7 @@ def run_phaselift(config, out_dir, seed):
     m = config.get("phaselift", "m", 20, int)
     _require(n >= 1 and m >= 1,
              f"phaselift n = {n}, m = {m}: need at least one unknown and one measurement")
-    deltas, c = _noise_levels(config), _noise_weight(config)
-    opts = _solver_options(config)
+    (deltas, c), opts = _noise(config), _solver_options(config)
     inst = quadratic.make_phase_retrieval(n, m, seed)
     rows = quadratic.recover_rows(inst, deltas, seed, c, opts)
     return _finish(out_dir, "phaselift", rows, PHASELIFT_SCHEMA,

@@ -210,8 +210,11 @@ def first_difference_1d(grid):
 
 
 def second_difference_1d(grid):
-    """Full-grid second-derivative matrix, exact on quadratics."""
+    """Full-grid second-derivative matrix, exact on quadratics.  Its
+    one-sided end stencils read four nodes, so the grid needs at least 4."""
     n, h = grid.n, grid.h
+    if n < 4:
+        raise ValueError(f"the second difference needs at least 4 nodes, got n={n}")
     d = np.zeros((n, n))
     for j in range(1, n - 1):
         d[j, j - 1] = 1.0 / h ** 2

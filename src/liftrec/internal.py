@@ -260,14 +260,26 @@ def prepare_rows(problem, opts=None):
     return RowState(problem, op, lhs, passed, cert, q_hat, lift, report)
 
 
-def noisy_row(state, delta, seed, lam, opts=None):
-    """The measurements at ``delta`` > 0 and ``seed``, solved at weight
-    ``lam``, which must be positive, from the exact lift of ``state``:
-    :func:`recover_internal`'s potential, whitened field and report."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    z = make_measurements(state.problem, delta=delta, seed=seed)
-    return recover_internal(state.problem, z, lam, opts=opts, op=state.op, x0=state.lift)
+def recover_row(state, delta, seed, c, opts=None):
+    """The ``internal recover|sweep`` row of ``state`` at ``delta``, without
+    its ``q0`` column, and the row's whitened lift: the exact solve of
+    ``state`` at ``delta == 0``, else the measurements at ``delta`` and
+    ``seed`` solved from the exact lift at the weight
+    :func:`~liftrec.certify.noise_weight` gives for ``c``."""
+    lam = certify.noise_weight(c, delta)
+    problem = state.problem
+    if delta == 0:
+        q_hat, lift, report = state.q_hat, state.lift, state.report
+    else:
+        z = make_measurements(problem, delta=delta, seed=seed)
+        q_hat, lift, report = recover_internal(problem, z, lam, opts=opts, op=state.op,
+                                               x0=state.lift)
+    return {
+        "lhs": state.lhs, "pass": state.passed,
+        "w_norm": float("nan") if state.cert is None else state.cert.max_w_norm,
+        "err_L2": problem.l2.norm(q_hat.values - problem.q_true.values),
+        "delta": delta, "lambda": lam, "iters": report.iterations, "status": report.status,
+    }, lift
 
 
 # ---------------------------------------------------------------------------

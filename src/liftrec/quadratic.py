@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certify import add_noise, noise_weight
 from .solvers import DenseOperator, solve_psd_trace_min
 
 
@@ -91,14 +92,6 @@ def make_phase_retrieval(n, m, seed):
                              z=z, x_true=x)
 
 
-def add_noise(instance, delta, seed):
-    """Perturb the data by a Gaussian vector of exact norm ``delta``."""
-    rng = np.random.default_rng(seed)
-    e = rng.standard_normal(instance.z.size)
-    e *= delta / np.linalg.norm(e)
-    return instance.z + e
-
-
 def recover_phaselift(instance, lam=0.0, z=None, opts=None, x0=None):
     """PSD trace-minimization recovery with rank-one extraction.
 
@@ -132,19 +125,18 @@ def recover_phaselift(instance, lam=0.0, z=None, opts=None, x0=None):
 
 def recover_rows(instance, deltas, seed, c, opts):
     """One row of ``phaselift``'s table per noise level in ``deltas``.  Level
-    ``i`` draws its noise from ``seed + 1 + i`` and solves at ``lambda = c *
-    delta``, which must be positive.  A noisy level starts from the lift of
-    the level before it, O(delta) away, which saves APG iterations."""
-    if not all(delta == 0 or c * delta > 0 for delta in deltas):
-        raise ValueError(f"lambda = c * delta must be positive, got c = {c}")
+    ``i`` draws its noise from ``seed + 1 + i``; noise and weights are
+    :mod:`~liftrec.certify`'s, every weight checked first.  A noisy level
+    starts from the lift of the level before it, O(delta) away, which saves
+    APG iterations."""
+    lams = [noise_weight(c, delta) for delta in deltas]
     rows, x_prev = [], None
-    for i, delta in enumerate(deltas):
-        lam = c * delta
+    for i, (delta, lam) in enumerate(zip(deltas, lams)):
         if delta == 0:
             x_hat, x_prev, report = recover_phaselift(instance, opts=opts)
         else:
             x_hat, x_prev, report = recover_phaselift(
-                instance, lam=lam, z=add_noise(instance, delta, seed + 1 + i),
+                instance, lam=lam, z=add_noise(instance.z, delta, seed + 1 + i),
                 opts=opts, x0=x_prev)
         rows.append({
             "n": instance.n, "m": instance.z.size, "delta": delta, "lambda": lam,

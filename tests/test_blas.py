@@ -45,7 +45,7 @@ def _recording_row(seen, fail_at=None):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((120, 120))
 
-    def row(config, q0, delta, seed, c, opts):
+    def row(state, delta, seed, c, opts):
         seen.append(tuple(_thread_counts()))
         b = a
         for _ in range(5):
@@ -53,9 +53,9 @@ def _recording_row(seen, fail_at=None):
             seen.append(tuple(_thread_counts()))
         if seed == fail_at:
             raise RuntimeError("row failed")
-        return {"q0": q0, "lhs": 0.0, "pass": True, "w_norm": float(b[0, 0]),
+        return {"lhs": 0.0, "pass": True, "w_norm": float(b[0, 0]),
                 "err_L2": 0.0, "delta": delta, "lambda": c * delta, "iters": 0,
-                "status": "converged"}
+                "status": "converged"}, None
     return row
 
 
@@ -86,7 +86,7 @@ def _run_sweep(tmp_path, jobs):
 
 def test_sweep_rows_run_on_one_blas_thread(tmp_path, monkeypatch, two_blas_threads):
     seen = []
-    monkeypatch.setattr(cli, "_internal_row", _recording_row(seen))
+    monkeypatch.setattr(cli, "recover_row", _recording_row(seen))
     outcome = _run_sweep(tmp_path, jobs=3)
     assert outcome == {"code": 0}
     assert len(seen) == 24 * 6
@@ -97,7 +97,7 @@ def test_sweep_rows_run_on_one_blas_thread(tmp_path, monkeypatch, two_blas_threa
 
 def test_cap_is_restored_when_a_row_raises(tmp_path, monkeypatch, two_blas_threads):
     seen = []
-    monkeypatch.setattr(cli, "_internal_row", _recording_row(seen, fail_at=5))
+    monkeypatch.setattr(cli, "recover_row", _recording_row(seen, fail_at=5))
     outcome = _run_sweep(tmp_path, jobs=3)
     assert str(outcome.get("error")) == "row failed"
     assert set(seen) == {(1,) * len(two_blas_threads)}

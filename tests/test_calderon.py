@@ -18,13 +18,12 @@ from liftrec.calderon import (
     gauss_newton_baseline,
     make_basis_w,
     make_boundary_basis,
-    make_calderon_measurements,
     precertificate_study,
     recover_calderon,
     recover_rows,
     solve_schrodinger_2d,
 )
-from liftrec.certify import precertificate
+from liftrec.certify import add_noise, precertificate
 from liftrec.errors import EigenvalueHit
 from liftrec.hilbert import build_grid_2d
 from liftrec.solvers import SolverOptions
@@ -259,7 +258,7 @@ def test_extraction_is_exact_on_rank_one(small_problem):
 
 def test_exact_recovery_small(small_problem):
     grid, problem, system = small_problem
-    z_data = make_calderon_measurements(system)
+    z_data = system.z_data
     q_hat, blocks, report = recover_calderon(problem, system, z_data, 0.0, opts=TIGHT)
     rel = np.linalg.norm(q_hat - problem.q_coeffs) / np.linalg.norm(problem.q_coeffs)
     assert rel <= 1e-6
@@ -272,7 +271,7 @@ def test_constant_potential_single_datum():
     coeffs = coeffs_from_function(basis, grid, np.full(grid.n_nodes, 0.8))
     problem = build_calderon_problem(grid, m=4, n_modes=1, q_coeffs=coeffs)
     system = assemble_calderon_system(problem)
-    z_data = make_calderon_measurements(system)
+    z_data = system.z_data
     q_hat, _, report = recover_calderon(problem, system, z_data, 0.0, opts=TIGHT)
     rel = np.linalg.norm(q_hat - problem.q_coeffs) / np.linalg.norm(problem.q_coeffs)
     assert rel <= 1e-5
@@ -280,11 +279,22 @@ def test_constant_potential_single_datum():
 
 def test_noisy_recovery_keeps_hard_constraints(small_problem):
     grid, problem, system = small_problem
-    z_data = make_calderon_measurements(system, delta=1e-3, seed=5)
+    z_data = add_noise(system.z_data, 1e-3, 5)
     q_hat, blocks, report = recover_calderon(problem, system, z_data, 1e-3)
     assert report.extras["hard_residual"] <= 1e-8
     err = np.linalg.norm(q_hat - problem.q_coeffs)
     assert err <= 1e-1
+
+
+def test_rows_reject_a_noisy_level_at_c_zero_before_any_solve(small_problem, monkeypatch):
+    # every level's weight is checked before the exact level is solved
+    import liftrec.calderon as cal
+    grid, problem, system = small_problem
+    solves = []
+    monkeypatch.setattr(cal, "recover_calderon", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        recover_rows(problem, system, [0.0, 1e-3], 1, 0.0, None)
+    assert solves == []
 
 
 def test_recover_rejects_nonpositive_weight(small_problem):
@@ -292,7 +302,7 @@ def test_recover_rejects_nonpositive_weight(small_problem):
     for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="lambda must be positive"):
             recover_rows(problem, system, [1e-3], 1, c, None)
-    noisy = make_calderon_measurements(system, delta=1e-3, seed=1)
+    noisy = add_noise(system.z_data, 1e-3, 1)
     with pytest.raises(ValueError, match="lambda must be positive"):
         recover_calderon(problem, system, noisy, -1e-3)
 
@@ -407,8 +417,8 @@ def test_pipelines_never_build_the_dense_form(small_problem, monkeypatch):
     fresh = assemble_calderon_system(problem)
     precertificate_study(problem, fresh, [2, problem.n_data])
     opts = SolverOptions(max_iter=50)
-    recover_calderon(problem, fresh, make_calderon_measurements(fresh), 0.0, opts=opts)
-    noisy = make_calderon_measurements(fresh, delta=1e-3, seed=5)
+    recover_calderon(problem, fresh, fresh.z_data, 0.0, opts=opts)
+    noisy = add_noise(fresh.z_data, 1e-3, 5)
     recover_calderon(problem, fresh, noisy, 1e-3, opts=opts)
 
 

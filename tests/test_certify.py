@@ -358,7 +358,9 @@ def test_robustness_bounds_trivial_case():
     f_ref = [model.matrix]
     h = [np.outer(model.u, model.v)]
     p = op.matrix @ h[0].ravel()
-    report = robustness_bounds(op, f_ref, f_ref, [model], h, p, c=1.0, delta=0.0)
+    cert = ndsc_verify(h, [model])
+    cert.p = p
+    report = robustness_bounds(op, f_ref, f_ref, [model], cert, c=1.0, delta=0.0)
     assert report["bregman"] == pytest.approx(0.0, abs=1e-12)
     assert report["prediction_error"] == pytest.approx(0.0, abs=1e-12)
     assert report["all_ok"]
@@ -373,5 +375,7 @@ def test_robustness_bounds_flag_violations():
     h = [np.outer(model.u, model.v)]
     p = op.matrix @ h[0].ravel()
     # delta = 0 with a genuinely different solution cannot satisfy the bounds
-    report = robustness_bounds(op, f_far, f_ref, [model], h, p, c=1.0, delta=1e-12)
+    cert = ndsc_verify(h, [model])
+    cert.p = p
+    report = robustness_bounds(op, f_far, f_ref, [model], cert, c=1.0, delta=1e-12)
     assert not report["all_ok"]

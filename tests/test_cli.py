@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from liftrec import calderon as cal
-from liftrec import certify, cli, lowrank, quadratic
+from liftrec import certify, cli, lowrank, quadratic, solvers
 from liftrec.cli import (
     EXIT_MAX_ITER,
     INTERNAL_SCHEMA,
@@ -60,6 +61,22 @@ def test_parse_config_sections_and_comments():
 def test_parse_config_rejects_bad_input(bad):
     with pytest.raises(ConfigError):
         parse_config(bad)
+
+
+def test_solver_options_take_the_library_defaults(monkeypatch):
+    # an empty [solver] gives SolverOptions(), whatever its defaults are
+    assert cli.KNOWN_KEYS["solver"] == {"max_iter", "tol_feas", "tol_gap", "tol_fp"}
+    assert cli._solver_options(cli.ExperimentConfig()) == solvers.SolverOptions()
+
+    @dataclasses.dataclass
+    class Options(solvers.SolverOptions):
+        max_iter: int = 7
+        tol_gap: float = 1e-3
+
+    monkeypatch.setattr(solvers, "SolverOptions", Options)
+    assert cli._solver_options(cli.ExperimentConfig()) == Options()
+    config = parse_config("[solver]\nmax_iter = 9\n")
+    assert cli._solver_options(config) == Options(max_iter=9)
 
 
 def test_emit_table_round_trip(tmp_path):
@@ -475,13 +492,22 @@ def test_cli_calderon_recover_rows_equal_their_one_delta_runs(tmp_path):
     ("[solver]\ntol_gap = nan\n", ("phaselift",)),
     ("[solver]\ntol_fp = -1\n", ("internal", "recover")),
     ("[grid]\nnx = 9\nny = 9\n[solver]\ntol_feas = 0\n", ("calderon", "recover")),
+    # the 1-D second difference reads four nodes at each end
+    ("[grid]\nn = 3\n", ("internal", "certify")),
+    ("[grid]\nn = 3\n", ("certify",)),
+    # a weight c * delta whose reciprocal overflows
+    ("[noise]\ndeltas = 0,1e-3\nc = 1e-320\n", ("phaselift",)),
+    ("[noise]\ndeltas = 0,1e-3\nc = 1e-320\n", ("internal", "recover")),
+    ("[grid]\nnx = 9\nny = 9\n[noise]\ndeltas = 0,1e-3\nc = 1e-320\n",
+     ("calderon", "recover")),
 ], ids=["nx", "n", "m_basis", "n_modes", "n_list", "c_internal", "c_inf", "c_calderon",
         "delta_internal", "delta_phaselift", "delta_nan", "deltas_nan", "phaselift_m",
         "phaselift_n", "n_modes_above_boundary", "n_list_above_boundary", "n_list_fraction",
         "f_a", "f_b_nan",
         "q0_nan", "base", "jump_lo_nan", "q0_values", "constant_value", "coeffs",
         "coeffs_nan", "integral", "subdomain", "max_iter", "tol_gap_nan", "tol_fp",
-        "tol_feas_calderon"])
+        "tol_feas_calderon", "n_3_internal_certify", "n_3_certify", "c_subnormal_phaselift",
+        "c_subnormal_internal", "c_subnormal_calderon"])
 def test_cli_out_of_range_values_exit_2(tmp_path, capsys, text, command):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -5,6 +5,7 @@ from liftrec.hilbert import (
     assemble_inner_product,
     build_grid_1d,
     build_grid_2d,
+    second_difference_1d,
 )
 
 from oracles import gram_dense
@@ -26,6 +27,14 @@ def test_grid_1d_weights_telescope():
 def test_grid_1d_rejects_bad_arguments(n, a, b):
     with pytest.raises(ValueError):
         build_grid_1d(n, a, b)
+
+
+def test_second_difference_needs_four_nodes():
+    # the one-sided end stencils read four nodes
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        second_difference_1d(build_grid_1d(3, 0.0, 1.0))
+    d2 = second_difference_1d(build_grid_1d(4, 0.0, 1.0))
+    assert np.allclose(d2 @ np.linspace(0.0, 1.0, 4) ** 2, 2.0)
 
 
 def test_grid_2d_invariants():

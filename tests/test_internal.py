@@ -18,10 +18,10 @@ from liftrec.internal import (
     extract_q_from_trace,
     loglog_slope,
     make_measurements,
-    noisy_row,
     optimal_alpha,
     prepare_rows,
     recover_internal,
+    recover_row,
     sufficient_condition,
 )
 from liftrec.pde1d import (
@@ -204,9 +204,9 @@ def test_exact_recovery_constant_potential():
 def test_recover_rejects_nonpositive_weight(step_instance):
     _, problem, _ = step_instance
     state = prepare_rows(problem)
-    for lam in (0.0, -1.0):
+    for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="lambda must be positive"):
-            noisy_row(state, 1e-3, 1, lam)
+            recover_row(state, 1e-3, 1, c)
     noisy = make_measurements(problem, delta=1e-3, seed=1)
     with pytest.raises(ValueError, match="lambda must be positive"):
         recover_internal(problem, noisy, -1.0)
@@ -362,28 +362,27 @@ def test_noisy_recovery_rate_two_seeds(step_instance):
     for delta in deltas:
         errs = []
         for seed in range(2):
-            q_hat, _, _ = noisy_row(state, delta, seed, delta)
-            errs.append(problem.l2.norm(q_hat.values - problem.q_true.values))
+            row, _ = recover_row(state, delta, seed, 1.0)
+            errs.append(row["err_L2"])
         med.append(float(np.median(errs)))
     slope = loglog_slope(deltas, med)
     assert 0.7 <= slope <= 1.3
 
 
 def test_noisy_row_is_the_internal_sweep_row(tmp_path, step_instance):
-    # criterion 3 and `internal sweep` solve one row the same way, to the digit
+    # criterion 3 and `internal sweep` solve one row the same way: every
+    # column of every row, to the digit
     _, problem, _ = step_instance
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[grid]\nn = 41\n[sweep]\nq0_values = 0.5\n"
                    "[noise]\ndeltas = 1e-2,1e-3\n")
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "--seed", "3",
                      "internal", "sweep"]) == 0
-    rows = cli.read_table(tmp_path / "sweep.csv", cli.INTERNAL_SCHEMA)
-    assert [r["delta"] for r in rows] == [1e-2, 1e-3]
     state = prepare_rows(problem)
-    for k, row in enumerate(rows):
-        q_hat, _, _ = noisy_row(state, row["delta"], 3 + k, row["delta"])
-        err = problem.l2.norm(q_hat.values - problem.q_true.values)
-        assert f"{err:.17g}" == f"{row['err_L2']:.17g}"
+    rows = [{"q0": 0.5, **recover_row(state, delta, 3 + k, 1.0)[0]}
+            for k, delta in enumerate((1e-2, 1e-3))]
+    cli.emit_table(rows, cli.INTERNAL_SCHEMA, tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_text() == (tmp_path / "sweep.csv").read_text()
 
 
 def test_noisy_solve_started_from_the_exact_lift(step_instance):

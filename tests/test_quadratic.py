@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from liftrec import certify, quadratic
+from liftrec.certify import add_noise
 from liftrec.lowrank import RankOneModel
 from liftrec.quadratic import (
     QuadraticInstance,
-    add_noise,
     make_phase_retrieval,
     recover_phaselift,
     recover_rows,
@@ -152,7 +152,7 @@ def test_ndsc_implies_exact_recovery():
 
 def test_noise_injection_norm():
     inst = make_phase_retrieval(5, 20, 7)
-    z_noisy = add_noise(inst, 1e-2, 5)
+    z_noisy = add_noise(inst.z, 1e-2, 5)
     assert np.linalg.norm(z_noisy - inst.z) == pytest.approx(1e-2, rel=1e-12)
 
 
@@ -172,7 +172,7 @@ def test_warm_noisy_lift_matches_cold(seed, delta):
     # reaches the same minimizer in no more iterations
     inst = make_phase_retrieval(5, 20, seed)
     _, x_exact, _ = recover_phaselift(inst)
-    z_noisy = add_noise(inst, delta, seed + 1)
+    z_noisy = add_noise(inst.z, delta, seed + 1)
     _, x_cold, cold = recover_phaselift(inst, lam=delta, z=z_noisy)
     _, x_warm, warm = recover_phaselift(inst, lam=delta, z=z_noisy, x0=x_exact)
     assert cold.status == warm.status == "converged"
@@ -186,9 +186,9 @@ def test_warm_lift_from_other_noisy_row_matches_cold(seed, delta_prev, delta):
     # a noisy row may follow another noisy row, at another delta and with
     # another noise draw, when deltas lists several noise levels
     inst = make_phase_retrieval(5, 20, seed)
-    z_prev = add_noise(inst, delta_prev, seed + 1)
+    z_prev = add_noise(inst.z, delta_prev, seed + 1)
     _, x_prev, _ = recover_phaselift(inst, lam=delta_prev, z=z_prev)
-    z_noisy = add_noise(inst, delta, seed + 2)
+    z_noisy = add_noise(inst.z, delta, seed + 2)
     _, x_cold, cold = recover_phaselift(inst, lam=delta, z=z_noisy)
     _, x_warm, warm = recover_phaselift(inst, lam=delta, z=z_noisy, x0=x_prev)
     assert cold.status == warm.status == "converged"
@@ -202,7 +202,7 @@ def test_solves_on_one_instance_share_the_gram_factorization(monkeypatch):
     gram = inst.op.gram
     monkeypatch.setattr(inst.op, "gram", lambda: calls.append(1) or gram())
     _, x_exact, _ = recover_phaselift(inst)
-    recover_phaselift(inst, lam=1e-3, z=add_noise(inst, 1e-3, 8), x0=x_exact)
+    recover_phaselift(inst, lam=1e-3, z=add_noise(inst.z, 1e-3, 8), x0=x_exact)
     assert len(calls) == 1
 
 
@@ -213,7 +213,7 @@ def test_rows_start_each_noisy_level_from_the_last_lift():
     _, x_prev, _ = recover_phaselift(inst)
     for i, delta in ((1, 1e-2), (2, 1e-3)):
         x_hat, x_prev, report = recover_phaselift(
-            inst, lam=2.0 * delta, z=add_noise(inst, delta, 5 + i), x0=x_prev)
+            inst, lam=2.0 * delta, z=add_noise(inst.z, delta, 5 + i), x0=x_prev)
         assert rows[i]["err"] == sign_aligned_error(x_hat, inst.x_true)
         assert (rows[i]["lambda"], rows[i]["iters"]) == (2.0 * delta, report.iterations)
 
