@@ -560,16 +560,28 @@ _PARSER = build_parser()
 _MULTI_THREADED = {("calderon", "recover"), ("selftest", None)}
 
 
+def _log_level():
+    """The level named by ``LIFTREC_LOG`` (any case), WARNING when unset."""
+    name = os.environ.get("LIFTREC_LOG", "WARNING")
+    level = getattr(logging, name.upper(), None)
+    if not isinstance(level, int):
+        raise ConfigError(f"LIFTREC_LOG = {name!r} is not a logging level")
+    return level
+
+
 def main(argv=None):
-    level = os.environ.get("LIFTREC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _PARSER.parse_args(argv)
     out_dir = args.out or "."
     multi = (args.command, getattr(args, "task", None)) in _MULTI_THREADED
     with contextlib.nullcontext() if multi else blas_threads(1):
         try:
+            logging.basicConfig(level=_log_level())
             config = load_config(args.config)
-            os.makedirs(out_dir, exist_ok=True)
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {out_dir}: "
+                                  f"{exc.strerror}") from exc
             if args.command == "internal":
                 return run_internal(config, out_dir, args.seed, args.jobs, args.task)
             if args.command == "calderon":

@@ -17,8 +17,8 @@ matrices so that every inner product is Euclidean:
 * PSD trace minimization, the same splittings with the prox replaced by
   eigenvalue soft-thresholding clipped at zero.
 
-Every equality solve reports a dual vector recovered from the affine
-projection multipliers, so duality gaps can be audited externally.
+The nuclear-norm solvers report a dual vector scaled into the dual unit
+ball and the duality gap taken there, so gaps can be audited externally.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ STATUS_INFEASIBLE = "infeasible_suspected"
 
 # eigenvalues of ``Phi Phi^*`` at or below this share of the largest are zero
 RANK_RTOL = 1e-12
-# the equality solve accepts a dual vector with ``dual_norm(Phi^* p) <= 1 + TOL_DUAL``
-TOL_DUAL = 1e-6
 # a solve checks convergence at every multiple of this and at its last iteration
 CHECK_EVERY = 25
 
@@ -49,7 +47,8 @@ class SolverOptions:
     """Tuning knobs shared by the solvers.
 
     Feasibility is measured relative to ``1 + ||z||`` and the duality gap
-    relative to ``1 + objective``.  A solve checks convergence every
+    relative to ``1 + objective``; ``tol_gap`` binds the equality solve,
+    ``tol_fp`` the regularized ones.  A solve checks convergence every
     ``CHECK_EVERY`` iterations and at its last one, so the report always
     describes the iterate returned; a report's
     ``extras["objective_history"]`` holds the objective at each check.
@@ -316,16 +315,16 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
     the operator's cached factorization of ``Phi Phi^*``), the prox of ``reg``
     with threshold ``rho = ||z|| / ||Phi||`` (blockwise SVT for the default
     nuclear norm), reflected update.
-    The multiplier of the projection supplies a dual vector; convergence is
-    declared when the feasibility residual and the duality gap both clear
-    their tolerances and the dual vector is feasible.
+    Each check divides the projection multiplier ``p = -mu / rho`` by
+    ``max(1, dual_norm(Phi^* p))`` and converges when the feasibility
+    residual and the gap ``reg(F) - p.z`` at that dual clear their tolerances.
 
     Returns
     -------
     blocks : list of ndarray
     report : SolveReport
-        ``report.dual`` holds the dual vector p with ``Phi^* p`` the
-        certificate backing the gap.
+        ``report.dual`` holds the scaled dual vector p, with ``Phi^* p`` in
+        the dual unit ball the certificate backing ``report.duality_gap``.
     """
     opts = opts or SolverOptions()
     z = np.asarray(z, float)
@@ -350,21 +349,20 @@ def solve_equality_nnm(op, z, opts=None, reg=NUCLEAR):
             y = y + w - x
 
             if it % CHECK_EVERY == 0 or it in (1, opts.max_iter):
-                p = -mu / rho
                 feas = float(np.linalg.norm(op.apply_vec(x) - z))
                 _require_finite(residual=feas)
                 obj = reg.value(x, shapes)
                 _require_finite(objective=obj)
                 history.append(obj)
+                p = -mu / rho
+                p = p / max(1.0, reg.dual_norm(op.adjoint_apply(p)))
                 gap = obj - float(p @ z)
-                dual_viol = max(0.0, reg.dual_norm(op.adjoint_apply(p)) - 1.0)
                 if infeasible:
                     status = STATUS_INFEASIBLE
                     break
                 if (
                     feas <= opts.tol_feas * (1.0 + znorm)
                     and abs(gap) <= opts.tol_gap * (1.0 + abs(obj))
-                    and dual_viol <= TOL_DUAL
                 ):
                     status = STATUS_CONVERGED
                     break
@@ -392,9 +390,9 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR, x0=None):
     zero when ``x0`` is None; a nearby solution (the same problem at a
     neighbouring ``z`` or ``lambda``) saves iterations.  Terminates when the
     fixed-point residual of the prox-gradient map falls below
-    ``tol_fp * lambda``.  The reported gap is the Fenchel gap at the dual
-    candidate ``(z - Phi F) / lambda``, scaled into the dual unit ball of
-    ``reg``.
+    ``tol_fp * lambda``; the gap does not enter the stop.  ``report.dual``
+    is the dual candidate ``(z - Phi F) / lambda`` scaled into the dual unit
+    ball of ``reg``, and ``report.duality_gap`` the Fenchel gap taken there.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -448,8 +446,8 @@ def solve_regularized_nnm(op, z_noisy, lam, opts=None, reg=NUCLEAR, x0=None):
         raise _at_iteration("solve_regularized_nnm", it, exc) from exc
 
     p = -resid / lam
-    pt = (1.0 / max(1.0, reg.dual_norm(op.adjoint_apply(p)))) * p
-    gap = obj - (lam * float(pt @ z) - 0.5 * lam ** 2 * float(pt @ pt))
+    p = (1.0 / max(1.0, reg.dual_norm(op.adjoint_apply(p)))) * p
+    gap = obj - (lam * float(p @ z) - 0.5 * lam ** 2 * float(p @ p))
     report = SolveReport(
         iterations=it, objective=obj, feas_residual=float(misfit),
         duality_gap=gap, status=status, dual=p,
@@ -469,8 +467,9 @@ def solve_regularized_constrained(op_data, z_data, op_hard, z_hard, lam, opts=No
     gradient, the hard constraints through an exact cached projection, and
     the nuclear norm through blockwise SVT.  The returned iterate satisfies
     the hard constraints to projection accuracy.  No dual certificate is
-    formed, so ``report.duality_gap`` is nan; the stationarity residual that
-    decides convergence is ``report.extras["kkt_residual"]``.
+    formed: ``report.dual`` is the unscaled data multiplier and
+    ``report.duality_gap`` is nan; the stationarity residual that decides
+    convergence is ``report.extras["kkt_residual"]``.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")

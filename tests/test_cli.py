@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -117,6 +118,35 @@ def test_cli_unknown_key_exits_2(tmp_path):
 def test_cli_missing_config_exits_2(tmp_path):
     code = main(["--config", str(tmp_path / "nope.cfg"), "internal", "recover"])
     assert code == 2
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+def test_cli_out_that_is_a_file_exits_2(tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "out" if under else taken
+    cfg = tmp_path / "step.cfg"
+    cfg.write_text("[grid]\nn = 21\n")
+    assert main(["--config", str(cfg), "--out", str(out), "internal", "recover"]) == 2
+    assert "config error: cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("value", ["BASIC_FORMAT", "verbose"])
+def test_cli_log_level_must_name_a_level(tmp_path, capsys, monkeypatch, value):
+    # BASIC_FORMAT is a logging attribute but a format string, not a level
+    monkeypatch.setenv("LIFTREC_LOG", value)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "phaselift"]) == 2
+    assert "config error: LIFTREC_LOG" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_log_level_is_read_in_any_case(monkeypatch):
+    monkeypatch.setenv("LIFTREC_LOG", "debug")
+    assert cli._log_level() == logging.DEBUG
+    monkeypatch.delenv("LIFTREC_LOG")
+    assert cli._log_level() == logging.WARNING
 
 
 def test_cli_main_reuses_its_parser(tmp_path, monkeypatch):

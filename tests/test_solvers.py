@@ -11,6 +11,7 @@ from liftrec.internal import (
     InternalOperator,
     assemble_internal_operator,
     build_internal_problem,
+    make_measurements,
 )
 from liftrec.lowrank import nuclear_norm, operator_norm, subdiff_check, svt_prox
 from liftrec.pde1d import step_potential
@@ -183,6 +184,60 @@ def test_equality_report_invariants_and_weak_duality():
     audit = duality_gap(blocks, report.dual, op, z)
     assert audit.gap >= -1e-9
     assert not audit.flagged
+
+
+def test_equality_stops_on_the_gap_at_a_dual_feasible_point():
+    # a dual with norm 1 + 1.6e-7 once passed this stop with the gap at the
+    # scaled dual 11.5x tol_gap; the stop now takes the gap at that point
+    grid = build_grid_1d(41, 0.0, 1.0)
+    problem = build_internal_problem(grid, step_potential(grid, q0=1.8))
+    z = make_measurements(problem)
+    op = assemble_internal_operator(problem)
+    _, report = solve_equality_nnm(op, z, opts=SolverOptions(tol_gap=1e-8, tol_feas=1e-9))
+    assert report.status == STATUS_CONVERGED
+    assert report.duality_gap <= 1e-8 * (1 + report.objective)
+    assert NUCLEAR.dual_norm(op.adjoint_apply(report.dual)) <= 1 + 1e-12
+    assert report.duality_gap == pytest.approx(report.objective - report.dual @ z,
+                                               rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["one block", "two blocks", "psd"]),
+       rows=st.integers(2, 4), cols=st.integers(2, 4), extra=st.integers(0, 6),
+       lam=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_reported_gap_is_taken_at_a_dual_feasible_point(kind, rows, cols, extra, lam,
+                                                         seed):
+    # Douglas-Rachford and APG both return a dual in the regularizer's dual
+    # unit ball and the primal minus the dual objective there as their gap,
+    # converged or not; the data come from a planted rank-one lift
+    rng = np.random.default_rng(seed)
+    if kind == "psd":
+        shapes = [(rows, rows)]
+        v = rng.standard_normal(rows)
+        truth = [np.outer(v, v)]
+        sym = rng.standard_normal((rows * rows + extra, rows, rows))
+        op, reg = _psd_op(list(sym + sym.transpose(0, 2, 1))), PSD_TRACE
+    else:
+        shapes = [(rows, cols)] * (2 if kind == "two blocks" else 1)
+        truth = [np.outer(rng.standard_normal(r), rng.standard_normal(c))
+                 for r, c in shapes]
+        op, reg = _random_op(rng, rows + cols + extra, shapes), NUCLEAR
+    z = op.apply(truth)
+    opts = SolverOptions(max_iter=400)
+    if kind == "psd":
+        solves = [(w, solve_psd_trace_min(op, z, w, opts=opts)[1]) for w in (0.0, lam)]
+    else:
+        solves = [(0.0, solve_equality_nnm(op, z, opts=opts)[1]),
+                  (lam, solve_regularized_nnm(op, z, lam, opts=opts)[1])]
+    for weight, report in solves:
+        p = report.dual
+        assert reg.dual_norm(op.adjoint_apply(p)) <= 1 + 1e-12
+        if weight == 0:
+            dual_objective = float(p @ z)
+        else:
+            dual_objective = weight * float(p @ z) - 0.5 * weight ** 2 * float(p @ p)
+        assert report.duality_gap == pytest.approx(
+            report.objective - dual_objective, rel=1e-12, abs=1e-12)
 
 
 def test_equality_objective_monotone_after_burn_in(monkeypatch):
